@@ -15,16 +15,15 @@ Convergence is tracked through the primal/dual residual pair and the
 weighted step norm that decays like 1/T for this family of methods
 (blocks: zero weight on the dual rows, rho on u, 1/rho on mu).
 
-A solve owns its state exclusively; parallelism only occurs inside the
-block-separable dual update (box constraints only) and is
-schedule-independent.
+A solve owns its state exclusively. With box constraints (q = inf) the
+dual-row subproblem splits into one independent block per feature
+column; the ``parallel`` update runs all blocks as one vectorised loop
+that freezes each column once it meets its own stopping test.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,8 +33,6 @@ from .norms import as_norm, dual_norm, vec_norm
 from .problems import Problem
 from .prox import project_rows, prox_norm
 
-THREAD_ENV_VAR = "SCO_THREADS"
-
 
 @dataclass
 class SolverConfig:
@@ -44,7 +41,8 @@ class SolverConfig:
     ``p`` selects the regulariser row norm; its dual ``q`` (the row
     constraint geometry) is derived, never set directly. ``s`` selects the
     norm of the dual-image regulariser weighted by ``beta``. ``parallel``
-    enables the block-separable dual update and needs q = inf.
+    enables the per-column stopping test of the block-separable dual
+    update and needs q = inf.
     """
 
     alpha: float = 1.0
@@ -58,7 +56,6 @@ class SolverConfig:
     eps_rel: float = 1e-4
     inner_tol: float = 1e-8
     parallel: bool = False
-    max_workers: int | None = None
 
     def __post_init__(self):
         self.p = as_norm(self.p)
@@ -164,6 +161,9 @@ def lambda_step(problem: Problem, Q: EdgeIncidence, state: DualState, config: So
 
     Stops when the gradient-mapping norm falls below ``inner_tol`` or
     after ``inner_max_iters`` iterations; the returned rows are feasible.
+    With ``config.parallel`` the test is applied per feature column: a
+    column that meets it keeps that iteration's rows while the others go
+    on, and the loop ends once every column has stopped.
     """
     if lipschitz is None:
         sigma = operator_norm_estimate(Q, rng=rng)
@@ -179,26 +179,25 @@ def lambda_step(problem: Problem, Q: EdgeIncidence, state: DualState, config: So
     lam = project_rows(state.lam, config.q)
     y = lam
     t_k = 1.0
+    done = np.zeros(d, dtype=bool)
     for _ in range(config.inner_max_iters):
         grad = _dual_quadratic_gradient(problem, Q, y, fixed, config.rho)
         lam_next = project_rows(y - step * grad, config.q)
-        gap = lipschitz * float(np.linalg.norm(y - lam_next))
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k))
-        y = lam_next + ((t_k - 1.0) / t_next) * (lam_next - lam)
-        lam, t_k = lam_next, t_next
-        if gap <= config.inner_tol:
+        y_next = lam_next + ((t_k - 1.0) / t_next) * (lam_next - lam)
+        if config.parallel:
+            gap = lipschitz * np.linalg.norm(y - lam_next, axis=0)
+            lam_next = np.where(done, lam, lam_next)
+            y_next = np.where(done, y, y_next)
+            done = done | (gap <= config.inner_tol)
+            stop = bool(done.all())
+        else:
+            gap = lipschitz * float(np.linalg.norm(y - lam_next))
+            stop = gap <= config.inner_tol
+        y, lam, t_k = y_next, lam_next, t_next
+        if stop:
             break
     return lam
-
-
-def _worker_count(d: int, config: SolverConfig) -> int:
-    cap = os.environ.get(THREAD_ENV_VAR)
-    workers = d
-    if config.max_workers is not None:
-        workers = min(workers, int(config.max_workers))
-    if cap:
-        workers = min(workers, max(1, int(cap)))
-    return max(1, min(workers, os.cpu_count() or 1))
 
 
 def parallel_lambda_step(problem: Problem, Q: EdgeIncidence, state: DualState,
@@ -207,47 +206,14 @@ def parallel_lambda_step(problem: Problem, Q: EdgeIncidence, state: DualState,
     """Feature-separated dual-row update for box constraints.
 
     With q = inf the constraint set splits per entry and the subproblem
-    splits into one independent block per feature column, each of which
-    runs the serial update on its own column slice. Every block uses the
-    same step size and its own stopping test, so the result matches the
-    serial update up to the inner tolerance and is identical for any
-    worker count (workers only change which thread touches which column).
+    splits into one independent block per feature column. All blocks share
+    the step size and the momentum sequence, so :func:`lambda_step` with
+    ``parallel`` set runs them together and stops each column on its own
+    test; the result equals solving every column block separately.
+    Raises ParameterError unless q = inf.
     """
-    if config.q != np.inf:
-        raise ParameterError("the block-separable dual update needs q = inf")
-    if lipschitz is None:
-        sigma = operator_norm_estimate(Q, rng=rng)
-        lipschitz = sigma ** 2 * (problem.curvature_bound() + config.rho)
-    n, d = problem.values.shape
-    if d == 1:
-        return lambda_step(problem, Q, state, config, lipschitz=lipschitz)
-
-    out = np.empty_like(state.lam)
-
-    def solve_block(c: int) -> None:
-        sub = problem.column_problem(c)
-        block = DualState(
-            lam=state.lam[:, c:c + 1].copy(),
-            u=state.u[c * n:(c + 1) * n].copy(),
-            mu=state.mu[c * n:(c + 1) * n].copy(),
-            t=state.t,
-        )
-        out[:, c:c + 1] = lambda_step(sub, Q, block, config, lipschitz=lipschitz)
-
-    workers = _worker_count(d, config)
-    if workers == 1:
-        for c in range(d):
-            solve_block(c)
-        return out
-
-    def solve_chunk(chunk) -> None:
-        for c in chunk:
-            solve_block(c)
-
-    chunks = [range(w, d, workers) for w in range(workers)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(solve_chunk, chunks))
-    return out
+    return lambda_step(problem, Q, state, replace(config, parallel=True),
+                       lipschitz=lipschitz, rng=rng)
 
 
 def u_step(state: DualState, Q: EdgeIncidence, config: SolverConfig,
@@ -331,7 +297,7 @@ def solve_dual(problem: Problem, Q: EdgeIncidence, config: SolverConfig,
     performed = 0
 
     for _ in range(config.outer_max_iters):
-        if config.parallel and config.q == np.inf:
+        if config.parallel:
             state.lam = parallel_lambda_step(problem, Q, state, config, lipschitz=lipschitz)
         else:
             state.lam = lambda_step(problem, Q, state, config, lipschitz=lipschitz)
@@ -371,14 +337,3 @@ def solve_dual(problem: Problem, Q: EdgeIncidence, config: SolverConfig,
         primal_objective=problem.primal_objective(Q, x_star, config.p),
     )
 
-
-def dual_subproblem_objective(problem: Problem, Q: EdgeIncidence, lam: np.ndarray,
-                              u: np.ndarray, mu: np.ndarray, rho: float) -> float:
-    """Value of the smooth dual-row subproblem (used by tests and the
-    block-separability identity): conjugate + multiplier coupling +
-    quadratic penalty."""
-    n, d = problem.values.shape
-    stacked = Q.apply_t_stacked(lam)
-    coupling = float((lam * Q.apply(unstack_columns(mu, n, d))).sum())
-    penalty = 0.5 * rho * float(np.sum((stacked - u) ** 2))
-    return problem.conjugate_value(Q, lam) + coupling + penalty

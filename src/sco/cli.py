@@ -253,6 +253,28 @@ def _read_stream(args, data: Dataset) -> list[Snapshot]:
     return snapshots
 
 
+def _bound_reports(Q, values, delta, targets, x_star, x_tilde, lam_tilde, args, config, rng):
+    """Model and dual-image bound reports for ``args.task``: x_star is the
+    model of ``values``, x_tilde and lam_tilde the solution on
+    ``values + delta``."""
+    if args.task == "cc":
+        reports = [
+            bounds_mod.clustering_model_check(
+                values, delta, config.beta, args.c, x_star, x_tilde),
+            bounds_mod.clustering_dual_image_check(
+                Q, lam_tilde, values + delta, config.beta, config.s),
+        ]
+    else:
+        reports = [
+            bounds_mod.regression_model_check(
+                values, delta, targets, args.gamma, config.beta, args.c, x_star, x_tilde,
+                rng=rng),
+            bounds_mod.regression_dual_image_check(
+                Q, lam_tilde, values, delta, targets, args.gamma, config.beta, config.s),
+        ]
+    return [r.as_dict() for r in reports]
+
+
 def _decision_bounds(decision, session, snapshot, args, config, rng):
     """Bound reports for one decision. Keeps on changed data need one extra
     solve on the snapshot to obtain the true perturbed model."""
@@ -275,20 +297,8 @@ def _decision_bounds(decision, session, snapshot, args, config, rng):
             x_tilde = result.x_star
             lam_tilde = result.state.lam
     values = base_problem.values
-    delta = new_values - values
-    reports = []
-    if args.task == "cc":
-        reports.append(bounds_mod.clustering_model_check(
-            values, delta, config.beta, args.c, x_star, x_tilde))
-        reports.append(bounds_mod.clustering_dual_image_check(
-            session.Q, lam_tilde, values + delta, config.beta, config.s))
-    else:
-        y = base_problem.dataset.targets
-        reports.append(bounds_mod.regression_model_check(
-            values, delta, y, args.gamma, config.beta, args.c, x_star, x_tilde, rng=rng))
-        reports.append(bounds_mod.regression_dual_image_check(
-            session.Q, lam_tilde, values, delta, y, args.gamma, config.beta, config.s))
-    return [r.as_dict() for r in reports]
+    return _bound_reports(session.Q, values, new_values - values, base_problem.dataset.targets,
+                          x_star, x_tilde, lam_tilde, args, config, rng)
 
 
 def cmd_monitor(args) -> int:
@@ -351,21 +361,9 @@ def cmd_bound(args) -> int:
     evolved = solve_dual(evolved_problem, Q, config, warm_start=base.state, rng=rng)
     metric = delta_metric(problem, Q, base.state.lam, data.values + delta)
 
-    reports = []
-    if args.task == "cc":
-        reports.append(bounds_mod.clustering_model_check(
-            data.values, delta, config.beta, args.c, base.x_star, evolved.x_star))
-        reports.append(bounds_mod.clustering_dual_image_check(
-            Q, evolved.state.lam, data.values + delta, config.beta, config.s))
-    else:
-        reports.append(bounds_mod.regression_model_check(
-            data.values, delta, data.targets, args.gamma, config.beta, args.c,
-            base.x_star, evolved.x_star, rng=rng))
-        reports.append(bounds_mod.regression_dual_image_check(
-            Q, evolved.state.lam, data.values, delta, data.targets, args.gamma,
-            config.beta, config.s))
     payload = {
-        "reports": [r.as_dict() for r in reports],
+        "reports": _bound_reports(Q, data.values, delta, data.targets, base.x_star,
+                                  evolved.x_star, evolved.state.lam, args, config, rng),
         "delta_metric": float(metric),
         "config": _config_echo(args),
     }

@@ -113,7 +113,7 @@ def run_session(initial_problem: Problem, graph: VariableGraph, stream,
     """
     if threshold < 0:
         raise ParameterError(f"threshold must be nonnegative, got {threshold}")
-    Q = _edge_op(graph, config.alpha)
+    Q = EdgeIncidence(graph, config.alpha)
     result = solve_dual(initial_problem, Q, config, rng=rng)
     session = SessionState(problem=initial_problem, graph=graph, Q=Q,
                            dual=result.state, x_star=result.x_star, last_result=result)
@@ -138,10 +138,6 @@ def run_session(initial_problem: Problem, graph: VariableGraph, stream,
     return decisions, session
 
 
-def _edge_op(graph: VariableGraph, alpha: float) -> EdgeIncidence:
-    return EdgeIncidence(graph, alpha)
-
-
 def _accept_and_resolve(session: SessionState, snapshot: Snapshot, score: float,
                         threshold: float, config: SolverConfig, rebuild_graph: bool,
                         knn_k: int | None, weight_cap: float,
@@ -154,7 +150,7 @@ def _accept_and_resolve(session: SessionState, snapshot: Snapshot, score: float,
             if knn_k is None:
                 raise ParameterError("graph rebuild requested but no neighbour count given")
             new_graph = build_knn_graph(Dataset(snapshot.values), knn_k, weight_cap)
-            new_Q = _edge_op(new_graph, config.alpha)
+            new_Q = EdgeIncidence(new_graph, config.alpha)
             if new_Q.row_count != session.Q.row_count:
                 warm = None  # edge count moved: the old dual no longer fits
         started = time.perf_counter()

@@ -68,11 +68,6 @@ class Problem(ABC):
     def with_values(self, values: np.ndarray, targets: np.ndarray | None = None) -> "Problem":
         """Same task rebuilt on new data of identical shape."""
 
-    @abstractmethod
-    def column_problem(self, c: int) -> "Problem":
-        """Restriction of the task to feature column c (used by the
-        block-separable dual update)."""
-
     # --- shared derived operations -------------------------------------
 
     def _check_shape(self, X: np.ndarray) -> np.ndarray:
@@ -132,9 +127,6 @@ class ConvexClusteringProblem(Problem):
 
     def with_values(self, values, targets=None) -> "ConvexClusteringProblem":
         return ConvexClusteringProblem(Dataset(values))
-
-    def column_problem(self, c: int) -> "ConvexClusteringProblem":
-        return ConvexClusteringProblem(Dataset(self.values[:, c:c + 1]))
 
 
 class RidgeOperators:
@@ -238,9 +230,6 @@ class RidgeProblem(Problem):
         if targets is None:
             targets = self.dataset.targets
         return RidgeProblem(Dataset(values, targets), self.gamma)
-
-    def column_problem(self, c: int) -> "RidgeProblem":
-        return RidgeProblem(Dataset(self.values[:, c:c + 1], self.dataset.targets), self.gamma)
 
 
 TASKS = ("cc", "ridge")

@@ -4,12 +4,19 @@ Each oracle reaches the quantity under test by a different route than the
 library: dense Kronecker products instead of edge lists, exact quadratic
 reconstruction from function values instead of conjugate formulas, long
 plain (sub)gradient runs instead of the accelerated solver, and 1-d
-golden-section searches instead of closed-form proximal maps.
+golden-section searches instead of closed-form proximal maps. The
+block-separable dual update is checked against one serial solve per
+feature column instead of the library's masked whole-matrix loop.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
+
+from sco import (ConvexClusteringProblem, Dataset, DualState, RidgeProblem,
+                 lambda_step, unstack_columns)
 
 
 def dense_incidence(graph, alpha: float) -> np.ndarray:
@@ -158,3 +165,38 @@ def clustering_objective(values: np.ndarray, graph, alpha: float, p: float,
         else:
             total += alpha * w * float(np.abs(diff).max())
     return total
+
+
+def dual_subproblem_objective(problem, Q, lam: np.ndarray, u: np.ndarray,
+                              mu: np.ndarray, rho: float) -> float:
+    """Value of the smooth dual-row subproblem: conjugate + multiplier
+    coupling + quadratic penalty."""
+    n, d = problem.values.shape
+    stacked = Q.apply_t_stacked(lam)
+    coupling = float((lam * Q.apply(unstack_columns(mu, n, d))).sum())
+    penalty = 0.5 * rho * float(np.sum((stacked - u) ** 2))
+    return problem.conjugate_value(Q, lam) + coupling + penalty
+
+
+def column_problem(problem, c: int):
+    """The task rebuilt on feature column c alone."""
+    column = problem.values[:, c:c + 1]
+    if isinstance(problem, RidgeProblem):
+        return RidgeProblem(Dataset(column, problem.dataset.targets), problem.gamma)
+    return ConvexClusteringProblem(Dataset(column))
+
+
+def per_column_lambda_step(problem, Q, state, config, lipschitz: float) -> np.ndarray:
+    """Box-constrained dual-row update solved one feature column at a time:
+    the serial ``lambda_step`` on each column problem with its slices of
+    the dual rows, u and mu, all at the full problem's step size."""
+    n, d = problem.values.shape
+    serial = dataclasses.replace(config, parallel=False)
+    out = np.empty_like(state.lam)
+    for c in range(d):
+        block = DualState(lam=state.lam[:, c:c + 1].copy(),
+                          u=state.u[c * n:(c + 1) * n].copy(),
+                          mu=state.mu[c * n:(c + 1) * n].copy(), t=state.t)
+        out[:, c:c + 1] = lambda_step(column_problem(problem, c), Q, block, serial,
+                                      lipschitz=lipschitz)
+    return out
