@@ -321,6 +321,7 @@ def cmd_monitor(args) -> int:
             "threshold": decision.threshold,
             "action": decision.action,
             "solve_iters": decision.solve_iters,
+            "converged": decision.converged,
             "wall_ms": decision.wall_ms,
         })
         if not args.no_bounds:

@@ -11,25 +11,37 @@ from .errors import ParameterError
 from .norms import as_norm
 
 
-def project_l1_ball(v: np.ndarray, radius: float = 1.0) -> np.ndarray:
-    """Euclidean projection onto the l1 ball of the given radius.
+def _project_l1_rows(V: np.ndarray, radius: float) -> np.ndarray:
+    """Project every row of V, each with l1 norm over radius, onto the l1 ball.
 
-    Exact sort-based algorithm, O(d log d); ties are handled by the stable
-    sort, so the result is deterministic.
+    The sort-based method of Duchi et al. (2008) in one pass for all rows:
+    sort each row's magnitudes in decreasing order, take running sums, and
+    shrink the row by the threshold at the last index where the sorted
+    magnitude exceeds it. In floating point that test can fail at a tie and
+    hold again after it, so the index is the last true one, not the count.
+    """
+    a = np.abs(V)
+    u = np.sort(a, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1)
+    ks = np.arange(1, V.shape[1] + 1)
+    mask = u > (css - radius) / ks
+    rho = V.shape[1] - 1 - np.argmax(mask[:, ::-1], axis=1)
+    theta = (css[np.arange(V.shape[0]), rho] - radius) / (rho + 1.0)
+    return np.sign(V) * np.maximum(a - theta[:, None], 0.0)
+
+
+def project_l1_ball(v: np.ndarray, radius: float = 1.0) -> np.ndarray:
+    """Euclidean projection of a vector onto the l1 ball of the given radius.
+
+    Exact sort-based algorithm, O(d log d). Only magnitudes are sorted, not
+    indices, so the order among ties cannot change the result.
     """
     if radius <= 0:
         raise ParameterError(f"radius must be positive, got {radius}")
     v = np.asarray(v, dtype=float)
-    a = np.abs(v)
-    if a.sum() <= radius:
+    if np.abs(v).sum() <= radius:
         return v.copy()
-    u = np.sort(a)[::-1]
-    css = np.cumsum(u)
-    ks = np.arange(1, v.size + 1)
-    mask = u > (css - radius) / ks
-    rho = np.nonzero(mask)[0][-1]
-    theta = (css[rho] - radius) / (rho + 1.0)
-    return np.sign(v) * np.maximum(a - theta, 0.0)
+    return _project_l1_rows(v[None, :], radius)[0]
 
 
 def project_ball(v: np.ndarray, q) -> np.ndarray:
@@ -45,7 +57,11 @@ def project_ball(v: np.ndarray, q) -> np.ndarray:
 
 
 def project_rows(lam: np.ndarray, q) -> np.ndarray:
-    """Project every row of an m-by-d matrix onto the unit q-norm ball."""
+    """Project every row of an m-by-d matrix onto the unit q-norm ball.
+
+    Each q is one vectorised pass over the whole matrix; for q = 1 the pass
+    covers only the rows whose l1 norm is over 1, and the others are copied.
+    """
     q = as_norm(q)
     lam = np.atleast_2d(np.asarray(lam, dtype=float))
     if lam.shape[0] == 0:
@@ -58,8 +74,8 @@ def project_rows(lam: np.ndarray, q) -> np.ndarray:
         return lam * scale[:, None]
     out = lam.copy()
     over = np.abs(lam).sum(axis=1) > 1.0
-    for k in np.nonzero(over)[0]:
-        out[k] = project_l1_ball(lam[k], 1.0)
+    if over.any():
+        out[over] = _project_l1_rows(lam[over], 1.0)
     return out
 
 

@@ -6,7 +6,8 @@ reconstruction from function values instead of conjugate formulas, long
 plain (sub)gradient runs instead of the accelerated solver, and 1-d
 golden-section searches instead of closed-form proximal maps. The
 block-separable dual update is checked against one serial solve per
-feature column instead of the library's masked whole-matrix loop.
+feature column instead of the library's masked whole-matrix loop, and the
+batched l1-ball row projection against one projection per row.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import dataclasses
 import numpy as np
 
 from sco import (ConvexClusteringProblem, Dataset, DualState, RidgeProblem,
-                 lambda_step, unstack_columns)
+                 lambda_step, project_l1_ball, unstack_columns)
 
 
 def dense_incidence(graph, alpha: float) -> np.ndarray:
@@ -199,4 +200,29 @@ def per_column_lambda_step(problem, Q, state, config, lipschitz: float) -> np.nd
                           mu=state.mu[c * n:(c + 1) * n].copy(), t=state.t)
         out[:, c:c + 1] = lambda_step(column_problem(problem, c), Q, block, serial,
                                       lipschitz=lipschitz)
+    return out
+
+
+def l1_ball_sort_reference(v: np.ndarray, radius: float) -> np.ndarray:
+    """Projection of one vector onto the l1 ball of the given radius by the
+    plain sort-based method of Duchi et al. (2008), with no batching."""
+    a = np.abs(v)
+    if a.sum() <= radius:
+        return v.copy()
+    u = np.sort(a)[::-1]
+    css = np.cumsum(u)
+    mask = u > (css - radius) / np.arange(1, v.size + 1)
+    rho = np.nonzero(mask)[0][-1]
+    theta = (css[rho] - radius) / (rho + 1.0)
+    return np.sign(v) * np.maximum(a - theta, 0.0)
+
+
+def per_row_l1_projection(lam: np.ndarray, q=1.0) -> np.ndarray:
+    """``project_rows(lam, 1)`` one row at a time: ``project_l1_ball`` on each
+    row whose l1 norm is over 1. A drop-in for ``project_rows`` when q = 1."""
+    assert float(q) == 1.0
+    lam = np.atleast_2d(np.asarray(lam, dtype=float))
+    out = lam.copy()
+    for k in np.nonzero(np.abs(lam).sum(axis=1) > 1.0)[0]:
+        out[k] = project_l1_ball(lam[k], 1.0)
     return out

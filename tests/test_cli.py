@@ -7,6 +7,8 @@ from sco.cli import main
 from sco.io import (load_graph_json, load_solution_json, read_matrix_csv,
                     write_matrix_csv)
 
+from oracles import per_row_l1_projection
+
 
 @pytest.fixture
 def three_points(tmp_path):
@@ -107,6 +109,33 @@ def test_path_command_alpha_zero(random_csv, tmp_path):
     assert "config" in summary
 
 
+def test_pinf_outputs_match_per_row_projection(tmp_path, monkeypatch):
+    # --p inf holds each dual row in the l1 ball; the batched projection must
+    # write the same bytes as one project_l1_ball call per over-budget row
+    rng = np.random.default_rng(3)
+    data = tmp_path / "blobs.csv"
+    write_matrix_csv(str(data), np.vstack([rng.standard_normal((6, 3)) + shift
+                                           for shift in (0.0, 4.0)]))
+    common = ["--input", str(data), "--p", "inf", "--k", "3", "--beta", "0.5"]
+    commands = {"path.csv": ["path", "--alphas", "0.5,2,8"] + common,
+                "solve.json": ["solve", "--s", "inf", "--alpha", "2"] + common}
+    over_rows = []
+
+    def counted(lam, q):
+        over_rows.append(int((np.abs(lam).sum(axis=1) > 1.0).sum()))
+        return per_row_l1_projection(lam, q)
+
+    for label, patch in (("batched", None), ("per-row", counted)):
+        if patch is not None:
+            monkeypatch.setattr("sco.admm.project_rows", patch)
+        for name, argv in commands.items():
+            assert main(argv + ["--out", str(tmp_path / f"{label}-{name}")]) == 0
+    assert sum(over_rows) > 0
+    for name in ("path.csv", "path.csv.summary.json", "solve.json"):
+        assert (tmp_path / f"batched-{name}").read_bytes() == \
+            (tmp_path / f"per-row-{name}").read_bytes(), name
+
+
 def test_monitor_identical_stream(three_points, tmp_path):
     stream_dir = tmp_path / "stream"
     stream_dir.mkdir()
@@ -122,6 +151,7 @@ def test_monitor_identical_stream(three_points, tmp_path):
     decisions = lines[1:]
     assert [d["action"] for d in decisions] == ["keep"] * 3
     assert all(d["solve_iters"] is None for d in decisions)
+    assert all(d["converged"] is None for d in decisions)
     bounds = [json.loads(line) for line in
               (tmp_path / "decisions.jsonl.bounds.jsonl").read_text().strip().splitlines()]
     assert all(b["satisfied"] for b in bounds)
@@ -136,6 +166,7 @@ def test_monitor_synthetic_zero_threshold_resolves(random_csv, tmp_path):
     assert [d["action"] for d in decisions] == ["resolve"] * 3
     assert all(isinstance(d["delta_metric"], float) for d in decisions)
     assert all(d["wall_ms"] is not None for d in decisions)
+    assert all(d["converged"] is True for d in decisions)
 
 
 def test_bound_zero_delta_gives_half_threshold(random_csv, tmp_path):

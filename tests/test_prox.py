@@ -3,7 +3,7 @@ import pytest
 
 from sco import ParameterError, project_ball, project_l1_ball, project_rows, prox_norm
 
-from oracles import prox_argmin_oracle
+from oracles import l1_ball_sort_reference, per_row_l1_projection, prox_argmin_oracle
 
 
 def sample_feasible(rng, d, q):
@@ -59,6 +59,50 @@ def test_project_rows_matches_per_row():
         rows = project_rows(lam, q)
         for k in range(lam.shape[0]):
             np.testing.assert_allclose(rows[k], project_ball(lam[k], q), atol=1e-12)
+
+
+def l1_cases():
+    """Matrices for the batched l1 projection, named by what they cover."""
+    rng = np.random.default_rng(5)
+    for t in range(300):
+        m, d = int(rng.integers(1, 30)), int(rng.integers(1, 8))
+        lam = rng.standard_normal((m, d)) * rng.uniform(0.2, 3.0)
+        # rounding to one decimal forces ties inside rows
+        yield f"random-{t}", np.round(lam, 1) if t % 2 else lam
+    on_budget = np.array([[0.5, -0.25, 0.125, 0.125], [1.0, 0.0, 0.0, 0.0],
+                          [-0.25, 0.25, -0.25, 0.25]])
+    yield "on-budget", np.vstack([on_budget, 2.0 * on_budget])
+    yield "zero-rows", np.vstack([np.zeros((2, 3)), rng.standard_normal((3, 3)) * 2.0,
+                                  np.zeros((1, 3))])
+    yield "ties", np.array([[1.0, 1.0, 1.0], [-2.0, 2.0, 0.5], [0.7, -0.7, 0.7]])
+    # rounding makes the sorted test u > (css - 1)/k false at a tie and true
+    # again after it, so the threshold index is the last true one, not the count
+    yield "broken-mask", np.array([[-0.2, 3.3, -3.3, -4.3, 0.6, 0.0, 0.0],
+                                   [-4.8, -3.8, -2.2, -1.8, 3.8, 3.2, 1.8],
+                                   [0.5, 0.25, 0.0, 0.0, 0.0, 0.0, 0.0]])
+    yield "d1", rng.standard_normal((20, 1)) * 2.0
+    yield "none-over", rng.uniform(-0.2, 0.2, size=(8, 4))
+    yield "empty-rows", np.zeros((0, 3))
+    yield "empty-cols", np.zeros((4, 0))
+
+
+def test_project_rows_l1_bit_identical_to_per_row():
+    for name, lam in l1_cases():
+        batched = project_rows(lam, 1)
+        assert batched.shape == lam.shape, name
+        assert np.array_equal(batched, per_row_l1_projection(lam)), name
+        if lam.size:
+            assert np.abs(batched).sum(axis=1).max() <= 1.0 + 1e-12, name
+
+
+def test_l1_ball_matches_reference_at_any_radius():
+    rng = np.random.default_rng(6)
+    vectors = [row for _, lam in l1_cases() for row in lam if row.size]
+    vectors += [rng.standard_normal(int(rng.integers(1, 9))) * 3.0 for _ in range(100)]
+    for t, v in enumerate(vectors):
+        for radius in (0.3, 1.0, 2.5, 7.0):
+            assert np.array_equal(project_l1_ball(v, radius),
+                                  l1_ball_sort_reference(v, radius)), (t, radius)
 
 
 def test_l1_ball_radius_scaling():
