@@ -168,31 +168,36 @@ def lambda_step(problem: Problem, Q: EdgeIncidence, state: DualState, config: So
     if lipschitz is None:
         sigma = operator_norm_estimate(Q, rng=rng)
         lipschitz = sigma ** 2 * (problem.curvature_bound() + config.rho)
+    q = config.q
     if lipschitz <= 0:
-        return project_rows(state.lam, config.q)
+        return project_rows(state.lam, q)
     n, d = problem.values.shape
     U = unstack_columns(state.u, n, d)
     M_mu = unstack_columns(state.mu, n, d)
     fixed = problem.conjugate_linear_term() + M_mu - config.rho * U
     step = 1.0 / lipschitz
 
-    lam = project_rows(state.lam, config.q)
+    lam = project_rows(state.lam, q)
     y = lam
     t_k = 1.0
     done = np.zeros(d, dtype=bool)
     for _ in range(config.inner_max_iters):
         grad = _dual_quadratic_gradient(problem, Q, y, fixed, config.rho)
-        lam_next = project_rows(y - step * grad, config.q)
+        lam_next = project_rows(y - step * grad, q)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k))
         y_next = lam_next + ((t_k - 1.0) / t_next) * (lam_next - lam)
+        # The gaps are np.linalg.norm's arithmetic without its call overhead.
+        r = y - lam_next
         if config.parallel:
-            gap = lipschitz * np.linalg.norm(y - lam_next, axis=0)
-            lam_next = np.where(done, lam, lam_next)
-            y_next = np.where(done, y, y_next)
+            gap = lipschitz * np.sqrt(np.add.reduce(r * r, axis=0))
+            if done.any():
+                lam_next = np.where(done, lam, lam_next)
+                y_next = np.where(done, y, y_next)
             done = done | (gap <= config.inner_tol)
             stop = bool(done.all())
         else:
-            gap = lipschitz * float(np.linalg.norm(y - lam_next))
+            r = r.ravel(order="K")
+            gap = lipschitz * float(np.sqrt(np.dot(r, r)))
             stop = gap <= config.inner_tol
         y, lam, t_k = y_next, lam_next, t_next
         if stop:

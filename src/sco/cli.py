@@ -114,6 +114,8 @@ def build_parser() -> _Parser:
     m.add_argument("--out", required=True, help="decisions JSONL output")
     m.add_argument("--bounds-out", default=None,
                    help="bound reports JSONL (default: <out>.bounds.jsonl)")
+    m.add_argument("--metrics-out", default=None,
+                   help="also write run-dependent per-decision metrics (wall_ms) as JSONL")
 
     b = subs.add_parser("bound", help="evaluate the accuracy bounds for one perturbation")
     _add_data_flags(b)
@@ -137,7 +139,7 @@ def _solver_config(args) -> SolverConfig:
 
 
 def _config_echo(args, extra=None) -> dict:
-    skip = {"command", "out", "trace_out", "summary_out", "bounds_out"}
+    skip = {"command", "out", "trace_out", "summary_out", "bounds_out", "metrics_out"}
     echo = {key: value for key, value in sorted(vars(args).items()) if key not in skip}
     if extra:
         echo.update(extra)
@@ -313,6 +315,7 @@ def cmd_monitor(args) -> int:
 
     bound_records = []
     records = []
+    metric_records = []
 
     def on_decision(decision, session, snapshot):
         records.append({
@@ -322,8 +325,9 @@ def cmd_monitor(args) -> int:
             "action": decision.action,
             "solve_iters": decision.solve_iters,
             "converged": decision.converged,
-            "wall_ms": decision.wall_ms,
+            "stop_reason": decision.stop_reason,
         })
+        metric_records.append({"idx": decision.index, "wall_ms": decision.wall_ms})
         if not args.no_bounds:
             for report in _decision_bounds(decision, session, snapshot, args, config, rng):
                 report["idx"] = decision.index
@@ -336,6 +340,8 @@ def cmd_monitor(args) -> int:
     write_jsonl_atomic(args.out, [{"config": _config_echo(args)}] + records)
     if not args.no_bounds:
         write_jsonl_atomic(args.bounds_out or args.out + ".bounds.jsonl", bound_records)
+    if args.metrics_out:
+        write_jsonl_atomic(args.metrics_out, metric_records)
     return 0
 
 

@@ -36,7 +36,11 @@ class Snapshot:
 
 @dataclass
 class EvolutionDecision:
-    """Outcome for one snapshot: the score, the threshold and the action."""
+    """Outcome for one snapshot: the score, the threshold and the action.
+
+    The solve fields stay None on a keep. ``wall_ms`` is the re-solve's
+    wall time, the one field that differs between repeated runs.
+    """
 
     index: int
     delta_metric: float
@@ -45,6 +49,7 @@ class EvolutionDecision:
     solve_iters: int | None = None
     wall_ms: float | None = None
     converged: bool | None = None
+    stop_reason: str | None = None
 
 
 def delta_metric(problem: Problem, Q: EdgeIncidence, lam_star: np.ndarray,
@@ -168,4 +173,5 @@ def _accept_and_resolve(session: SessionState, snapshot: Snapshot, score: float,
     session.last_result = result
     return EvolutionDecision(index=snapshot.index, delta_metric=score, threshold=threshold,
                              action="resolve", solve_iters=result.iterations,
-                             wall_ms=wall_ms, converged=result.converged)
+                             wall_ms=wall_ms, converged=result.converged,
+                             stop_reason=result.stop_reason)

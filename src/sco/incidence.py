@@ -6,12 +6,22 @@ Kronecker-lifted maps the solver needs are realised as matrix products
 with the operator and its transpose, never as dense (m*d)-by-(n*d)
 matrices.
 
+The transpose map is a flat scatter: the scaled m-by-d dual rows are
+read as one vector of length m*d, and entry (k, c) is summed into bin
+``head[k]*d + c`` (and, with the opposite sign, ``tail[k]*d + c``) of an
+n*d vector by ``np.bincount``. Each bin accumulates its entries in
+increasing edge order, so the sums are the same, bit for bit, as a
+per-column accumulation, and they do not depend on any schedule.
+
 Vectorisation convention: matrices are stacked column by column
 (``stack_columns``), and all adjoint identities in this package are pinned
 to that convention.
 
-The operator is immutable after construction and every map here is pure,
-so concurrent use is safe.
+The edge arrays are fixed at construction and every map here is pure.
+The only state that changes is the cache of flat scatter indices, one
+pair per feature count d, filled on first use; filling it is idempotent
+(a second thread that races the first stores equal arrays), so
+concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -48,6 +58,18 @@ class EdgeIncidence:
         self.tail = np.array([e[1] for e in graph.edges], dtype=np.intp)
         self.coef = alpha * np.array([e[2] for e in graph.edges], dtype=float)
         self.row_count = len(graph.edges)
+        self._flat_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def _flat_index(self, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """Scatter bins ``head*d + c`` and ``tail*d + c`` of the flattened
+        m-by-d block, built once per feature count d."""
+        index = self._flat_cache.get(d)
+        if index is None:
+            cols = np.arange(d)
+            index = ((self.head[:, None] * d + cols).ravel(),
+                     (self.tail[:, None] * d + cols).ravel())
+            self._flat_cache[d] = index
+        return index
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Map an n-by-d matrix to the m-by-d matrix of scaled row differences.
@@ -61,26 +83,28 @@ class EdgeIncidence:
             raise DimensionError(f"expected {self.col_count} rows, got {X.shape[0]}")
         if self.row_count == 0:
             return np.zeros((0, X.shape[1]))
-        return self.coef[:, None] * (X[self.head] - X[self.tail])
+        return self.coef[:, None] * (X.take(self.head, 0) - X.take(self.tail, 0))
 
     def apply_t(self, lam: np.ndarray) -> np.ndarray:
         """Transpose map: m-by-d dual rows back to an n-by-d matrix.
 
-        Accumulation runs per column with a fixed summation order, so the
-        result does not depend on any execution schedule.
+        One flat scatter per edge end over the m*d scaled entries (see the
+        module docstring): bin (v, c) sums its entries in increasing edge
+        order, the order of a per-column accumulation, so the result is
+        fixed and does not depend on any execution schedule.
         """
         lam = np.atleast_2d(np.asarray(lam, dtype=float))
         if lam.shape[0] != self.row_count:
             raise DimensionError(f"expected {self.row_count} rows, got {lam.shape[0]}")
         d = lam.shape[1]
-        out = np.zeros((self.col_count, d))
         if self.row_count == 0:
-            return out
-        for c in range(d):
-            scaled = self.coef * lam[:, c]
-            out[:, c] = np.bincount(self.head, weights=scaled, minlength=self.col_count)
-            out[:, c] -= np.bincount(self.tail, weights=scaled, minlength=self.col_count)
-        return out
+            return np.zeros((self.col_count, d))
+        head, tail = self._flat_index(d)
+        scaled = (self.coef[:, None] * lam).ravel()
+        size = self.col_count * d
+        out = np.bincount(head, weights=scaled, minlength=size)
+        out -= np.bincount(tail, weights=scaled, minlength=size)
+        return out.reshape(self.col_count, d)
 
     def apply_t_stacked(self, lam: np.ndarray) -> np.ndarray:
         """Column-stacked transpose map, as a length n*d vector."""
@@ -107,11 +131,13 @@ def operator_norm_estimate(Q: EdgeIncidence, iterations: int = 50, safety: float
         nv = np.linalg.norm(v)
     v /= nv
     sigma = 0.0
+    # Q^T w in one scatter: every head term in edge order, then every tail
+    # term, the sequence two successive unbuffered adds would sum in.
+    ends = np.concatenate([Q.head, Q.tail])
     for _ in range(int(iterations)):
         w = Q.coef * (v[Q.head] - v[Q.tail])
-        z = np.zeros(Q.col_count)
-        np.add.at(z, Q.head, Q.coef * w)
-        np.add.at(z, Q.tail, -Q.coef * w)
+        cw = Q.coef * w
+        z = np.bincount(ends, weights=np.concatenate([cw, -cw]), minlength=Q.col_count)
         nz = np.linalg.norm(z)
         if nz == 0.0:
             return 0.0

@@ -196,6 +196,8 @@ class RidgeProblem(Problem):
         self.gamma = float(gamma)
         self.operators = RidgeOperators(dataset.values, gamma)
         self._omega = self.operators.omega
+        n, d = dataset.values.shape
+        self._omega_matrix = np.ascontiguousarray(unstack_columns(self._omega, n, d))
         self._b = self.operators.adjoint(dataset.targets)
 
     @property
@@ -217,8 +219,7 @@ class RidgeProblem(Problem):
         return -unstack_columns(self._b / self._omega, n, d)
 
     def conjugate_curvature(self, V: np.ndarray) -> np.ndarray:
-        n, d = self.values.shape
-        return unstack_columns(0.5 * stack_columns(V) / self._omega, n, d)
+        return 0.5 * V / self._omega_matrix
 
     def curvature_bound(self) -> float:
         return float(0.5 / self._omega.min())

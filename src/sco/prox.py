@@ -67,7 +67,8 @@ def project_rows(lam: np.ndarray, q) -> np.ndarray:
     if lam.shape[0] == 0:
         return lam.copy()
     if q == np.inf:
-        return np.clip(lam, -1.0, 1.0)
+        # np.clip's bits (NaN and -0.0 kept) without its dispatch overhead
+        return np.minimum(np.maximum(lam, -1.0), 1.0)
     if q == 2.0:
         nrm = np.sqrt((lam * lam).sum(axis=1))
         scale = np.where(nrm > 1.0, 1.0 / np.maximum(nrm, 1e-300), 1.0)

@@ -9,7 +9,7 @@ from sco import (ConvexClusteringProblem, Dataset, DualState, EdgeIncidence,
 
 from oracles import (clustering_subgradient_oracle, column_problem,
                      dual_subproblem_objective, per_column_lambda_step,
-                     quadratic_from_values)
+                     quadratic_from_values, reference_lambda_step, same_bits)
 
 
 def two_point(alpha_w, beta=0.0, **kwargs):
@@ -292,6 +292,46 @@ def test_parallel_matches_per_column_reference(task):
     parallel = parallel_lambda_step(problem, Q, state, config, lipschitz=lipschitz)
     reference = per_column_lambda_step(problem, Q, state, config, lipschitz)
     np.testing.assert_allclose(parallel, reference, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("task", ["cc", "ridge"])
+def test_lambda_step_bit_identical_to_reference_kernels(task, monkeypatch):
+    # serial steps at every p, and parallel steps whose columns stop at
+    # different inner iterations, so the column freeze is exercised
+    rng = np.random.default_rng(14)
+    n, d = 7, 3
+    values = rng.standard_normal((n, d)) * np.array([0.05, 1.0, 4.0])
+    targets = rng.standard_normal(n) if task == "ridge" else None
+    data = Dataset(values, targets)
+    Q = EdgeIncidence(build_knn_graph(data, k=2), 1.3)
+    problem = ConvexClusteringProblem(data) if task == "cc" else RidgeProblem(data, gamma=2.0)
+    for p, parallel, inner_tol, cap in ((2, False, 1e-8, 200), (1, False, 1e-8, 200),
+                                        ("inf", False, 1e-8, 200), (1, True, 1e-8, 200),
+                                        (1, True, 1e-6, 3000)):
+        config = SolverConfig(alpha=1.3, beta=0.5, p=p, parallel=parallel,
+                              inner_tol=inner_tol, inner_max_iters=cap)
+        state = zero_state(Q.row_count, n, d)
+        state.lam = rng.standard_normal(state.lam.shape) * 0.6
+        state.u = rng.standard_normal(n * d)
+        state.mu = rng.standard_normal(n * d)
+        assert same_bits(lambda_step(problem, Q, state, config),
+                         reference_lambda_step(problem, Q, state, config))
+
+    # inner iterations of the last case's column blocks, one project_rows
+    # call each after the initial projection: they differ and end before the cap
+    calls = []
+    monkeypatch.setattr("sco.admm.project_rows",
+                        lambda lam, q: calls.append(lam.shape) or project_rows(lam, q))
+    serial = SolverConfig(alpha=1.3, beta=0.5, p=1, inner_tol=1e-6, inner_max_iters=3000)
+    lipschitz = operator_norm_estimate(Q) ** 2 * (problem.curvature_bound() + serial.rho)
+    stops = []
+    for c in range(d):
+        calls.clear()
+        block = DualState(state.lam[:, c:c + 1].copy(), state.u[c * n:(c + 1) * n].copy(),
+                          state.mu[c * n:(c + 1) * n].copy())
+        lambda_step(column_problem(problem, c), Q, block, serial, lipschitz=lipschitz)
+        stops.append(len(calls) - 1)
+    assert len(set(stops)) > 1 and max(stops) < 3000, stops
 
 
 def test_parallel_solve_matches_serial_solve():

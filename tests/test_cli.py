@@ -7,7 +7,9 @@ from sco.cli import main
 from sco.io import (load_graph_json, load_solution_json, read_matrix_csv,
                     write_matrix_csv)
 
-from oracles import per_row_l1_projection
+from oracles import (add_at_norm_estimate, clip_project_rows, fancy_index_apply,
+                     per_column_apply_t, per_row_l1_projection, reference_lambda_step,
+                     stacked_ridge_curvature)
 
 
 @pytest.fixture
@@ -136,6 +138,46 @@ def test_pinf_outputs_match_per_row_projection(tmp_path, monkeypatch):
             (tmp_path / f"per-row-{name}").read_bytes(), name
 
 
+def test_kernel_outputs_match_reference_kernels(tmp_path, monkeypatch):
+    # the flat-scatter incidence maps, the bincount power iteration, the
+    # leaner inner loop, the min/max box projection and the matrix ridge
+    # curvature must write the same bytes as the reference kernels
+    rng = np.random.default_rng(8)
+    base = np.vstack([rng.standard_normal((8, 3)) + shift for shift in (0.0, 3.0)])
+    data = tmp_path / "blobs.csv"
+    targets = base @ [1.0, -2.0, 0.5]
+    write_matrix_csv(str(data), np.column_stack([base, targets]))
+    stream = tmp_path / "stream.jsonl"
+    stream.write_text("".join(
+        json.dumps({"values": (base + 0.3 * rng.standard_normal(base.shape)).tolist(),
+                    "targets": targets.tolist()}) + "\n" for _ in range(2)))
+    common = ["--input", str(data), "--targets", "--k", "3", "--beta", "0.5"]
+    commands = {
+        "solve.json": ["solve", "--task", "cc", "--p", "2", "--trace-out", "{out}.trace"],
+        "monitor.jsonl": ["monitor", "--task", "ridge", "--p", "1", "--parallel",
+                          "--stream", str(stream), "--c", "0"],
+    }
+    outputs = ("solve.json", "solve.json.trace", "monitor.jsonl", "monitor.jsonl.bounds.jsonl")
+    for label in ("library", "reference"):
+        if label == "reference":
+            monkeypatch.setattr("sco.incidence.EdgeIncidence.apply_t", per_column_apply_t)
+            monkeypatch.setattr("sco.incidence.EdgeIncidence.apply", fancy_index_apply)
+            monkeypatch.setattr("sco.problems.RidgeProblem.conjugate_curvature",
+                                stacked_ridge_curvature)
+            monkeypatch.setattr("sco.admm.operator_norm_estimate", add_at_norm_estimate)
+            monkeypatch.setattr("sco.admm.project_rows", clip_project_rows)
+            monkeypatch.setattr("sco.admm.lambda_step", reference_lambda_step)
+        for name, argv in commands.items():
+            out = str(tmp_path / f"{label}-{name}")
+            argv = [a.replace("{out}", out) for a in argv]
+            assert main(argv + common + ["--out", out]) == 0
+    decisions = (tmp_path / "library-monitor.jsonl").read_text().strip().splitlines()[1:]
+    assert [json.loads(d)["action"] for d in decisions] == ["resolve"] * 2
+    for name in outputs:
+        assert (tmp_path / f"library-{name}").read_bytes() == \
+            (tmp_path / f"reference-{name}").read_bytes(), name
+
+
 def test_monitor_identical_stream(three_points, tmp_path):
     stream_dir = tmp_path / "stream"
     stream_dir.mkdir()
@@ -152,21 +194,42 @@ def test_monitor_identical_stream(three_points, tmp_path):
     assert [d["action"] for d in decisions] == ["keep"] * 3
     assert all(d["solve_iters"] is None for d in decisions)
     assert all(d["converged"] is None for d in decisions)
+    assert all(d["stop_reason"] is None for d in decisions)
     bounds = [json.loads(line) for line in
               (tmp_path / "decisions.jsonl.bounds.jsonl").read_text().strip().splitlines()]
     assert all(b["satisfied"] for b in bounds)
 
 
 def test_monitor_synthetic_zero_threshold_resolves(random_csv, tmp_path):
-    out = tmp_path / "decisions.jsonl"
+    out, metrics = tmp_path / "decisions.jsonl", tmp_path / "metrics.jsonl"
     code = main(["monitor", "--input", random_csv, "--synthetic", "3", "--sigma", "0.1",
-                 "--seed", "5", "--k", "2", "--c", "0", "--no-bounds", "--out", str(out)])
+                 "--seed", "5", "--k", "2", "--c", "0", "--no-bounds", "--out", str(out),
+                 "--metrics-out", str(metrics)])
     assert code == 0
     decisions = [json.loads(line) for line in out.read_text().strip().splitlines()][1:]
     assert [d["action"] for d in decisions] == ["resolve"] * 3
     assert all(isinstance(d["delta_metric"], float) for d in decisions)
-    assert all(d["wall_ms"] is not None for d in decisions)
     assert all(d["converged"] is True for d in decisions)
+    assert all(d["stop_reason"] == "converged" for d in decisions)
+    assert all("wall_ms" not in d for d in decisions)
+    timings = [json.loads(line) for line in metrics.read_text().strip().splitlines()]
+    assert [t["idx"] for t in timings] == [d["idx"] for d in decisions]
+    assert all(t["wall_ms"] is not None for t in timings)
+
+
+def test_monitor_repeat_runs_byte_identical(random_csv, tmp_path):
+    # forced re-solves with bound reports; the metrics sidecar, asked for
+    # on one run only, leaves the decision log untouched
+    args = ["monitor", "--input", random_csv, "--synthetic", "3", "--sigma", "0.1",
+            "--seed", "5", "--k", "2", "--c", "0"]
+    assert main(args + ["--out", str(tmp_path / "a.jsonl"),
+                        "--metrics-out", str(tmp_path / "metrics.jsonl")]) == 0
+    assert main(args + ["--out", str(tmp_path / "b.jsonl")]) == 0
+    decisions = (tmp_path / "a.jsonl").read_text().strip().splitlines()[1:]
+    assert [json.loads(d)["action"] for d in decisions] == ["resolve"] * 3
+    for name in ("{}.jsonl", "{}.jsonl.bounds.jsonl"):
+        assert (tmp_path / name.format("a")).read_bytes() == \
+            (tmp_path / name.format("b")).read_bytes(), name
 
 
 def test_bound_zero_delta_gives_half_threshold(random_csv, tmp_path):

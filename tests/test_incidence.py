@@ -5,7 +5,8 @@ from sco import (DimensionError, EdgeIncidence, ParameterError, VariableGraph,
                  operator_norm_estimate, stack_columns, sum_norms,
                  unstack_columns, vec_norm)
 
-from oracles import dense_incidence, kron_lift
+from oracles import (add_at_norm_estimate, dense_incidence, fancy_index_apply, kron_lift,
+                     per_column_apply_t, same_bits)
 
 
 def single_edge(alpha_w=1.0):
@@ -20,6 +21,21 @@ def random_instance(rng, n, d, extra_edges=3):
             edges.append((i, j, float(rng.uniform(0.2, 2.0))))
     graph = VariableGraph(n, tuple(sorted(edges)))
     return graph, rng.standard_normal((n, d))
+
+
+def scatter_instance(rng, n, m):
+    """m distinct edges in shuffled order among the first n-1 vertices, so
+    vertex n-1 has none, with weights over four decades."""
+    pairs = set()
+    while len(pairs) < m:
+        pairs.add(tuple(sorted(rng.choice(n - 1, size=2, replace=False).tolist())))
+    edges = [(i, j, float(10.0 ** rng.uniform(-2, 2))) for i, j in sorted(pairs)]
+    return VariableGraph(n, tuple(edges[k] for k in rng.permutation(m)))
+
+
+def wide_block(rng, rows, d):
+    """Entries over six decades, so the summation order shows in the bits."""
+    return rng.standard_normal((rows, d)) * 10.0 ** rng.uniform(-3, 3, (rows, d))
 
 
 def test_apply_single_edge():
@@ -146,3 +162,64 @@ def test_operator_norm_path_graph():
 def test_operator_norm_requires_edges():
     with pytest.raises(ParameterError):
         operator_norm_estimate(EdgeIncidence(VariableGraph(2, ()), 1.0))
+
+
+@pytest.mark.parametrize("d", [1, 3, 10])
+def test_maps_bit_identical_to_per_column_reference(d):
+    rng = np.random.default_rng(d)
+    order_visible = False
+    for _ in range(40):
+        n = int(rng.integers(3, 14))
+        pairs = (n - 1) * (n - 2) // 2
+        graph = scatter_instance(rng, n, int(rng.integers(1, pairs + 1)))
+        Q = EdgeIncidence(graph, float(rng.uniform(0.1, 3.0)))
+        lam = wide_block(rng, Q.row_count, d)
+        X = wide_block(rng, n, d)
+        out = Q.apply_t(lam)
+        assert same_bits(out, per_column_apply_t(Q, lam))
+        assert same_bits(Q.apply(X), fancy_index_apply(Q, X))
+        assert np.all(out[n - 1] == 0.0)  # the vertex with no edges
+        # one scatter over heads and negated tails sums in another order;
+        # the data must be able to tell the two apart
+        scaled = (Q.coef[:, None] * lam).ravel()
+        cols = np.arange(d)
+        ends = np.concatenate([(Q.head[:, None] * d + cols).ravel(),
+                               (Q.tail[:, None] * d + cols).ravel()])
+        mixed = np.bincount(ends, weights=np.concatenate([scaled, -scaled]), minlength=n * d)
+        order_visible |= not same_bits(mixed.reshape(n, d), out)
+    assert order_visible
+
+
+def test_flat_index_cache_with_alternating_feature_counts():
+    rng = np.random.default_rng(11)
+    Q = EdgeIncidence(scatter_instance(rng, 9, 14), 0.8)
+    for d in (3, 1, 10, 3, 1, 10, 1):
+        lam = wide_block(rng, Q.row_count, d)
+        assert same_bits(Q.apply_t(lam), per_column_apply_t(Q, lam))
+        X = wide_block(rng, 9, d)
+        assert same_bits(Q.apply(X), fancy_index_apply(Q, X))
+    assert sorted(Q._flat_cache) == [1, 3, 10]
+
+
+def test_maps_without_edges():
+    Q = EdgeIncidence(VariableGraph(4, ()), 1.0)
+    for d in (1, 3):
+        lam = np.zeros((0, d))
+        assert same_bits(Q.apply_t(lam), np.zeros((4, d)))
+        assert same_bits(Q.apply_t(lam), per_column_apply_t(Q, lam))
+        assert Q.apply(np.ones((4, d))).shape == (0, d)
+
+
+def test_operator_norm_bit_identical_to_add_at_reference():
+    rng = np.random.default_rng(12)
+    for _ in range(30):
+        n = int(rng.integers(3, 14))
+        pairs = (n - 1) * (n - 2) // 2
+        Q = EdgeIncidence(scatter_instance(rng, n, int(rng.integers(1, min(n + 4, pairs) + 1))),
+                          float(rng.uniform(0.1, 3.0)))
+        seed = int(rng.integers(1 << 30))
+        iterations = int(rng.integers(1, 60))
+        assert operator_norm_estimate(Q, iterations=iterations,
+                                      rng=np.random.default_rng(seed)) == \
+            add_at_norm_estimate(Q, iterations=iterations, rng=np.random.default_rng(seed))
+        assert operator_norm_estimate(Q) == add_at_norm_estimate(Q)

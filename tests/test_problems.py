@@ -5,7 +5,7 @@ from sco import (ConvexClusteringProblem, DataValidationError, Dataset,
                  DimensionError, EdgeIncidence, ParameterError, RidgeProblem,
                  VariableGraph, make_problem, stack_columns, unstack_columns)
 
-from oracles import conjugate_sup_oracle
+from oracles import conjugate_sup_oracle, same_bits, stacked_ridge_curvature
 
 
 def two_point_instance():
@@ -130,6 +130,18 @@ def test_fenchel_equality_at_recovered_point():
             lhs = problem.primal_value(x) + float((Q.apply_t(lam) * x).sum())
             rhs = -problem.conjugate_value_full(Q, lam)
             assert abs(lhs - rhs) <= 1e-8 * (1 + abs(rhs))
+
+
+@pytest.mark.parametrize("d", [1, 3, 10])
+def test_ridge_curvature_bit_identical_to_stacked_reference(d):
+    rng = np.random.default_rng(30 + d)
+    for _ in range(20):
+        n = int(rng.integers(2, 12))
+        problem, Q, _ = random_setup(rng, n, d, task="ridge")
+        V = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, (n, d))
+        for block in (V, np.asfortranarray(V), Q.apply_t(rng.standard_normal((n - 1, d)))):
+            assert same_bits(problem.conjugate_curvature(block),
+                             stacked_ridge_curvature(problem, block))
 
 
 def test_omega_diagonal_bounded_below_by_gamma():

@@ -3,7 +3,8 @@ import pytest
 
 from sco import ParameterError, project_ball, project_l1_ball, project_rows, prox_norm
 
-from oracles import l1_ball_sort_reference, per_row_l1_projection, prox_argmin_oracle
+from oracles import (clip_project_rows, l1_ball_sort_reference, per_row_l1_projection,
+                     prox_argmin_oracle, same_bits)
 
 
 def sample_feasible(rng, d, q):
@@ -93,6 +94,25 @@ def test_project_rows_l1_bit_identical_to_per_row():
         assert np.array_equal(batched, per_row_l1_projection(lam)), name
         if lam.size:
             assert np.abs(batched).sum(axis=1).max() <= 1.0 + 1e-12, name
+
+
+def test_project_rows_box_bit_identical_to_clip():
+    rng = np.random.default_rng(21)
+    special = np.array([[0.0, -0.0, np.nan, -np.nan],
+                        [1.0, -1.0, np.inf, -np.inf],
+                        [np.nextafter(1.0, 2.0), -np.nextafter(1.0, 2.0), 5e-324, -5e-324]])
+    cases = [special, special.T, np.zeros((0, 3)), np.full((2, 2), -0.0)]
+    for _ in range(200):
+        m, d = int(rng.integers(1, 30)), int(rng.integers(1, 8))
+        block = rng.standard_normal((m, d)) * 10.0 ** rng.uniform(-2, 1, (m, d))
+        picks = rng.random((m, d))
+        block[picks < 0.1] = 0.0
+        block[(picks >= 0.1) & (picks < 0.2)] = -0.0
+        block[(picks >= 0.2) & (picks < 0.25)] = np.nan
+        cases.append(block)
+    for lam in cases:
+        assert same_bits(project_rows(lam, np.inf), clip_project_rows(lam, np.inf))
+        assert same_bits(project_rows(lam.T, np.inf), clip_project_rows(lam.T, np.inf))
 
 
 def test_l1_ball_matches_reference_at_any_radius():
