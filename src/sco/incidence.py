@@ -78,7 +78,9 @@ class EdgeIncidence:
         column-wise equals the Kronecker-lifted operator acting on the
         stacked input.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2:
+            X = np.atleast_2d(X)
         if X.shape[0] != self.col_count:
             raise DimensionError(f"expected {self.col_count} rows, got {X.shape[0]}")
         if self.row_count == 0:
@@ -93,7 +95,9 @@ class EdgeIncidence:
         order, the order of a per-column accumulation, so the result is
         fixed and does not depend on any execution schedule.
         """
-        lam = np.atleast_2d(np.asarray(lam, dtype=float))
+        lam = np.asarray(lam, dtype=float)
+        if lam.ndim != 2:
+            lam = np.atleast_2d(lam)
         if lam.shape[0] != self.row_count:
             raise DimensionError(f"expected {self.row_count} rows, got {lam.shape[0]}")
         d = lam.shape[1]

@@ -63,7 +63,9 @@ def project_rows(lam: np.ndarray, q) -> np.ndarray:
     covers only the rows whose l1 norm is over 1, and the others are copied.
     """
     q = as_norm(q)
-    lam = np.atleast_2d(np.asarray(lam, dtype=float))
+    lam = np.asarray(lam, dtype=float)
+    if lam.ndim != 2:
+        lam = np.atleast_2d(lam)
     if lam.shape[0] == 0:
         return lam.copy()
     if q == np.inf:

@@ -7,7 +7,9 @@ plain (sub)gradient runs instead of the accelerated solver, and 1-d
 golden-section searches instead of closed-form proximal maps. The
 block-separable dual update is checked against one serial solve per
 feature column instead of the library's masked whole-matrix loop, and the
-batched l1-ball row projection against one projection per row.
+batched l1-ball row projection against one projection per row. The
+blocked kNN graph build is checked against a dense n-by-n distance matrix
+and a sorted scan of each row.
 
 The inner dual-step kernels are pinned bit for bit to plainer versions of
 the same arithmetic: a per-column transposed incidence map, a
@@ -21,9 +23,10 @@ import dataclasses
 
 import numpy as np
 
-from sco import (ConvexClusteringProblem, Dataset, DualState, RidgeProblem,
-                 lambda_step, project_l1_ball, project_rows, stack_columns,
-                 unstack_columns)
+from sco import (ConvexClusteringProblem, DataValidationError, Dataset, DualState,
+                 ParameterError, RidgeProblem, VariableGraph, lambda_step,
+                 project_l1_ball, project_rows, stack_columns, unstack_columns)
+from sco.graph import DEFAULT_WEIGHT_CAP
 
 
 def dense_incidence(graph, alpha: float) -> np.ndarray:
@@ -338,3 +341,49 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     compares NaNs by payload."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def pairwise_distances(values: np.ndarray) -> np.ndarray:
+    """Dense matrix of Euclidean distances between rows."""
+    gram = values @ values.T
+    sq = np.diag(gram)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * gram
+    np.maximum(d2, 0.0, out=d2)
+    return np.sqrt(d2)
+
+
+def per_row_knn_graph(data: Dataset, k: int, weight_cap: float = DEFAULT_WEIGHT_CAP) -> VariableGraph:
+    """``build_knn_graph`` from a dense n-by-n distance matrix and one
+    (distance, index) sort per row; the weights come from the same matrix."""
+    n = data.row_count
+    if n < 2:
+        raise ParameterError("need at least two instances to build a graph")
+    k = int(k)
+    if not 1 <= k <= n - 1:
+        raise ParameterError(f"k must satisfy 1 <= k <= n-1 = {n - 1}, got {k}")
+    if not (np.isfinite(weight_cap) and weight_cap > 0):
+        raise ParameterError(f"weight_cap must be a positive finite real, got {weight_cap}")
+
+    dist = pairwise_distances(data.values)
+    if not np.all(np.isfinite(dist)):
+        raise DataValidationError("data magnitudes overflow the distance computation")
+    order_keys = np.arange(n)
+    pairs = set()
+    for i in range(n):
+        # sort by (distance, index); drop self before keeping k entries
+        order = np.lexsort((order_keys, dist[i]))
+        picked = 0
+        for j in order:
+            if j == i:
+                continue
+            pairs.add((min(i, j), max(i, j)))
+            picked += 1
+            if picked == k:
+                break
+
+    edges = []
+    for i, j in sorted(pairs):
+        d = dist[i, j]
+        w = weight_cap if d == 0.0 else min(1.0 / d, weight_cap)
+        edges.append((i, j, w))
+    return VariableGraph(vertex_count=n, edges=tuple(edges))

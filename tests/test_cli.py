@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import sco.evolution
 from sco.cli import main
 from sco.io import (load_graph_json, load_solution_json, read_matrix_csv,
                     write_matrix_csv)
@@ -225,6 +226,24 @@ def test_monitor_repeat_runs_byte_identical(random_csv, tmp_path):
     assert main(args + ["--out", str(tmp_path / "a.jsonl"),
                         "--metrics-out", str(tmp_path / "metrics.jsonl")]) == 0
     assert main(args + ["--out", str(tmp_path / "b.jsonl")]) == 0
+    decisions = (tmp_path / "a.jsonl").read_text().strip().splitlines()[1:]
+    assert [json.loads(d)["action"] for d in decisions] == ["resolve"] * 3
+    for name in ("{}.jsonl", "{}.jsonl.bounds.jsonl"):
+        assert (tmp_path / name.format("a")).read_bytes() == \
+            (tmp_path / name.format("b")).read_bytes(), name
+
+
+def test_monitor_rebuild_graph_repeat_runs_byte_identical(random_csv, tmp_path, monkeypatch):
+    # every forced re-solve builds a new kNN graph from its snapshot
+    builds = []
+    build = sco.evolution.build_knn_graph
+    monkeypatch.setattr(sco.evolution, "build_knn_graph",
+                        lambda *args: builds.append(args) or build(*args))
+    args = ["monitor", "--input", random_csv, "--synthetic", "3", "--sigma", "0.1",
+            "--seed", "5", "--k", "2", "--c", "0", "--rebuild-graph"]
+    for name in ("a", "b"):
+        assert main(args + ["--out", str(tmp_path / f"{name}.jsonl")]) == 0
+    assert len(builds) == 6
     decisions = (tmp_path / "a.jsonl").read_text().strip().splitlines()[1:]
     assert [json.loads(d)["action"] for d in decisions] == ["resolve"] * 3
     for name in ("{}.jsonl", "{}.jsonl.bounds.jsonl"):

@@ -1,8 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import sco.graph
 from sco import (DataValidationError, Dataset, ParameterError, VariableGraph,
                  build_knn_graph, validate_graph)
+
+from oracles import per_row_knn_graph
 
 
 def test_three_points_k1():
@@ -107,6 +112,65 @@ def test_validate_graph_flags_bad_weight():
 
 
 def test_overflowing_magnitudes_fail_fast():
+    data = Dataset([[1e200], [-1e200], [3e200]])
     with np.errstate(all="ignore"):
-        with pytest.raises(DataValidationError):
-            build_knn_graph(Dataset([[1e200], [-1e200], [3e200]]), k=1)
+        for build in (build_knn_graph, per_row_knn_graph):
+            with pytest.raises(DataValidationError):
+                build(data, k=1)
+
+
+def oracle_cases():
+    """(name, values, k, weight_cap) inputs for the blocked build."""
+    rng = np.random.default_rng(17)
+    # centred data: the oracle's Gram-identity distances lose about
+    # eps*|v|^2/dist^2 relative, so points far from the origin would
+    # measure the oracle's error, not the builder's
+    for n, d, k in ((5, 1, 1), (12, 2, 3), (40, 3, 5), (9, 2, 8), (250, 5, 10), (300, 10, 20)):
+        yield f"random-{n}x{d}-k{k}", rng.standard_normal((n, d)), k, 1e6
+    # 15 blocks of 65 rows and a last one of 25 at the default block size
+    yield "multi-block", rng.standard_normal((1000, 5)), 8, 1e6
+    yield "two-points", np.array([[0.0, 1.0], [2.0, -1.0]]), 1, 1e6
+    for k in (1, 3, 5, 8, 20):
+        # 16 grid positions for 60 points: duplicated rows and exact ties
+        yield f"grid-k{k}", rng.integers(0, 4, size=(60, 2)).astype(float), k, 1e6
+    coincident = np.repeat(rng.standard_normal((6, 3)), 3, axis=0)[rng.permutation(18)]
+    yield "coincident", coincident, 4, 1e6
+    yield "low-cap", rng.standard_normal((30, 2)), 3, 2.0
+
+
+@pytest.mark.parametrize("block_entries", [None, 250])
+def test_matches_per_row_oracle(monkeypatch, block_entries):
+    if block_entries is not None:
+        # blocks of one to a few rows, the last one often shorter
+        monkeypatch.setattr(sco.graph, "_BLOCK_ENTRIES", block_entries)
+    for name, values, k, cap in oracle_cases():
+        data = Dataset(values)
+        got, ref = build_knn_graph(data, k, cap), per_row_knn_graph(data, k, cap)
+        got_pairs = [(i, j) for i, j, _ in got.edges]
+        assert got_pairs == [(i, j) for i, j, _ in ref.edges], name
+        w = np.array([e[2] for e in got.edges])
+        w_ref = np.array([e[2] for e in ref.edges])
+        if name.startswith(("grid", "two-points")):
+            assert np.array_equal(w, w_ref), name
+        else:
+            np.testing.assert_allclose(w, w_ref, rtol=1e-12, atol=0, err_msg=name)
+        # the weights come from the direct differences, bit for bit
+        i, j = np.array(got_pairs).T
+        direct = np.linalg.norm(values[i] - values[j], axis=1)
+        with np.errstate(divide="ignore"):
+            assert np.array_equal(w, np.minimum(1.0 / direct, cap)), name
+        if name in ("coincident", "grid-k1"):
+            assert np.count_nonzero(w == cap) > 0, name
+
+
+def test_build_memory_is_below_a_dense_matrix():
+    # one dense 4000 x 4000 float64 distance matrix is 128 MB
+    data = Dataset(np.random.default_rng(4).standard_normal((4000, 3)))
+    tracemalloc.start()
+    try:
+        graph = build_knn_graph(data, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert graph.edge_count >= 4000 * 10 // 2
+    assert peak < 40e6, peak

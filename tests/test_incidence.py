@@ -97,10 +97,25 @@ def test_normal_operator_is_positive_semidefinite():
 
 def test_shape_mismatch_raises():
     Q = single_edge()
-    with pytest.raises(DimensionError):
-        Q.apply(np.zeros((3, 1)))
-    with pytest.raises(DimensionError):
-        Q.apply_t(np.zeros((2, 1)))
+    # a vector or a scalar is read as one row, too few for the 2 vertices
+    for bad in (np.zeros((3, 1)), [[0.0], [1.0], [2.0]], [1.0, 2.0], np.zeros(2), 1.0):
+        with pytest.raises(DimensionError, match="expected 2 rows, got"):
+            Q.apply(bad)
+    for bad in (np.zeros((2, 1)), [[0.0], [1.0]], np.zeros((0, 3))):
+        with pytest.raises(DimensionError, match="expected 1 rows, got"):
+            Q.apply_t(bad)
+
+
+def test_lists_vectors_and_scalars_read_as_row_blocks():
+    Q = single_edge(2.0)
+    X = [[1.0, 2.0], [0.5, -1.0]]
+    assert same_bits(Q.apply(X), Q.apply(np.array(X)))
+    assert same_bits(Q.apply([[1], [0]]), np.array([[2.0]]))
+    # one edge: a length-d vector is its one dual row, a scalar a 1 x 1 block
+    assert same_bits(Q.apply_t([0.5, -1.0]), np.array([[1.0, -2.0], [-1.0, 2.0]]))
+    assert same_bits(Q.apply_t(0.5), np.array([[1.0], [-1.0]]))
+    lone = EdgeIncidence(VariableGraph(1, ()), 1.0)
+    assert lone.apply([3.0, 4.0]).shape == (0, 2)
 
 
 def test_row_structure():

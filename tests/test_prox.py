@@ -62,6 +62,15 @@ def test_project_rows_matches_per_row():
             np.testing.assert_allclose(rows[k], project_ball(lam[k], q), atol=1e-12)
 
 
+def test_project_rows_reads_lists_vectors_and_scalars_as_rows():
+    assert same_bits(project_rows([0.0, -2.0], 2), np.array([[0.0, -1.0]]))
+    assert same_bits(project_rows(-5, np.inf), np.array([[-1.0]]))
+    assert same_bits(project_rows([3.0, -1.0], 1), np.array([[1.0, -0.0]]))
+    lam = [[2.0, -1.0], [0.25, 0.25], [0.0, 3.0]]
+    for q in (1, 2, np.inf):
+        assert same_bits(project_rows(lam, q), project_rows(np.array(lam), q)), q
+
+
 def l1_cases():
     """Matrices for the batched l1 projection, named by what they cover."""
     rng = np.random.default_rng(5)
