@@ -55,7 +55,9 @@ def _add_solver_flags(sub):
     sub.add_argument("--inner-max-iters", type=int, default=200)
     sub.add_argument("--eps-abs", type=float, default=1e-6)
     sub.add_argument("--eps-rel", type=float, default=1e-4)
-    sub.add_argument("--inner-tol", type=float, default=1e-8)
+    sub.add_argument("--inner-tol", type=float, default=1e-8,
+                     help="floor of the inner stopping test; after the first sweep each "
+                          "inner solve stops at 1%% of the last outer residual, never below it")
     sub.add_argument("--parallel", action="store_true",
                      help="feature-separated dual update (needs --p 1)")
     sub.add_argument("--seed", type=int, default=0, help="seed for all randomness")
@@ -187,6 +189,7 @@ def cmd_solve(args) -> int:
         "dual_objective": float(result.dual_objective),
         "primal_objective": float(result.primal_objective),
         "iters": int(result.iterations),
+        "inner_iters": int(result.inner_iterations),
         "converged": bool(result.converged),
         "stop_reason": result.stop_reason,
         "config": _config_echo(args),
@@ -324,6 +327,7 @@ def cmd_monitor(args) -> int:
             "threshold": decision.threshold,
             "action": decision.action,
             "solve_iters": decision.solve_iters,
+            "solve_inner_iters": decision.solve_inner_iters,
             "converged": decision.converged,
             "stop_reason": decision.stop_reason,
         })

@@ -37,13 +37,19 @@ def extract_clusters(X: np.ndarray, graph: VariableGraph, eps_fuse: float) -> np
     lie within ``eps_fuse`` of each other.
 
     Returns one label per vertex, the smallest member index of its
-    component.
+    component. The distance test runs on all edges at once; only the
+    fused edges enter the union-find.
     """
     if not eps_fuse > 0:
         raise ParameterError(f"eps_fuse must be positive, got {eps_fuse}")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = graph.vertex_count
-    parent = np.arange(n)
+    ends = np.array([e[:2] for e in graph.edges], dtype=np.intp).reshape(-1, 2)
+    diff = X[ends[:, 0]] - X[ends[:, 1]]
+    fused = ends[np.sqrt(np.einsum("ij,ij->i", diff, diff)) <= eps_fuse]
+    # Each root is the smallest member of its set: a union hangs the larger
+    # root under the smaller one.
+    parent = list(range(n))
 
     def find(v):
         while parent[v] != v:
@@ -51,20 +57,11 @@ def extract_clusters(X: np.ndarray, graph: VariableGraph, eps_fuse: float) -> np
             v = parent[v]
         return v
 
-    for i, j, _ in graph.edges:
-        if np.linalg.norm(X[i] - X[j]) <= eps_fuse:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-
-    labels = np.empty(n, dtype=int)
-    smallest: dict[int, int] = {}
-    for v in range(n):
-        root = find(v)
-        if root not in smallest:
-            smallest[root] = v  # vertices visited in order: first hit is the minimum
-        labels[v] = smallest[root]
-    return labels
+    for i, j in fused.tolist():
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+    return np.array([find(v) for v in range(n)], dtype=int)
 
 
 def canonical_labels(labels: np.ndarray) -> np.ndarray:

@@ -47,6 +47,7 @@ class EvolutionDecision:
     threshold: float
     action: str  # "keep" | "resolve"
     solve_iters: int | None = None
+    solve_inner_iters: int | None = None
     wall_ms: float | None = None
     converged: bool | None = None
     stop_reason: str | None = None
@@ -173,5 +174,6 @@ def _accept_and_resolve(session: SessionState, snapshot: Snapshot, score: float,
     session.last_result = result
     return EvolutionDecision(index=snapshot.index, delta_metric=score, threshold=threshold,
                              action="resolve", solve_iters=result.iterations,
+                             solve_inner_iters=result.inner_iterations,
                              wall_ms=wall_ms, converged=result.converged,
                              stop_reason=result.stop_reason)

@@ -9,7 +9,9 @@ block-separable dual update is checked against one serial solve per
 feature column instead of the library's masked whole-matrix loop, and the
 batched l1-ball row projection against one projection per row. The
 blocked kNN graph build is checked against a dense n-by-n distance matrix
-and a sorted scan of each row.
+and a sorted scan of each row, and the vectorised cluster extraction
+against one norm per edge. The relative-error inner stopping rule is held
+to the Fenchel duality gap that the fixed rule reaches.
 
 The inner dual-step kernels are pinned bit for bit to plainer versions of
 the same arithmetic: a per-column transposed incidence map, a
@@ -25,7 +27,8 @@ import numpy as np
 
 from sco import (ConvexClusteringProblem, DataValidationError, Dataset, DualState,
                  ParameterError, RidgeProblem, VariableGraph, lambda_step,
-                 project_l1_ball, project_rows, stack_columns, unstack_columns)
+                 project_l1_ball, project_rows, stack_columns, sum_norms,
+                 unstack_columns, vec_norm)
 from sco.graph import DEFAULT_WEIGHT_CAP
 
 
@@ -298,10 +301,14 @@ def stacked_ridge_curvature(problem, V: np.ndarray) -> np.ndarray:
 
 
 def reference_lambda_step(problem, Q, state, config, lipschitz: float | None = None,
-                          rng: np.random.Generator | None = None) -> np.ndarray:
+                          rng: np.random.Generator | None = None,
+                          tol: float | None = None) -> np.ndarray:
     """``lambda_step`` built from the reference kernels above, with the
     gaps taken by ``np.linalg.norm`` and the per-column freeze applied on
-    every iteration."""
+    every iteration. Under ``parallel`` the whole-block gap is tested
+    against ``tol`` only when ``tol`` is above ``inner_tol``."""
+    if tol is None:
+        tol = config.inner_tol
     q = config.q
     if lipschitz is None:
         sigma = add_at_norm_estimate(Q, rng=rng)
@@ -316,24 +323,43 @@ def reference_lambda_step(problem, Q, state, config, lipschitz: float | None = N
     y = lam
     t_k = 1.0
     done = np.zeros(d, dtype=bool)
-    for _ in range(config.inner_max_iters):
+    for iterations in range(1, config.inner_max_iters + 1):
         V = Q.apply_t(y)
         grad = Q.apply(fixed + problem.conjugate_curvature(V) + config.rho * V)
         lam_next = clip_project_rows(y - step * grad, q)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k))
         y_next = lam_next + ((t_k - 1.0) / t_next) * (lam_next - lam)
+        whole_gap = lipschitz * float(np.linalg.norm(y - lam_next))
         if config.parallel:
             gap = lipschitz * np.linalg.norm(y - lam_next, axis=0)
             lam_next = np.where(done, lam, lam_next)
             y_next = np.where(done, y, y_next)
             done = done | (gap <= config.inner_tol)
-            stop = bool(done.all())
+            stop = bool(done.all()) or (tol > config.inner_tol and whole_gap <= tol)
         else:
-            stop = lipschitz * float(np.linalg.norm(y - lam_next)) <= config.inner_tol
+            stop = whole_gap <= tol
         y, lam, t_k = y_next, lam_next, t_next
         if stop:
             break
+    state.inner += iterations
     return lam
+
+
+def fenchel_gap(problem, Q, config, result) -> float:
+    """Duality gap P + D of a solve, with D the full dual objective
+    ``conjugate_value_full(lam) + beta * ||Q^T lam||_s`` and P the primal
+    value ``f(x_star) + sum_e ||(Q X)_e||_p`` at the fused point
+    X = x_star - unstack(mu). The loss of that primal is the infimal
+    convolution of f with the indicator of the beta-ball of the dual norm
+    of s; mu lies in that ball after every multiplier step, so
+    f(x_star) bounds the loss at X and the gap is nonnegative."""
+    n, d = problem.values.shape
+    lam = result.state.lam
+    X = result.x_star - unstack_columns(result.state.mu, n, d)
+    primal = problem.primal_value(result.x_star) + sum_norms(Q.apply(X), config.p)
+    dual = problem.conjugate_value_full(Q, lam) \
+        + config.beta * vec_norm(Q.apply_t_stacked(lam), config.s)
+    return primal + dual
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -387,3 +413,34 @@ def per_row_knn_graph(data: Dataset, k: int, weight_cap: float = DEFAULT_WEIGHT_
         w = weight_cap if d == 0.0 else min(1.0 / d, weight_cap)
         edges.append((i, j, w))
     return VariableGraph(vertex_count=n, edges=tuple(edges))
+
+
+def per_edge_extract_clusters(X: np.ndarray, graph, eps_fuse: float) -> np.ndarray:
+    """``extract_clusters`` with one ``np.linalg.norm`` fuse test per edge
+    in a Python loop, unioning as it goes."""
+    if not eps_fuse > 0:
+        raise ParameterError(f"eps_fuse must be positive, got {eps_fuse}")
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    n = graph.vertex_count
+    parent = np.arange(n)
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for i, j, _ in graph.edges:
+        if np.linalg.norm(X[i] - X[j]) <= eps_fuse:
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+
+    labels = np.empty(n, dtype=int)
+    smallest: dict[int, int] = {}
+    for v in range(n):
+        root = find(v)
+        if root not in smallest:
+            smallest[root] = v  # vertices visited in order: first hit is the minimum
+        labels[v] = smallest[root]
+    return labels

@@ -7,8 +7,9 @@ from sco import (ConvexClusteringProblem, Dataset, DualState, EdgeIncidence,
                  build_knn_graph, operator_norm_estimate, project_rows, solve_dual,
                  stack_columns, u_step, zero_state)
 
+import sco.admm
 from oracles import (clustering_subgradient_oracle, column_problem,
-                     dual_subproblem_objective, per_column_lambda_step,
+                     dual_subproblem_objective, fenchel_gap, per_column_lambda_step,
                      quadratic_from_values, reference_lambda_step, same_bits)
 
 
@@ -332,6 +333,55 @@ def test_lambda_step_bit_identical_to_reference_kernels(task, monkeypatch):
         lambda_step(column_problem(problem, c), Q, block, serial, lipschitz=lipschitz)
         stops.append(len(calls) - 1)
     assert len(set(stops)) > 1 and max(stops) < 3000, stops
+
+
+def test_sweep_tolerance_matches_reference_and_stops_earlier():
+    # a sweep tolerance above the floor: the serial test and, under
+    # parallel, the whole-block test end the loop before the floor would
+    rng = np.random.default_rng(17)
+    n, d = 7, 3
+    data = Dataset(rng.standard_normal((n, d)) * np.array([0.05, 1.0, 4.0]))
+    problem = ConvexClusteringProblem(data)
+    Q = EdgeIncidence(build_knn_graph(data, k=2), 1.3)
+    for p, parallel in ((2, False), (1, False), (1, True)):
+        config = SolverConfig(alpha=1.3, beta=0.5, p=p, parallel=parallel,
+                              inner_tol=1e-8, inner_max_iters=3000)
+        state = zero_state(Q.row_count, n, d)
+        state.lam = rng.standard_normal(state.lam.shape) * 0.6
+        state.u = rng.standard_normal(n * d)
+        state.mu = rng.standard_normal(n * d)
+        runs = {}
+        for label, step, tol in (("floor", lambda_step, None), ("sweep", lambda_step, 1e-3),
+                                 ("reference", reference_lambda_step, 1e-3)):
+            run_state = state.copy()
+            runs[label] = (step(problem, Q, run_state, config, tol=tol), run_state.inner)
+        assert same_bits(runs["sweep"][0], runs["reference"][0])
+        assert runs["sweep"][1] == runs["reference"][1]
+        assert 0 < runs["sweep"][1] < runs["floor"][1] < 3000
+
+
+@pytest.mark.parametrize("p", [2, np.inf])
+@pytest.mark.parametrize("beta", [0.0, 0.5])
+def test_relative_inner_tolerance_keeps_the_duality_gap(beta, p, monkeypatch):
+    # the same solve with every sweep held to the fixed floor: the
+    # relative-error rule must not buy its inner iterations with the gap
+    rng = np.random.default_rng(21)
+    centres = 6.0 * np.vstack([np.zeros(3), np.eye(3)])
+    data = Dataset(np.vstack([c + rng.standard_normal((15, 3)) for c in centres]))
+    problem = ConvexClusteringProblem(data)
+    Q = EdgeIncidence(build_knn_graph(data, k=5), 1.0)
+    config = SolverConfig(alpha=1.0, beta=beta, p=p, s=1)
+    adaptive = solve_dual(problem, Q, config)
+    floor_step = sco.admm.lambda_step
+    monkeypatch.setattr("sco.admm.lambda_step",
+                        lambda *args, tol=None, **kwargs: floor_step(*args, **kwargs))
+    fixed = solve_dual(problem, Q, config)
+    assert adaptive.converged and fixed.converged
+    gaps = [fenchel_gap(problem, Q, config, r) for r in (adaptive, fixed)]
+    for gap, result in zip(gaps, (adaptive, fixed)):
+        assert gap >= -1e-9 * abs(result.dual_objective)
+    assert gaps[0] <= 1.25 * gaps[1]
+    assert adaptive.inner_iterations < fixed.inner_iterations
 
 
 def test_parallel_solve_matches_serial_solve():

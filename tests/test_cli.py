@@ -63,6 +63,8 @@ def test_solve_deterministic_bytes(random_csv, tmp_path):
         assert main(args + extra + ["--out", str(out1)]) == 0
         assert main(args + extra + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+        payload = read_json(out1)
+        assert 0 < payload["inner_iters"] < payload["iters"] * 200  # default inner cap
 
 
 def test_solve_parallel_matches_serial(random_csv, tmp_path):
@@ -212,6 +214,7 @@ def test_monitor_synthetic_zero_threshold_resolves(random_csv, tmp_path):
     assert all(isinstance(d["delta_metric"], float) for d in decisions)
     assert all(d["converged"] is True for d in decisions)
     assert all(d["stop_reason"] == "converged" for d in decisions)
+    assert all(0 < d["solve_inner_iters"] < d["solve_iters"] * 200 for d in decisions)
     assert all("wall_ms" not in d for d in decisions)
     timings = [json.loads(line) for line in metrics.read_text().strip().splitlines()]
     assert [t["idx"] for t in timings] == [d["idx"] for d in decisions]

@@ -5,6 +5,8 @@ from sco import (Dataset, ParameterError, SolverConfig, VariableGraph,
                  build_knn_graph, canonical_labels, default_fuse_tolerance,
                  extract_clusters, sweep)
 
+from oracles import per_edge_extract_clusters
+
 
 def chain_graph(n):
     return VariableGraph(n, tuple((i, i + 1, 1.0) for i in range(n - 1)))
@@ -26,6 +28,29 @@ def test_extract_partial_chain_uses_smallest_member():
     X = np.array([[0.0], [0.1], [5.0], [9.0]])
     labels = extract_clusters(X, chain_graph(4), eps_fuse=0.5)
     np.testing.assert_array_equal(labels, [0, 0, 2, 3])
+
+
+def test_extract_matches_per_edge_oracle():
+    rng = np.random.default_rng(5)
+    cases = []
+    for n, d, k in ((30, 2, 3), (200, 5, 8)):
+        values = rng.standard_normal((n, d))
+        graph = build_knn_graph(Dataset(values), k=k)
+        cases += [(values, graph, eps) for eps in (0.05, 0.3, 1.0, 10.0)]
+    # integer grid with duplicated rows: coincident pairs, and edges whose
+    # length equals the tolerance exactly (fused, since the test is <=)
+    grid = rng.integers(0, 4, size=(60, 2)).astype(float)
+    grid_graph = build_knn_graph(Dataset(grid), k=4)
+    cases += [(grid, grid_graph, eps) for eps in (1e-9, 1.0, np.sqrt(2.0), 2.0)]
+    cases.append((rng.standard_normal((5, 2)), VariableGraph(5, ()), 1.0))
+    data = Dataset(np.vstack([rng.standard_normal((10, 2)) + shift for shift in (0.0, 5.0)]))
+    path_graph = build_knn_graph(data, k=4)
+    path = sweep(data, path_graph, [0.1, 1.0, 4.0], SolverConfig(beta=0.0, p=np.inf))
+    assert len(set(path.cluster_counts)) == 3
+    cases += [(X, path_graph, path.fuse_tolerance) for X in path.solutions]
+    for X, graph, eps in cases:
+        np.testing.assert_array_equal(extract_clusters(X, graph, eps),
+                                      per_edge_extract_clusters(X, graph, eps))
 
 
 def test_extract_requires_positive_tolerance():
