@@ -26,9 +26,8 @@ residuals fall.
 
 A solve owns its state exclusively. With box constraints (q = inf) the
 dual-row subproblem splits into one independent block per feature
-column; the ``parallel`` update runs all blocks as one vectorised loop
-that freezes each column once it meets ``inner_tol`` on its own, and
-applies the relative-error test to the whole block.
+column, and the one vectorised loop already solves them all at once, so
+the ``parallel`` update is the same loop under another name.
 """
 
 from __future__ import annotations
@@ -58,8 +57,8 @@ class SolverConfig:
     ``p`` selects the regulariser row norm; its dual ``q`` (the row
     constraint geometry) is derived, never set directly. ``s`` selects the
     norm of the dual-image regulariser weighted by ``beta``. ``parallel``
-    enables the per-column stopping test of the block-separable dual
-    update and needs q = inf.
+    selects :func:`parallel_lambda_step`, which runs the same loop as the
+    serial update; it is kept for compatibility and still needs q = inf.
     """
 
     alpha: float = 1.0
@@ -185,11 +184,7 @@ def lambda_step(problem: Problem, Q: EdgeIncidence, state: DualState, config: So
     ``tol`` or after ``inner_max_iters`` iterations; the returned rows are
     feasible. ``tol`` defaults to ``config.inner_tol``; :func:`solve_dual`
     passes the relative-error tolerance of the sweep, which is never below
-    that floor. With ``config.parallel`` each feature column freezes once
-    its own norm meets ``config.inner_tol``, keeping that iteration's rows
-    while the others go on. The loop ends once every column has stopped or
-    once the norm over the whole block meets ``tol``; with ``tol`` at the
-    floor that is the per-column test alone.
+    that floor.
 
     Adds the number of iterations run to ``state.inner``.
     """
@@ -206,31 +201,18 @@ def lambda_step(problem: Problem, Q: EdgeIncidence, state: DualState, config: So
     M_mu = unstack_columns(state.mu, n, d)
     fixed = problem.conjugate_linear_term() + M_mu - config.rho * U
     step = 1.0 / lipschitz
-    # Under parallel the per-column freeze alone decides at the floor.
-    whole_test = not config.parallel or tol > config.inner_tol
 
     lam = project_rows(state.lam, q)
     y = lam
     t_k = 1.0
-    done = np.zeros(d, dtype=bool)
     for performed in range(1, config.inner_max_iters + 1):
         grad = _dual_quadratic_gradient(problem, Q, y, fixed, config.rho)
         lam_next = project_rows(y - step * grad, q)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k))
         y_next = lam_next + ((t_k - 1.0) / t_next) * (lam_next - lam)
-        # The gaps are np.linalg.norm's arithmetic without its call overhead.
-        r = y - lam_next
-        stop = False
-        if config.parallel:
-            gap = lipschitz * np.sqrt(np.add.reduce(r * r, axis=0))
-            if done.any():
-                lam_next = np.where(done, lam, lam_next)
-                y_next = np.where(done, y, y_next)
-            done = done | (gap <= config.inner_tol)
-            stop = bool(done.all())
-        if whole_test and not stop:
-            r = r.ravel(order="K")
-            stop = lipschitz * float(np.sqrt(np.dot(r, r))) <= tol
+        # np.linalg.norm's arithmetic without its call overhead
+        r = (y - lam_next).ravel(order="K")
+        stop = lipschitz * float(np.sqrt(np.dot(r, r))) <= tol
         y, lam, t_k = y_next, lam_next, t_next
         if stop:
             break
@@ -242,14 +224,13 @@ def parallel_lambda_step(problem: Problem, Q: EdgeIncidence, state: DualState,
                          config: SolverConfig, lipschitz: float | None = None,
                          rng: np.random.Generator | None = None,
                          tol: float | None = None) -> np.ndarray:
-    """Feature-separated dual-row update for box constraints.
+    """Dual-row update for box constraints, kept for compatibility.
 
-    With q = inf the constraint set splits per entry and the subproblem
-    splits into one independent block per feature column. All blocks share
-    the step size and the momentum sequence, so :func:`lambda_step` with
-    ``parallel`` set runs them together and stops each column on its own
-    test; with ``tol`` at ``inner_tol`` the result equals solving every
-    column block separately. Raises ParameterError unless q = inf.
+    With q = inf the subproblem splits into one independent block per
+    feature column, but all blocks share the step size, the momentum
+    sequence and the whole-block stopping test, so this is
+    :func:`lambda_step` and returns the same bits. Raises ParameterError
+    unless q = inf.
     """
     return lambda_step(problem, Q, state, replace(config, parallel=True),
                        lipschitz=lipschitz, rng=rng, tol=tol)

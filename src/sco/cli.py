@@ -59,7 +59,7 @@ def _add_solver_flags(sub):
                      help="floor of the inner stopping test; after the first sweep each "
                           "inner solve stops at 1%% of the last outer residual, never below it")
     sub.add_argument("--parallel", action="store_true",
-                     help="feature-separated dual update (needs --p 1)")
+                     help="kept for compatibility: runs the same dual update (needs --p 1)")
     sub.add_argument("--seed", type=int, default=0, help="seed for all randomness")
 
 

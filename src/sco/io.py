@@ -102,12 +102,22 @@ def graph_to_dict(graph: VariableGraph) -> dict:
 
 
 def graph_from_dict(payload: dict) -> VariableGraph:
+    """Graph from its JSON form. ``n`` and the edge endpoints must be JSON
+    integers and the weights JSON numbers; anything else, bools and
+    numeric strings included, raises DataValidationError instead of being
+    truncated or coerced."""
     try:
-        n = int(payload["n"])
-        edges = tuple((int(i), int(j), float(w)) for i, j, w in payload["edges"])
-    except (KeyError, TypeError, ValueError) as exc:
+        n, edges = payload["n"], [tuple(edge) for edge in payload["edges"]]
+    except (KeyError, TypeError) as exc:
         raise DataValidationError(f"malformed graph payload: {exc}") from exc
-    return VariableGraph(vertex_count=n, edges=edges)
+    if type(n) is not int:
+        raise DataValidationError(f"malformed graph payload: n must be an integer, got {n!r}")
+    for idx, edge in enumerate(edges):
+        if tuple(map(type, edge)) not in ((int, int, int), (int, int, float)):
+            raise DataValidationError(
+                f"malformed graph payload: edge {idx} must be [int, int, number], "
+                f"got {list(edge)!r}")
+    return VariableGraph(vertex_count=n, edges=tuple((i, j, float(w)) for i, j, w in edges))
 
 
 def load_graph_json(path: str) -> VariableGraph:
@@ -156,12 +166,19 @@ def read_snapshot_jsonl(path: str, with_targets: bool = False):
                     payload = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise DataValidationError(f"{path}:{lineno}: bad JSON: {exc}") from None
-                values = np.asarray(payload.get("values"), dtype=float)
+                if not isinstance(payload, dict) or "values" not in payload:
+                    raise DataValidationError(
+                        f"{path}:{lineno}: snapshot must be a JSON object with \"values\"")
                 targets = payload.get("targets")
-                if targets is not None:
-                    targets = np.asarray(targets, dtype=float)
-                elif with_targets:
+                if targets is None and with_targets:
                     raise DataValidationError(f"{path}:{lineno}: snapshot lacks targets")
+                try:
+                    values = np.asarray(payload["values"], dtype=float)
+                    if targets is not None:
+                        targets = np.asarray(targets, dtype=float)
+                except (TypeError, ValueError) as exc:
+                    raise DataValidationError(
+                        f"{path}:{lineno}: non-numeric values or targets: {exc}") from None
                 out.append((values, targets))
     except OSError as exc:
         raise ParameterError(f"cannot read {path}: {exc}") from exc

@@ -5,10 +5,8 @@ library: dense Kronecker products instead of edge lists, exact quadratic
 reconstruction from function values instead of conjugate formulas, long
 plain (sub)gradient runs instead of the accelerated solver, and 1-d
 golden-section searches instead of closed-form proximal maps. The
-block-separable dual update is checked against one serial solve per
-feature column instead of the library's masked whole-matrix loop, and the
-batched l1-ball row projection against one projection per row. The
-blocked kNN graph build is checked against a dense n-by-n distance matrix
+batched l1-ball row projection is checked against one projection per
+row, the blocked kNN graph build against a dense n-by-n distance matrix
 and a sorted scan of each row, and the vectorised cluster extraction
 against one norm per edge. The relative-error inner stopping rule is held
 to the Fenchel duality gap that the fixed rule reaches.
@@ -21,14 +19,11 @@ for the box projection and the ridge curvature on column-stacked vectors.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
-from sco import (ConvexClusteringProblem, DataValidationError, Dataset, DualState,
-                 ParameterError, RidgeProblem, VariableGraph, lambda_step,
-                 project_l1_ball, project_rows, stack_columns, sum_norms,
-                 unstack_columns, vec_norm)
+from sco import (ConvexClusteringProblem, DataValidationError, Dataset, ParameterError,
+                 RidgeProblem, VariableGraph, project_l1_ball, project_rows,
+                 stack_columns, sum_norms, unstack_columns, vec_norm)
 from sco.graph import DEFAULT_WEIGHT_CAP
 
 
@@ -199,22 +194,6 @@ def column_problem(problem, c: int):
     return ConvexClusteringProblem(Dataset(column))
 
 
-def per_column_lambda_step(problem, Q, state, config, lipschitz: float) -> np.ndarray:
-    """Box-constrained dual-row update solved one feature column at a time:
-    the serial ``lambda_step`` on each column problem with its slices of
-    the dual rows, u and mu, all at the full problem's step size."""
-    n, d = problem.values.shape
-    serial = dataclasses.replace(config, parallel=False)
-    out = np.empty_like(state.lam)
-    for c in range(d):
-        block = DualState(lam=state.lam[:, c:c + 1].copy(),
-                          u=state.u[c * n:(c + 1) * n].copy(),
-                          mu=state.mu[c * n:(c + 1) * n].copy(), t=state.t)
-        out[:, c:c + 1] = lambda_step(column_problem(problem, c), Q, block, serial,
-                                      lipschitz=lipschitz)
-    return out
-
-
 def l1_ball_sort_reference(v: np.ndarray, radius: float) -> np.ndarray:
     """Projection of one vector onto the l1 ball of the given radius by the
     plain sort-based method of Duchi et al. (2008), with no batching."""
@@ -304,9 +283,7 @@ def reference_lambda_step(problem, Q, state, config, lipschitz: float | None = N
                           rng: np.random.Generator | None = None,
                           tol: float | None = None) -> np.ndarray:
     """``lambda_step`` built from the reference kernels above, with the
-    gaps taken by ``np.linalg.norm`` and the per-column freeze applied on
-    every iteration. Under ``parallel`` the whole-block gap is tested
-    against ``tol`` only when ``tol`` is above ``inner_tol``."""
+    gap taken by ``np.linalg.norm``."""
     if tol is None:
         tol = config.inner_tol
     q = config.q
@@ -322,22 +299,13 @@ def reference_lambda_step(problem, Q, state, config, lipschitz: float | None = N
     lam = clip_project_rows(state.lam, q)
     y = lam
     t_k = 1.0
-    done = np.zeros(d, dtype=bool)
     for iterations in range(1, config.inner_max_iters + 1):
         V = Q.apply_t(y)
         grad = Q.apply(fixed + problem.conjugate_curvature(V) + config.rho * V)
         lam_next = clip_project_rows(y - step * grad, q)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k))
         y_next = lam_next + ((t_k - 1.0) / t_next) * (lam_next - lam)
-        whole_gap = lipschitz * float(np.linalg.norm(y - lam_next))
-        if config.parallel:
-            gap = lipschitz * np.linalg.norm(y - lam_next, axis=0)
-            lam_next = np.where(done, lam, lam_next)
-            y_next = np.where(done, y, y_next)
-            done = done | (gap <= config.inner_tol)
-            stop = bool(done.all()) or (tol > config.inner_tol and whole_gap <= tol)
-        else:
-            stop = whole_gap <= tol
+        stop = lipschitz * float(np.linalg.norm(y - lam_next)) <= tol
         y, lam, t_k = y_next, lam_next, t_next
         if stop:
             break
@@ -411,7 +379,7 @@ def per_row_knn_graph(data: Dataset, k: int, weight_cap: float = DEFAULT_WEIGHT_
     for i, j in sorted(pairs):
         d = dist[i, j]
         w = weight_cap if d == 0.0 else min(1.0 / d, weight_cap)
-        edges.append((i, j, w))
+        edges.append((int(i), int(j), float(w)))
     return VariableGraph(vertex_count=n, edges=tuple(edges))
 
 

@@ -1,16 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from sco import (ConvexClusteringProblem, Dataset, DualState, EdgeIncidence,
                  ParameterError, RidgeProblem, SolverConfig, VariableGraph,
                  h_norm_step, lambda_step, mu_step, parallel_lambda_step,
-                 build_knn_graph, operator_norm_estimate, project_rows, solve_dual,
+                 build_knn_graph, project_rows, solve_dual,
                  stack_columns, u_step, zero_state)
 
 import sco.admm
 from oracles import (clustering_subgradient_oracle, column_problem,
-                     dual_subproblem_objective, fenchel_gap, per_column_lambda_step,
-                     quadratic_from_values, reference_lambda_step, same_bits)
+                     dual_subproblem_objective, fenchel_gap, quadratic_from_values,
+                     reference_lambda_step, same_bits)
 
 
 def two_point(alpha_w, beta=0.0, **kwargs):
@@ -246,13 +248,28 @@ def test_parallel_requires_box_constraints():
 
 
 def test_parallel_single_column_identical():
+    # the box-constrained update is the serial loop: the same bits for one
+    # feature column or several, for both tasks
     rng = np.random.default_rng(10)
-    problem, graph, Q, config = random_clustering(rng, 5, 1, p=1, beta=0.5)
-    state = zero_state(Q.row_count, 5, 1)
-    state.mu = rng.standard_normal(5)
-    serial = lambda_step(problem, Q, state, config)
-    parallel = parallel_lambda_step(problem, Q, state, config)
-    np.testing.assert_array_equal(serial, parallel)
+    n = 6
+    for task in ("cc", "ridge"):
+        for d in (1, 4):
+            values = rng.standard_normal((n, d)) * np.array([1.0, 0.5, 3.0, 0.1])[:d]
+            targets = rng.standard_normal(n) if task == "ridge" else None
+            data = Dataset(values, targets)
+            Q = EdgeIncidence(build_knn_graph(data, k=2), 1.0)
+            problem = ConvexClusteringProblem(data) if task == "cc" \
+                else RidgeProblem(data, gamma=2.0)
+            config = SolverConfig(alpha=1.0, beta=0.5, p=1, inner_max_iters=3000)
+            state = zero_state(Q.row_count, n, d)
+            state.lam = np.clip(rng.standard_normal(state.lam.shape) * 0.4, -1, 1)
+            state.u = rng.standard_normal(n * d)
+            state.mu = rng.standard_normal(n * d)
+            serial_state, parallel_state = state.copy(), state.copy()
+            serial = lambda_step(problem, Q, serial_state, config)
+            parallel = parallel_lambda_step(problem, Q, parallel_state, config)
+            assert same_bits(serial, parallel), (task, d)
+            assert 0 < serial_state.inner == parallel_state.inner < 3000, (task, d)
 
 
 def test_parallel_block_objectives_sum_to_full():
@@ -274,31 +291,8 @@ def test_parallel_block_objectives_sum_to_full():
 
 
 @pytest.mark.parametrize("task", ["cc", "ridge"])
-def test_parallel_matches_per_column_reference(task):
-    # column scales and tolerance chosen so every column meets its own
-    # stopping test, each at a different inner iteration
-    rng = np.random.default_rng(12)
-    n, d = 6, 4
-    values = rng.standard_normal((n, d)) * np.array([0.1, 0.5, 1.0, 3.0])
-    targets = rng.standard_normal(n) if task == "ridge" else None
-    data = Dataset(values, targets)
-    Q = EdgeIncidence(build_knn_graph(data, k=2), 1.0)
-    problem = ConvexClusteringProblem(data) if task == "cc" else RidgeProblem(data, gamma=2.0)
-    config = SolverConfig(alpha=1.0, beta=0.5, p=1, inner_tol=1e-8, inner_max_iters=3000)
-    state = zero_state(Q.row_count, n, d)
-    state.lam = np.clip(rng.standard_normal(state.lam.shape) * 0.4, -1, 1)
-    state.u = rng.standard_normal(n * d)
-    state.mu = rng.standard_normal(n * d)
-    lipschitz = operator_norm_estimate(Q) ** 2 * (problem.curvature_bound() + config.rho)
-    parallel = parallel_lambda_step(problem, Q, state, config, lipschitz=lipschitz)
-    reference = per_column_lambda_step(problem, Q, state, config, lipschitz)
-    np.testing.assert_allclose(parallel, reference, rtol=0, atol=1e-9)
-
-
-@pytest.mark.parametrize("task", ["cc", "ridge"])
-def test_lambda_step_bit_identical_to_reference_kernels(task, monkeypatch):
-    # serial steps at every p, and parallel steps whose columns stop at
-    # different inner iterations, so the column freeze is exercised
+def test_lambda_step_bit_identical_to_reference_kernels(task):
+    # serial steps at every p, and parallel steps at two tolerances
     rng = np.random.default_rng(14)
     n, d = 7, 3
     values = rng.standard_normal((n, d)) * np.array([0.05, 1.0, 4.0])
@@ -318,26 +312,10 @@ def test_lambda_step_bit_identical_to_reference_kernels(task, monkeypatch):
         assert same_bits(lambda_step(problem, Q, state, config),
                          reference_lambda_step(problem, Q, state, config))
 
-    # inner iterations of the last case's column blocks, one project_rows
-    # call each after the initial projection: they differ and end before the cap
-    calls = []
-    monkeypatch.setattr("sco.admm.project_rows",
-                        lambda lam, q: calls.append(lam.shape) or project_rows(lam, q))
-    serial = SolverConfig(alpha=1.3, beta=0.5, p=1, inner_tol=1e-6, inner_max_iters=3000)
-    lipschitz = operator_norm_estimate(Q) ** 2 * (problem.curvature_bound() + serial.rho)
-    stops = []
-    for c in range(d):
-        calls.clear()
-        block = DualState(state.lam[:, c:c + 1].copy(), state.u[c * n:(c + 1) * n].copy(),
-                          state.mu[c * n:(c + 1) * n].copy())
-        lambda_step(column_problem(problem, c), Q, block, serial, lipschitz=lipschitz)
-        stops.append(len(calls) - 1)
-    assert len(set(stops)) > 1 and max(stops) < 3000, stops
-
 
 def test_sweep_tolerance_matches_reference_and_stops_earlier():
-    # a sweep tolerance above the floor: the serial test and, under
-    # parallel, the whole-block test end the loop before the floor would
+    # a sweep tolerance above the floor ends the loop before the floor
+    # would, serial and parallel alike
     rng = np.random.default_rng(17)
     n, d = 7, 3
     data = Dataset(rng.standard_normal((n, d)) * np.array([0.05, 1.0, 4.0]))
@@ -388,13 +366,12 @@ def test_parallel_solve_matches_serial_solve():
     rng = np.random.default_rng(13)
     problem, graph, Q, config = random_clustering(rng, 7, 3, p=1, beta=1.0,
                                                   alpha=0.8, inner_tol=1e-10)
-    import dataclasses
-
-    serial_cfg = dataclasses.replace(config, parallel=False)
-    parallel_cfg = dataclasses.replace(config, parallel=True)
-    serial = solve_dual(problem, Q, serial_cfg)
-    parallel = solve_dual(problem, Q, parallel_cfg)
-    assert np.abs(serial.x_star - parallel.x_star).max() <= 1e-6
+    serial = solve_dual(problem, Q, config)
+    parallel = solve_dual(problem, Q, replace(config, parallel=True))
+    assert same_bits(serial.x_star, parallel.x_star)
+    assert same_bits(serial.state.lam, parallel.state.lam)
+    assert (serial.iterations, serial.inner_iterations) == \
+        (parallel.iterations, parallel.inner_iterations)
 
 
 def test_warm_start_reaches_same_solution():

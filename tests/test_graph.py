@@ -14,6 +14,8 @@ def test_three_points_k1():
     # exhaustive check: 0-1 distance 1, 1-2 distance 2, 0-2 distance 3
     g = build_knn_graph(Dataset([[0.0], [1.0], [3.0]]), k=1)
     assert g.edges == ((0, 1, 1.0), (1, 2, 0.5))
+    # Python scalars, which VariableGraph keeps without converting
+    assert {tuple(type(x) for x in e) for e in g.edges} == {(int, int, float)}
 
 
 def test_full_k_gives_complete_graph():
