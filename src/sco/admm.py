@@ -16,13 +16,14 @@ weighted step norm that decays like 1/T for this family of methods
 (blocks: zero weight on the dual rows, rho on u, 1/rho on mu).
 
 The dual-row subproblems are solved inexactly, with a relative error
-(Eckstein & Yao 2018, relative-error approximate ADMM): each sweep after
-the first stops its inner loop once the gradient-mapping norm is at most
-1% of the larger outer residual of the sweep before, and never asks for
-less than ``inner_tol``. The first sweep of every solve, cold or
-warm-started, runs to ``inner_tol``. Early sweeps, whose residuals are
-large, take a few inner iterations; the tolerance tightens as the outer
-residuals fall.
+(Eckstein & Yao 2018, relative-error approximate ADMM): each sweep stops
+its inner loop once the gradient-mapping norm is at most 1% of the
+larger outer residual of the sweep before, and never asks for less than
+``inner_tol``. The first sweep of every solve, cold or warm-started, has
+no sweep before it and stops at 1% of the gradient-mapping norm at its
+starting dual rows instead. Early sweeps, whose residuals are large, take
+a few inner iterations; the tolerance tightens as the outer residuals
+fall.
 
 A solve owns its state exclusively. With box constraints (q = inf) the
 dual-row subproblem splits into one independent block per feature
@@ -43,10 +44,11 @@ from .problems import Problem
 from .prox import project_rows, prox_norm
 
 # A sweep's inner tolerance as a fraction of the larger outer residual of
-# the sweep before it. On the benchmark workloads 1.0 left a p = inf path
-# model 7.6e-4 from its tight reference and ran a monitor re-solve into
-# the outer cap, 0.1 left an 18% larger duality gap, and 1e-3 ran 1.7-2.6x
-# the inner iterations of this value.
+# the sweep before it; for the first sweep, a fraction of the
+# gradient-mapping norm at the starting dual rows. On the benchmark
+# workloads 1.0 left a p = inf path model 7.6e-4 from its tight reference
+# and ran a monitor re-solve into the outer cap, 0.1 left an 18% larger
+# duality gap, and 1e-3 ran 1.7-2.6x the inner iterations of this value.
 _INNER_REL = 0.01
 
 
@@ -172,6 +174,25 @@ def _dual_quadratic_gradient(problem: Problem, Q: EdgeIncidence, lam: np.ndarray
     return Q.apply(fixed_term + problem.conjugate_curvature(V) + rho * V)
 
 
+def _fixed_term(problem: Problem, state: DualState, config: SolverConfig) -> np.ndarray:
+    # The part of the dual-row gradient's inner argument that a sweep holds fixed.
+    n, d = problem.values.shape
+    return problem.conjugate_linear_term() + unstack_columns(state.mu, n, d) \
+        - config.rho * unstack_columns(state.u, n, d)
+
+
+def _gradient_mapping_norm(problem: Problem, Q: EdgeIncidence, state: DualState,
+                           config: SolverConfig, lipschitz: float) -> float:
+    """``L * ||lam - project_rows(lam - grad / L)||_F`` at the state's dual
+    rows, which must be feasible: what the first stop test of
+    :func:`lambda_step` measures when it starts from these rows."""
+    grad = _dual_quadratic_gradient(problem, Q, state.lam, _fixed_term(problem, state, config),
+                                    config.rho)
+    step = 1.0 / lipschitz
+    return lipschitz * float(np.linalg.norm(
+        state.lam - project_rows(state.lam - step * grad, config.q)))
+
+
 def lambda_step(problem: Problem, Q: EdgeIncidence, state: DualState, config: SolverConfig,
                 lipschitz: float | None = None,
                 rng: np.random.Generator | None = None,
@@ -196,10 +217,7 @@ def lambda_step(problem: Problem, Q: EdgeIncidence, state: DualState, config: So
     q = config.q
     if lipschitz <= 0:
         return project_rows(state.lam, q)
-    n, d = problem.values.shape
-    U = unstack_columns(state.u, n, d)
-    M_mu = unstack_columns(state.mu, n, d)
-    fixed = problem.conjugate_linear_term() + M_mu - config.rho * U
+    fixed = _fixed_term(problem, state, config)
     step = 1.0 / lipschitz
 
     lam = project_rows(state.lam, q)
@@ -266,9 +284,9 @@ def solve_dual(problem: Problem, Q: EdgeIncidence, config: SolverConfig,
     Terminates when the primal and dual residuals both drop under
     eps_abs * sqrt(n*d) + eps_rel * scale, or at ``outer_max_iters`` (the
     result is then flagged ``"max-iterations"`` rather than raising).
-    The first sweep's dual-row solve runs to ``inner_tol``; each later one
-    to ``max(inner_tol, 0.01 * max(primal_res, dual_res))`` of the sweep
-    before.
+    Each sweep's dual-row solve runs to ``max(inner_tol, 0.01 * r)``,
+    where r is ``max(primal_res, dual_res)`` of the sweep before or, for
+    the first sweep, the gradient-mapping norm at the starting dual rows.
 
     Parameters
     ----------
@@ -320,7 +338,8 @@ def solve_dual(problem: Problem, Q: EdgeIncidence, config: SolverConfig,
     converged = False
     performed = 0
     inner_start = state.inner
-    sweep_tol = config.inner_tol
+    sweep_tol = max(config.inner_tol,
+                    _INNER_REL * _gradient_mapping_norm(problem, Q, state, config, lipschitz))
 
     for _ in range(config.outer_max_iters):
         if config.parallel:

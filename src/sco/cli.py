@@ -56,8 +56,9 @@ def _add_solver_flags(sub):
     sub.add_argument("--eps-abs", type=float, default=1e-6)
     sub.add_argument("--eps-rel", type=float, default=1e-4)
     sub.add_argument("--inner-tol", type=float, default=1e-8,
-                     help="floor of the inner stopping test; after the first sweep each "
-                          "inner solve stops at 1%% of the last outer residual, never below it")
+                     help="floor of the inner stopping test; each inner solve stops at 1%% "
+                          "of the last outer residual (the first at 1%% of its starting "
+                          "gradient-mapping norm), never below it")
     sub.add_argument("--parallel", action="store_true",
                      help="kept for compatibility: runs the same dual update (needs --p 1)")
     sub.add_argument("--seed", type=int, default=0, help="seed for all randomness")

@@ -93,7 +93,7 @@ def write_jsonl_atomic(path: str, records) -> None:
 
 
 def matrix_to_lists(M: np.ndarray):
-    return [[float(v) for v in row] for row in np.atleast_2d(np.asarray(M, dtype=float))]
+    return np.atleast_2d(np.asarray(M, dtype=float)).tolist()
 
 
 def graph_to_dict(graph: VariableGraph) -> dict:
@@ -152,9 +152,25 @@ def iter_snapshot_files(directory: str):
     return [os.path.join(directory, name) for name in names if name.endswith(".csv")]
 
 
+def _json_numbers(obj) -> bool:
+    """Whether obj is a JSON number, or nested lists of JSON numbers; bools
+    and strings are not numbers. Iterative, so any depth JSON can parse
+    is checked without recursion."""
+    pending = [obj]
+    while pending:
+        item = pending.pop()
+        if type(item) is list:
+            pending.extend(item)
+        elif type(item) not in (int, float):
+            return False
+    return True
+
+
 def read_snapshot_jsonl(path: str, with_targets: bool = False):
     """Snapshots from a JSONL file: one {"values": [[...]], "targets": [...]}
-    object per line (targets optional)."""
+    object per line (targets optional). Values and targets must be JSON
+    numbers in rectangular arrays; bools, strings and ragged rows raise
+    DataValidationError naming ``path:lineno`` instead of being coerced."""
     out = []
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -172,13 +188,18 @@ def read_snapshot_jsonl(path: str, with_targets: bool = False):
                 targets = payload.get("targets")
                 if targets is None and with_targets:
                     raise DataValidationError(f"{path}:{lineno}: snapshot lacks targets")
+                if not (_json_numbers(payload["values"])
+                        and (targets is None or _json_numbers(targets))):
+                    raise DataValidationError(
+                        f"{path}:{lineno}: values and targets must be JSON numbers")
                 try:
                     values = np.asarray(payload["values"], dtype=float)
                     if targets is not None:
                         targets = np.asarray(targets, dtype=float)
-                except (TypeError, ValueError) as exc:
+                except ValueError as exc:
                     raise DataValidationError(
-                        f"{path}:{lineno}: non-numeric values or targets: {exc}") from None
+                        f"{path}:{lineno}: values or targets are not a numeric array: "
+                        f"{exc}") from None
                 out.append((values, targets))
     except OSError as exc:
         raise ParameterError(f"cannot read {path}: {exc}") from exc

@@ -37,6 +37,12 @@ def random_clustering(rng, n, d, alpha=1.0, beta=0.0, k=2, **kwargs):
     return problem, graph, Q, SolverConfig(**defaults)
 
 
+def four_blobs(rng):
+    # 4 Gaussian blobs of 15 points in 3-d with centres 6 apart: n=60, d=3
+    centres = 6.0 * np.vstack([np.zeros(3), np.eye(3)])
+    return np.vstack([c + rng.standard_normal((15, 3)) for c in centres])
+
+
 def test_empty_graph_returns_loss_minimiser():
     data = Dataset([[1.0, 2.0], [3.0, 4.0]])
     problem = ConvexClusteringProblem(data)
@@ -343,9 +349,7 @@ def test_sweep_tolerance_matches_reference_and_stops_earlier():
 def test_relative_inner_tolerance_keeps_the_duality_gap(beta, p, monkeypatch):
     # the same solve with every sweep held to the fixed floor: the
     # relative-error rule must not buy its inner iterations with the gap
-    rng = np.random.default_rng(21)
-    centres = 6.0 * np.vstack([np.zeros(3), np.eye(3)])
-    data = Dataset(np.vstack([c + rng.standard_normal((15, 3)) for c in centres]))
+    data = Dataset(four_blobs(np.random.default_rng(21)))
     problem = ConvexClusteringProblem(data)
     Q = EdgeIncidence(build_knn_graph(data, k=5), 1.0)
     config = SolverConfig(alpha=1.0, beta=beta, p=p, s=1)
@@ -360,6 +364,69 @@ def test_relative_inner_tolerance_keeps_the_duality_gap(beta, p, monkeypatch):
         assert gap >= -1e-9 * abs(result.dual_objective)
     assert gaps[0] <= 1.25 * gaps[1]
     assert adaptive.inner_iterations < fixed.inner_iterations
+
+
+@pytest.mark.parametrize("p", [2, np.inf])
+def test_first_sweep_stops_at_a_relative_tolerance(p, monkeypatch):
+    # a cold start's first sweep stops at 1% of the gradient-mapping norm
+    # at its starting rows: under the cap, and with fewer inner iterations
+    # in all than the same solve with that one sweep held at the floor
+    data = Dataset(four_blobs(np.random.default_rng(21)))
+    problem = ConvexClusteringProblem(data)
+    Q = EdgeIncidence(build_knn_graph(data, k=5), 1.0)
+    config = SolverConfig(alpha=1.0, beta=0.5, p=p, s=1)
+    floor_step = sco.admm.lambda_step
+    sweeps = {}
+    for label in ("relative", "floor first"):
+        counts = sweeps[label] = []
+
+        def step(problem, Q, state, config, tol=None, **kwargs):
+            if label == "floor first" and not counts:
+                tol = None
+            before = state.inner
+            lam = floor_step(problem, Q, state, config, tol=tol, **kwargs)
+            counts.append(state.inner - before)
+            return lam
+
+        monkeypatch.setattr("sco.admm.lambda_step", step)
+        result = solve_dual(problem, Q, config)
+        assert result.converged and result.inner_iterations == sum(counts)
+    assert sweeps["relative"][0] < config.inner_max_iters
+    assert sum(sweeps["relative"]) < sum(sweeps["floor first"])
+
+
+@pytest.mark.parametrize("task, p", [("cc", 2), ("cc", np.inf),
+                                     ("ridge", 1), ("ridge", 2), ("ridge", np.inf)])
+def test_warm_start_first_sweep_keeps_the_model_accurate(task, p):
+    # a warm start's first sweep also stops at a relative tolerance; from
+    # the base optimum, on data moved by sigma, the model must stay within
+    # the benchmark's X_RTOL = 3e-4 of a tight solve, relative to that
+    # solve's distance from the data
+    rng = np.random.default_rng(21)
+    base_values = four_blobs(rng)
+    weights = rng.standard_normal((4, 3))
+    targets = np.einsum("ij,ij->i", base_values, weights[np.arange(60) // 15]) \
+        + 0.1 * rng.standard_normal(60)
+    noise = rng.standard_normal(base_values.shape)
+
+    def instance(values):
+        if task == "cc":
+            return ConvexClusteringProblem(Dataset(values))
+        return RidgeProblem(Dataset(values, targets), gamma=5.0)
+
+    Q = EdgeIncidence(build_knn_graph(Dataset(base_values), k=5), 1.0)
+    config = SolverConfig(alpha=1.0, beta=0.5, p=p, s=1, rho=1.0 if task == "cc" else 0.1)
+    tight = replace(config, eps_abs=1e-10, eps_rel=1e-8, inner_tol=1e-12,
+                    inner_max_iters=5000, outer_max_iters=50000)
+    base = solve_dual(instance(base_values), Q, config)
+    for sigma in (0.0, 1e-4, 1e-2, 0.1):
+        values = base_values + sigma * noise
+        problem = instance(values)
+        warm = solve_dual(problem, Q, config, warm_start=base.state)
+        reference = solve_dual(problem, Q, tight, warm_start=base.state)
+        assert warm.converged and reference.converged
+        assert np.linalg.norm(warm.x_star - reference.x_star) \
+            <= 3e-4 * np.linalg.norm(reference.x_star - values), sigma
 
 
 def test_parallel_solve_matches_serial_solve():

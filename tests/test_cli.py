@@ -430,6 +430,9 @@ def test_thread_env_var_caps_workers(random_csv, tmp_path, monkeypatch):
     {"values": "abc"},
     {"values": [[0.0, 0.0], [1.0]]},                # ragged
     {"values": [[0.0, 0.0]], "targets": "abc"},     # non-numeric targets
+    {"values": [[True, False], [1, 2]]},            # bools
+    {"values": [[0.0, 0.0], [1, 2]], "targets": [True, "1"]},  # bool and string targets
+    {"values": json.loads("[" * 900 + "0.0" + "]" * 900)},  # nested past numpy's 64 dims
 ])
 def test_monitor_jsonl_bad_snapshot_exits_2(random_csv, tmp_path, capsys, bad_line):
     values, _ = read_matrix_csv(random_csv)
