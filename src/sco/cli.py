@@ -20,7 +20,7 @@ from . import bounds as bounds_mod
 from .admm import SolverConfig, solve_dual
 from .clusterpath import sweep
 from .errors import ParameterError, SCOError
-from .evolution import Snapshot, delta_metric, run_session
+from .evolution import Snapshot, _snapshot_changed, delta_metric, run_session
 from .graph import Dataset, build_knn_graph, validate_graph
 from .incidence import EdgeIncidence
 from .io import (graph_to_dict, iter_snapshot_files, load_graph_json,
@@ -259,7 +259,7 @@ def _read_stream(args, data: Dataset) -> list[Snapshot]:
     return snapshots
 
 
-def _bound_reports(Q, values, delta, targets, x_star, x_tilde, lam_tilde, args, config, rng):
+def _bound_reports(Q, values, delta, targets, x_star, x_tilde, lam_tilde, args, config):
     """Model and dual-image bound reports for ``args.task``: x_star is the
     model of ``values``, x_tilde and lam_tilde the solution on
     ``values + delta``."""
@@ -273,8 +273,7 @@ def _bound_reports(Q, values, delta, targets, x_star, x_tilde, lam_tilde, args, 
     else:
         reports = [
             bounds_mod.regression_model_check(
-                values, delta, targets, args.gamma, config.beta, args.c, x_star, x_tilde,
-                rng=rng),
+                values, delta, targets, args.gamma, config.beta, args.c, x_star, x_tilde),
             bounds_mod.regression_dual_image_check(
                 Q, lam_tilde, values, delta, targets, args.gamma, config.beta, config.s),
         ]
@@ -282,8 +281,9 @@ def _bound_reports(Q, values, delta, targets, x_star, x_tilde, lam_tilde, args, 
 
 
 def _decision_bounds(decision, session, snapshot, args, config, rng):
-    """Bound reports for one decision. Keeps on changed data need one extra
-    solve on the snapshot to obtain the true perturbed model."""
+    """Bound reports for one decision. A keep on a changed snapshot (values
+    or targets) needs one extra solve on it to obtain the true perturbed
+    model."""
     if decision.action == "resolve":
         base_problem = session.previous_problem
         x_star = session.previous_x_star
@@ -294,7 +294,7 @@ def _decision_bounds(decision, session, snapshot, args, config, rng):
         base_problem = session.problem
         x_star = session.x_star
         new_values = snapshot.values
-        if np.array_equal(new_values, base_problem.values):
+        if not _snapshot_changed(base_problem, snapshot):
             x_tilde = x_star
             lam_tilde = session.dual.lam
         else:
@@ -304,7 +304,7 @@ def _decision_bounds(decision, session, snapshot, args, config, rng):
             lam_tilde = result.state.lam
     values = base_problem.values
     return _bound_reports(session.Q, values, new_values - values, base_problem.dataset.targets,
-                          x_star, x_tilde, lam_tilde, args, config, rng)
+                          x_star, x_tilde, lam_tilde, args, config)
 
 
 def cmd_monitor(args) -> int:
@@ -375,7 +375,7 @@ def cmd_bound(args) -> int:
 
     payload = {
         "reports": _bound_reports(Q, data.values, delta, data.targets, base.x_star,
-                                  evolved.x_star, evolved.state.lam, args, config, rng),
+                                  evolved.x_star, evolved.state.lam, args, config),
         "delta_metric": float(metric),
         "config": _config_echo(args),
     }

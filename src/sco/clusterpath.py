@@ -21,6 +21,7 @@ from .admm import SolverConfig, solve_dual
 from .errors import ParameterError, SCOError
 from .graph import Dataset, VariableGraph
 from .incidence import EdgeIncidence
+from .problems import ConvexClusteringProblem
 
 
 def default_fuse_tolerance(values: np.ndarray) -> float:
@@ -97,7 +98,7 @@ class ClusterPath:
 
 def sweep(data: Dataset, graph: VariableGraph, alphas, config: SolverConfig,
           warm_start: bool = True, eps_fuse: float | None = None,
-          problem=None, rng: np.random.Generator | None = None) -> ClusterPath:
+          rng: np.random.Generator | None = None) -> ClusterPath:
     """Solve along an increasing grid of coupling strengths.
 
     Each strength builds its own scaled incidence operator; solves are
@@ -112,10 +113,7 @@ def sweep(data: Dataset, graph: VariableGraph, alphas, config: SolverConfig,
         raise ParameterError("strength values must be nonnegative")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ParameterError("strength values must be strictly increasing")
-    if problem is None:
-        from .problems import ConvexClusteringProblem
-
-        problem = ConvexClusteringProblem(data)
+    problem = ConvexClusteringProblem(data)
     if eps_fuse is None:
         eps_fuse = default_fuse_tolerance(data.values)
 

@@ -55,17 +55,6 @@ def read_matrix_csv(path: str, with_targets: bool = False):
     return matrix, None
 
 
-def write_matrix_csv(path: str, values: np.ndarray, targets: np.ndarray | None = None) -> None:
-    values = np.atleast_2d(np.asarray(values, dtype=float))
-    lines = []
-    for i in range(values.shape[0]):
-        cells = [repr(float(v)) for v in values[i]]
-        if targets is not None:
-            cells.append(repr(float(targets[i])))
-        lines.append(",".join(cells))
-    _write_text_atomic(path, "\n".join(lines) + "\n")
-
-
 def canonical_json(obj) -> str:
     """Deterministic JSON serialisation (sorted keys, fixed separators)."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
@@ -127,20 +116,6 @@ def load_graph_json(path: str) -> VariableGraph:
     except (OSError, json.JSONDecodeError) as exc:
         raise ParameterError(f"cannot read graph {path}: {exc}") from exc
     return graph_from_dict(payload)
-
-
-def load_solution_json(path: str) -> dict:
-    """Read a solution document back and validate its schema."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParameterError(f"cannot read solution {path}: {exc}") from exc
-    required = {"X", "lambda", "dual_objective", "primal_objective", "iters", "converged"}
-    missing = required - payload.keys()
-    if missing:
-        raise DataValidationError(f"{path}: missing solution keys {sorted(missing)}")
-    return payload
 
 
 def iter_snapshot_files(directory: str):

@@ -129,76 +129,30 @@ class ConvexClusteringProblem(Problem):
         return ConvexClusteringProblem(Dataset(values))
 
 
-class RidgeOperators:
-    """Diagonal and block-summing linear maps for the regression loss.
-
-    ``omega`` is the diagonal of the quadratic form (stacked data squared
-    plus gamma), kept as a vector; its inverse is an elementwise
-    reciprocal. The target map sends a stacked n*d vector to the length-n
-    vector of per-instance feature sums weighted by the data, and
-    ``adjoint`` is its transpose.
-    """
-
-    def __init__(self, values: np.ndarray, gamma: float):
-        gamma = float(gamma)
-        if not (np.isfinite(gamma) and gamma > 0):
-            raise ParameterError(f"gamma must be positive, got {gamma}")
-        self.gamma = gamma
-        self.n, self.d = values.shape
-        self.stacked_values = stack_columns(values)
-        self.omega = self.stacked_values ** 2 + gamma
-
-    def apply(self, z: np.ndarray) -> np.ndarray:
-        """Length-n image: per-instance sum of data-weighted coordinates."""
-        return (self.stacked_values * z).reshape(self.d, self.n).sum(axis=0)
-
-    def adjoint(self, y: np.ndarray) -> np.ndarray:
-        """Stacked n*d adjoint image of a length-n vector."""
-        return self.stacked_values * np.tile(np.asarray(y, dtype=float), self.d)
-
-
-def perturbation_cross_apply(values: np.ndarray, delta: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Action of the data/perturbation cross operator on a stacked vector.
-
-    Maps z to 2 * delta-diagonal applied after block-summing the
-    data-diagonal image: the difference between the perturbed and the
-    original quadratic forms of the regression loss.
-    """
-    n, d = values.shape
-    va = stack_columns(values)
-    vd = stack_columns(delta)
-    summed = (va * z).reshape(d, n).sum(axis=0)
-    return 2.0 * vd * np.tile(summed, d)
-
-
-def perturbation_cross_adjoint(values: np.ndarray, delta: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Adjoint of :func:`perturbation_cross_apply`."""
-    n, d = values.shape
-    va = stack_columns(values)
-    vd = stack_columns(delta)
-    summed = (vd * z).reshape(d, n).sum(axis=0)
-    return 2.0 * va * np.tile(summed, d)
-
-
 class RidgeProblem(Problem):
     """Separable quadratic regression loss with l2 shrinkage.
 
-    The loss is the quadratic form with diagonal ``omega`` minus twice the
-    target term; the target-only constant is dropped throughout and
-    restored by ``conjugate_constant`` where exact conjugate values are
-    needed.
+    The loss is x' diag(omega) x - 2 b' x on the stacked model x, with
+    ``omega = vec(A)**2 + gamma`` and ``b = vec(A) * tile(y, d)``, the
+    data-weighted targets repeated once per feature. Both are kept as
+    stacked vectors (``omega_diagonal``, ``target_adjoint``). The
+    target-only constant is dropped throughout and restored by
+    ``conjugate_constant`` where exact conjugate values are needed.
     """
 
     def __init__(self, dataset: Dataset, gamma: float):
         if dataset.targets is None:
             raise DataValidationError("regression task needs targets")
+        gamma = float(gamma)
+        if not (np.isfinite(gamma) and gamma > 0):
+            raise ParameterError(f"gamma must be positive, got {gamma}")
         self.dataset = dataset
-        self.gamma = float(gamma)
-        self.operators = RidgeOperators(dataset.values, gamma)
-        self._omega = self.operators.omega
+        self.gamma = gamma
         n, d = dataset.values.shape
+        a = stack_columns(dataset.values)
+        self._omega = a ** 2 + gamma
         self._omega_matrix = np.ascontiguousarray(unstack_columns(self._omega, n, d))
-        self._b = self.operators.adjoint(dataset.targets)
+        self._b = a * np.tile(dataset.targets, d)
 
     @property
     def omega_diagonal(self) -> np.ndarray:

@@ -7,9 +7,10 @@ plain (sub)gradient runs instead of the accelerated solver, and 1-d
 golden-section searches instead of closed-form proximal maps. The
 batched l1-ball row projection is checked against one projection per
 row, the blocked kNN graph build against a dense n-by-n distance matrix
-and a sorted scan of each row, and the vectorised cluster extraction
-against one norm per edge. The relative-error inner stopping rule is held
-to the Fenchel duality gap that the fixed rule reaches.
+and a sorted scan of each row, the vectorised cluster extraction
+against one norm per edge, and the closed-form ridge sandwich norm
+against the SVD of the dense matrix. The relative-error inner stopping
+rule is held to the Fenchel duality gap that the fixed rule reaches.
 
 The inner dual-step kernels are pinned bit for bit to plainer versions of
 the same arithmetic: a per-column transposed incidence map, a
@@ -34,6 +35,16 @@ def dense_incidence(graph, alpha: float) -> np.ndarray:
         Q[k, i] = alpha * w
         Q[k, j] = -alpha * w
     return Q
+
+
+def dense_ridge_sandwich(values: np.ndarray, delta: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """Dense omega^{-1} C omega^{-1} for the ridge cross operator
+    C = 2 diag(vec D) (11' (x) I_n) diag(vec A)."""
+    n, d = values.shape
+    cross = (2.0 * np.diag(stack_columns(delta))
+             @ np.kron(np.ones((d, d)), np.eye(n))
+             @ np.diag(stack_columns(values)))
+    return cross / np.outer(omega, omega)
 
 
 def kron_lift(Qd: np.ndarray, d: int) -> np.ndarray:

@@ -5,8 +5,10 @@ from sco import (ConvexClusteringProblem, Dataset, EdgeIncidence, ParameterError
                  RidgeProblem, SolverConfig, build_knn_graph,
                  clustering_dual_image_bound, clustering_dual_image_check,
                  clustering_model_check, regression_dual_image_check,
-                 regression_model_check, solve_dual)
-from sco.bounds import dual_image_norm
+                 regression_model_check, solve_dual, stack_columns)
+from sco.bounds import _NORM_INFLATION, _sandwich_spectral_norm, dual_image_norm
+
+from oracles import dense_ridge_sandwich
 
 
 def test_clustering_dual_image_bound_examples():
@@ -81,6 +83,38 @@ def test_regression_model_trivial_cases():
     report = regression_model_check(values, 0.1 * np.ones_like(values), np.zeros(3), gamma=2.0,
                             beta=1.0, c=3.0, x_star=x, x_tilde_star=x)
     assert abs(report.rhs - 12.0) <= 1e-12
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (1, 4), (5, 1), (4, 3), (7, 2)])
+def test_sandwich_norm_matches_dense(n, d):
+    rng = np.random.default_rng(10 * n + d)
+    for trial in range(6):
+        values = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-2, 2)
+        delta = np.zeros((n, d)) if trial == 0 else rng.standard_normal((n, d))
+        omega = stack_columns(values) ** 2 + rng.uniform(0.1, 5.0)
+        expected = np.linalg.norm(dense_ridge_sandwich(values, delta, omega), 2)
+        got = _sandwich_spectral_norm(values, delta, omega) / _NORM_INFLATION
+        assert abs(got - expected) <= 1e-12 * expected, (trial, got, expected)
+
+
+def test_regression_model_rhs_uses_the_exact_norm():
+    # one dominant block among 199 at 0.985 of its norm: 100 power steps
+    # from a random start stay near the crowd, over 1% under the norm
+    n, d, gamma, beta, c = 200, 2, 1.0, 2.0, 0.5
+    values = np.ones((n, d))
+    delta = np.full((n, d), 0.985)
+    delta[0] = 1.0
+    y = np.random.default_rng(11).standard_normal(n)
+    x = np.zeros((n, d))
+    report = regression_model_check(values, delta, y, gamma, beta, c, x, x)
+    block = np.kron(np.ones((1, d)), np.eye(n))
+    expected = 4.0 * c
+    for data in (values + delta, values):
+        omega = stack_columns(data) ** 2 + gamma
+        b = (block @ np.diag(stack_columns(data))).T @ y
+        norm = np.linalg.norm(dense_ridge_sandwich(values, delta, omega), 2)
+        expected += float(b @ (b / omega)) ** 2 * norm * _NORM_INFLATION / (16.0 * beta ** 2)
+    assert abs(report.rhs - expected) <= 1e-12 * expected
 
 
 def test_regression_dual_image_trivial_and_homogeneity():

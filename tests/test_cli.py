@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 import sco.evolution
+from sco import (Dataset, EdgeIncidence, RidgeProblem, SolverConfig, build_knn_graph,
+                 solve_dual, stack_columns)
 from sco.cli import main
-from sco.io import (load_graph_json, load_solution_json, read_matrix_csv,
-                    write_matrix_csv)
+from sco.io import load_graph_json, read_matrix_csv
 
+from helpers import load_solution_json, write_matrix_csv
 from oracles import (add_at_norm_estimate, clip_project_rows, fancy_index_apply,
                      per_column_apply_t, per_row_l1_projection, reference_lambda_step,
                      stacked_ridge_curvature)
@@ -406,6 +408,39 @@ def test_monitor_keep_decisions_verify_bounds(random_csv, tmp_path):
               (tmp_path / "dec.jsonl.bounds.jsonl").read_text().strip().splitlines()]
     assert len(bounds) == 4  # two reports per decision
     assert all(b["satisfied"] for b in bounds)
+
+
+def test_monitor_keep_on_changed_targets_runs_the_shadow_solve(tmp_path):
+    # same values, targets moved by 5 and a threshold far above the score:
+    # the kept model is compared with the model of the new targets, not with
+    # itself, so the energy difference matches two independent solves
+    rng = np.random.default_rng(12)
+    values, targets = rng.standard_normal((12, 2)), rng.standard_normal(12)
+    data = tmp_path / "ridge.csv"
+    write_matrix_csv(str(data), values, targets=targets)
+    stream = tmp_path / "stream.jsonl"
+    stream.write_text(json.dumps({"values": values.tolist(),
+                                  "targets": (targets + 5.0).tolist()}) + "\n")
+    out = tmp_path / "dec.jsonl"
+    assert main(["monitor", "--input", str(data), "--targets", "--task", "ridge",
+                 "--stream", str(stream), "--k", "3", "--c", "1e12", "--out", str(out)]) == 0
+    decisions = [json.loads(line) for line in out.read_text().strip().splitlines()][1:]
+    assert [d["action"] for d in decisions] == ["keep"] and decisions[0]["delta_metric"] > 0
+    bounds = [json.loads(line) for line in
+              (tmp_path / "dec.jsonl.bounds.jsonl").read_text().strip().splitlines()]
+    energy = [b for b in bounds if b["name"] == "regression-model-energy"][0]
+
+    graph = build_knn_graph(Dataset(values), 3)
+    Q = EdgeIncidence(graph, 1.0)
+    base = RidgeProblem(Dataset(values, targets), gamma=5.0)
+    x = solve_dual(base, Q, SolverConfig()).x_star
+    x_new = solve_dual(base.with_values(values, targets + 5.0), Q, SolverConfig()).x_star
+    omega = base.omega_diagonal
+    expected = float(stack_columns(x_new) @ (omega * stack_columns(x_new))
+                     - stack_columns(x) @ (omega * stack_columns(x)))
+    assert abs(expected) > 1.0
+    assert abs(energy["lhs"] - expected) <= 1e-3 * abs(expected)
+    assert energy["satisfied"]
 
 
 def test_thread_env_var_caps_workers(random_csv, tmp_path, monkeypatch):

@@ -154,30 +154,12 @@ def test_ridge_operators_match_dense_definitions():
     rng = np.random.default_rng(7)
     n, d = 4, 3
     problem, _, _ = random_setup(rng, n, d, "ridge")
-    ops = problem.operators
-    z = rng.standard_normal(n * d)
-    y = rng.standard_normal(n)
     block = np.kron(np.ones((1, d)), np.eye(n))
     dense_lam = block @ np.diag(stack_columns(problem.values))
-    np.testing.assert_allclose(ops.apply(z), dense_lam @ z, atol=1e-12)
-    np.testing.assert_allclose(ops.adjoint(y), dense_lam.T @ y, atol=1e-12)
-
-
-def test_perturbation_cross_map_matches_dense():
-    from sco import perturbation_cross_adjoint, perturbation_cross_apply
-
-    rng = np.random.default_rng(8)
-    n, d = 3, 2
-    values = rng.standard_normal((n, d))
-    delta = rng.standard_normal((n, d))
-    dense = (2.0 * np.diag(stack_columns(delta))
-             @ np.kron(np.ones((d, d)), np.eye(n))
-             @ np.diag(stack_columns(values)))
-    z = rng.standard_normal(n * d)
-    np.testing.assert_allclose(perturbation_cross_apply(values, delta, z), dense @ z,
+    np.testing.assert_allclose(problem.target_adjoint, dense_lam.T @ problem.dataset.targets,
                                atol=1e-12)
-    np.testing.assert_allclose(perturbation_cross_adjoint(values, delta, z), dense.T @ z,
-                               atol=1e-12)
+    np.testing.assert_allclose(problem.omega_diagonal,
+                               np.diag(dense_lam.T @ dense_lam) + problem.gamma, atol=1e-12)
 
 
 def test_make_problem_dispatch():
