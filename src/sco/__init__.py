@@ -19,12 +19,11 @@ from .errors import (DataValidationError, DimensionError, NumericFailure,
 from .evolution import (EvolutionDecision, SessionState, Snapshot, delta_metric,
                         run_session)
 from .graph import Dataset, VariableGraph, build_knn_graph, validate_graph
-from .incidence import (EdgeIncidence, operator_norm_estimate, stack_columns,
-                        unstack_columns)
+from .incidence import EdgeIncidence, operator_norm_estimate
 from .norms import as_norm, dual_norm, sum_norms, vec_norm
 from .problems import (ConvexClusteringProblem, Problem, RidgeProblem,
                        make_problem)
-from .prox import project_ball, project_l1_ball, project_rows, prox_norm
+from .prox import project_l1_ball, project_rows, prox_norm
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 

@@ -2,16 +2,19 @@
 
 The dual objective is the loss conjugate along the negated transposed
 incidence directions plus ``beta`` times the s-norm of that image, with
-every dual row constrained to the unit q-norm ball. Splitting the norm
-term over a consensus vector u with multiplier mu gives three updates per
-sweep:
+every dual row constrained to the unit q-norm ball. The dual rows lam are
+an m-by-d matrix and their image Q^T lam an n-by-d one; the s-norm is
+taken over all entries of the image. Splitting the norm term over an
+n-by-d consensus matrix u with an n-by-d multiplier mu gives three
+updates per sweep:
 
 1. the dual rows solve a smooth constrained subproblem (accelerated
    projected gradient with a power-iteration Lipschitz step),
 2. u has a closed-form norm proximal update with threshold beta/rho,
-3. mu takes the usual scaled residual step.
+3. mu takes the usual scaled residual step, mu + rho (Q^T lam - u).
 
-Convergence is tracked through the primal/dual residual pair and the
+Convergence is tracked through the primal/dual residual pair (the
+Frobenius norms of Q^T lam - u and of rho Q (u - u_prev)) and the
 weighted step norm that decays like 1/T for this family of methods
 (blocks: zero weight on the dual rows, rho on u, 1/rho on mu).
 
@@ -38,7 +41,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DimensionError, NumericFailure, ParameterError
-from .incidence import EdgeIncidence, operator_norm_estimate, unstack_columns
+from .incidence import EdgeIncidence, operator_norm_estimate
 from .norms import as_norm, dual_norm, vec_norm
 from .problems import Problem
 from .prox import project_rows, prox_norm
@@ -100,8 +103,9 @@ class SolverConfig:
 
 @dataclass
 class DualState:
-    """Dual rows, consensus vector and multiplier, plus a sweep counter
-    and the inner dual-row iterations summed over those sweeps."""
+    """Dual rows (m-by-d), consensus matrix u and multiplier mu (both
+    n-by-d), plus a sweep counter and the inner dual-row iterations summed
+    over those sweeps."""
 
     lam: np.ndarray
     u: np.ndarray
@@ -115,7 +119,7 @@ class DualState:
 
 def zero_state(m: int, n: int, d: int) -> DualState:
     """All-zero state: always feasible for every constraint geometry."""
-    return DualState(np.zeros((m, d)), np.zeros(n * d), np.zeros(n * d))
+    return DualState(np.zeros((m, d)), np.zeros((n, d)), np.zeros((n, d)))
 
 
 @dataclass
@@ -158,13 +162,14 @@ class SolveResult:
 
 def h_norm_step(u_prev: np.ndarray, u_next: np.ndarray,
                 mu_prev: np.ndarray, mu_next: np.ndarray, rho: float) -> float:
-    """Squared weighted norm of one step: rho*||du||^2 + (1/rho)*||dmu||^2.
+    """Squared weighted norm of one step: rho*||du||^2 + (1/rho)*||dmu||^2,
+    with Frobenius norms for matrices.
 
     The dual-row block carries zero weight, so only u and mu enter.
     """
     du = np.asarray(u_next) - np.asarray(u_prev)
     dmu = np.asarray(mu_next) - np.asarray(mu_prev)
-    return float(rho * (du @ du) + (dmu @ dmu) / rho)
+    return float(rho * np.vdot(du, du) + np.vdot(dmu, dmu) / rho)
 
 
 def _dual_quadratic_gradient(problem: Problem, Q: EdgeIncidence, lam: np.ndarray,
@@ -176,9 +181,7 @@ def _dual_quadratic_gradient(problem: Problem, Q: EdgeIncidence, lam: np.ndarray
 
 def _fixed_term(problem: Problem, state: DualState, config: SolverConfig) -> np.ndarray:
     # The part of the dual-row gradient's inner argument that a sweep holds fixed.
-    n, d = problem.values.shape
-    return problem.conjugate_linear_term() + unstack_columns(state.mu, n, d) \
-        - config.rho * unstack_columns(state.u, n, d)
+    return problem.conjugate_linear_term() + state.mu - config.rho * state.u
 
 
 def _gradient_mapping_norm(problem: Problem, Q: EdgeIncidence, state: DualState,
@@ -255,24 +258,25 @@ def parallel_lambda_step(problem: Problem, Q: EdgeIncidence, state: DualState,
 
 
 def u_step(state: DualState, Q: EdgeIncidence, config: SolverConfig,
-           stacked: np.ndarray | None = None) -> np.ndarray:
+           image: np.ndarray | None = None) -> np.ndarray:
     """Closed-form consensus update: norm prox at threshold beta/rho of
-    mu/rho plus the stacked transposed-incidence image of the fresh dual
-    rows. With beta = 0 the prox is the identity."""
-    if stacked is None:
-        stacked = Q.apply_t_stacked(state.lam)
-    omega = state.mu / config.rho + stacked
+    mu/rho plus the image Q^T lam of the fresh dual rows (``image``, when
+    the caller has it already). With beta = 0 the prox is the identity."""
+    if image is None:
+        image = Q.apply_t(state.lam)
+    omega = state.mu / config.rho + image
     if config.beta == 0.0:
         return omega
     return prox_norm(omega, config.beta / config.rho, config.s)
 
 
 def mu_step(state: DualState, Q: EdgeIncidence, config: SolverConfig,
-            stacked: np.ndarray | None = None) -> np.ndarray:
-    """Multiplier update: mu plus rho times the consensus residual."""
-    if stacked is None:
-        stacked = Q.apply_t_stacked(state.lam)
-    return state.mu + config.rho * (stacked - state.u)
+            image: np.ndarray | None = None) -> np.ndarray:
+    """Multiplier update: mu plus rho times the consensus residual
+    Q^T lam - u."""
+    if image is None:
+        image = Q.apply_t(state.lam)
+    return state.mu + config.rho * (image - state.u)
 
 
 def solve_dual(problem: Problem, Q: EdgeIncidence, config: SolverConfig,
@@ -323,8 +327,8 @@ def solve_dual(problem: Problem, Q: EdgeIncidence, config: SolverConfig,
         )
 
     if warm_start is not None:
-        if warm_start.lam.shape != (m, d) or warm_start.u.shape != (n * d,) \
-                or warm_start.mu.shape != (n * d,):
+        if warm_start.lam.shape != (m, d) or warm_start.u.shape != (n, d) \
+                or warm_start.mu.shape != (n, d):
             raise DimensionError("warm start shapes do not match the problem")
         state = warm_start.copy()
         state.lam = project_rows(state.lam, config.q)
@@ -348,25 +352,24 @@ def solve_dual(problem: Problem, Q: EdgeIncidence, config: SolverConfig,
         else:
             state.lam = lambda_step(problem, Q, state, config, lipschitz=lipschitz,
                                     tol=sweep_tol)
-        stacked = Q.apply_t_stacked(state.lam)
+        image = Q.apply_t(state.lam)
         u_prev, mu_prev = state.u, state.mu
-        state.u = u_step(state, Q, config, stacked=stacked)
-        state.mu = mu_step(state, Q, config, stacked=stacked)
+        state.u = u_step(state, Q, config, image=image)
+        state.mu = mu_step(state, Q, config, image=image)
         state.t += 1
         performed += 1
 
-        primal_res = float(np.linalg.norm(stacked - state.u))
-        dual_res = config.rho * float(
-            np.linalg.norm(Q.apply(unstack_columns(state.u - u_prev, n, d))))
+        primal_res = float(np.linalg.norm(image - state.u))
+        dual_res = config.rho * float(np.linalg.norm(Q.apply(state.u - u_prev)))
         trace.append(primal_res, dual_res,
                      h_norm_step(u_prev, state.u, mu_prev, state.mu, config.rho))
         if not (np.isfinite(primal_res) and np.isfinite(dual_res)):
             raise NumericFailure(f"non-finite residuals at iteration {state.t}")
 
         eps_pri = config.eps_abs * sqrt_nd + config.eps_rel * max(
-            float(np.linalg.norm(stacked)), float(np.linalg.norm(state.u)))
+            float(np.linalg.norm(image)), float(np.linalg.norm(state.u)))
         eps_dua = config.eps_abs * sqrt_nd + config.eps_rel * float(
-            np.linalg.norm(Q.apply(unstack_columns(state.mu, n, d))))
+            np.linalg.norm(Q.apply(state.mu)))
         if primal_res <= eps_pri and dual_res <= eps_dua:
             converged = True
             break
@@ -376,7 +379,7 @@ def solve_dual(problem: Problem, Q: EdgeIncidence, config: SolverConfig,
     if not np.all(np.isfinite(x_star)):
         raise NumericFailure("recovered primal solution is not finite")
     dual_objective = problem.conjugate_value(Q, state.lam) \
-        + config.beta * vec_norm(Q.apply_t_stacked(state.lam), config.s)
+        + config.beta * vec_norm(Q.apply_t(state.lam), config.s)
     return SolveResult(
         state=state, x_star=x_star, trace=trace, converged=converged,
         stop_reason="converged" if converged else "max-iterations",

@@ -2,23 +2,28 @@
 perturbed data, plus the norm bounds on the regularised dual image that
 feed them.
 
+Every quantity is an n-by-d matrix (or the m-by-d dual rows); <M, N> is
+the sum of elementwise products, ||M|| the Frobenius norm, and the s-norm
+of a matrix is taken over all of its entries.
+
 Clustering task:
 
-* dual-image bound: the s-norm of the stacked transposed-incidence image
-  of the perturbed-data dual optimum is at most ||vec(A + D)||^2 / beta;
+* dual-image bound: the s-norm of the transposed-incidence image Q^T lam
+  of the perturbed-data dual optimum is at most ||A + D||^2 / beta;
 * model bound: the data-weighted inner product of the model difference is
-  at most <vec(A), vec(D)> + c/2 + ||vec(D)|| * ||vec(A + D)||^2 / (2 beta).
+  at most <A, D> + c/2 + ||D|| * ||A + D||^2 / (2 beta).
   The left side is an inner product, not a norm, and may be negative.
 
 Regression task (diagonal quadratic loss):
 
 * dual-image bound: the s-norm is at most the omega-inverse quadratic
-  form of the target image divided by 4 beta. The target image can be
-  taken from the original or the perturbed data; both variants are
-  computed and the larger is reported as the operative right-hand side.
-* model bound: the difference of omega-weighted model energies is at most
-  the two squared quadratic forms weighted by spectral norms of the
-  sandwiched cross operator, plus 4c.
+  form <b, b / omega> of the target image b divided by 4 beta. The
+  target image can be taken from the original or the perturbed data;
+  both variants are computed and the larger is reported as the operative
+  right-hand side.
+* model bound: the difference of omega-weighted model energies
+  <X, omega * X> is at most the two squared quadratic forms weighted by
+  spectral norms of the sandwiched cross operator, plus 4c.
 
 Bare operator norms are read as spectral norms. The sandwiched cross
 operator is block diagonal over instances with rank-one blocks, so its
@@ -36,7 +41,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .graph import Dataset
-from .incidence import EdgeIncidence, stack_columns, unstack_columns
+from .incidence import EdgeIncidence
 from .norms import as_norm, vec_norm
 from .problems import RidgeProblem
 
@@ -78,16 +83,17 @@ def _require_positive(name: str, value: float) -> float:
 
 
 def dual_image_norm(Q: EdgeIncidence, lam: np.ndarray, s) -> float:
-    """s-norm of the stacked transposed-incidence image of the dual rows."""
-    return vec_norm(Q.apply_t_stacked(lam), as_norm(s))
+    """s-norm over all entries of the transposed-incidence image of the
+    dual rows."""
+    return vec_norm(Q.apply_t(lam), as_norm(s))
 
 
 def clustering_dual_image_bound(new_values: np.ndarray, beta: float) -> float:
-    """Clustering dual-image bound: squared stacked norm of the evolved
+    """Clustering dual-image bound: squared Frobenius norm of the evolved
     data over beta."""
     beta = _require_positive("beta", beta)
-    v = stack_columns(np.asarray(new_values, dtype=float))
-    return float(v @ v) / beta
+    v = np.asarray(new_values, dtype=float)
+    return float((v * v).sum()) / beta
 
 
 def clustering_dual_image_check(Q: EdgeIncidence, lam_tilde: np.ndarray,
@@ -104,20 +110,20 @@ def clustering_model_check(values: np.ndarray, delta: np.ndarray, beta: float, c
                            x_star: np.ndarray, x_tilde_star: np.ndarray) -> BoundReport:
     """Model-difference bound for the clustering task.
 
-    lhs = <vec(A), vec(X~) - vec(X)>;
-    rhs = <vec(A), vec(D)> + c/2 + ||vec(D)||_2 * ||vec(A+D)||_2^2 / (2 beta).
+    lhs = <A, X~ - X>;
+    rhs = <A, D> + c/2 + ||D|| * ||A + D||^2 / (2 beta).
     """
     beta = _require_positive("beta", beta)
-    a = stack_columns(np.asarray(values, dtype=float))
-    dv = stack_columns(np.asarray(delta, dtype=float))
-    x = stack_columns(np.asarray(x_star, dtype=float))
-    xt = stack_columns(np.asarray(x_tilde_star, dtype=float))
+    a = np.asarray(values, dtype=float)
+    dv = np.asarray(delta, dtype=float)
+    x = np.asarray(x_star, dtype=float)
+    xt = np.asarray(x_tilde_star, dtype=float)
     if not (a.shape == dv.shape == x.shape == xt.shape):
         raise ParameterError("all matrices must share one shape")
-    lhs = float(a @ (xt - x))
+    lhs = float((a * (xt - x)).sum())
     evolved = a + dv
-    rhs = float(a @ dv) + 0.5 * float(c) \
-        + float(np.linalg.norm(dv)) * float(evolved @ evolved) / (2.0 * beta)
+    rhs = float((a * dv).sum()) + 0.5 * float(c) \
+        + float(np.linalg.norm(dv)) * float((evolved * evolved).sum()) / (2.0 * beta)
     inputs = {"beta": beta, "c": float(c),
               "values_fro": float(np.linalg.norm(a)),
               "delta_fro": float(np.linalg.norm(dv))}
@@ -132,14 +138,15 @@ def _norm_tag(s) -> str:
 def _sandwich_spectral_norm(values: np.ndarray, delta: np.ndarray, omega: np.ndarray) -> float:
     """Spectral norm of omega^{-1} C omega^{-1}, inflated by ``_NORM_INFLATION``.
 
-    C = 2 diag(vec D) (11' kron I_n) diag(vec A) is the cross operator
-    between the perturbed and the original quadratic forms. It is block
-    diagonal over instances with the rank-one blocks 2 d_i a_i', so the
-    norm is 2 max_i ||d_i / w_i|| * ||a_i / w_i||, where w_i is row i of
-    the unstacked diagonal.
+    omega is the n-by-d weight matrix of a quadratic form. C is the cross
+    operator between the perturbed and the original quadratic forms; it
+    maps an n-by-d matrix Z to the matrix with rows 2 d_i <a_i, z_i>, so
+    it is block diagonal over instances with the rank-one blocks
+    2 d_i a_i' (d_i, a_i and w_i are rows i of D, A and omega). Its
+    sandwich by omega^{-1} has the blocks 2 (d_i / w_i)(a_i / w_i)', so
+    the norm is 2 max_i ||d_i / w_i|| * ||a_i / w_i||.
     """
-    w = unstack_columns(omega, *values.shape)
-    per_row = np.linalg.norm(delta / w, axis=1) * np.linalg.norm(values / w, axis=1)
+    per_row = np.linalg.norm(delta / omega, axis=1) * np.linalg.norm(values / omega, axis=1)
     return 2.0 * float(per_row.max()) * _NORM_INFLATION
 
 
@@ -160,10 +167,10 @@ def regression_dual_image_check(Q: EdgeIncidence, lam_tilde: np.ndarray,
     y = np.asarray(y, dtype=float).ravel()
     base = RidgeProblem(Dataset(values, y), gamma)
     moved = RidgeProblem(Dataset(values + delta, y), gamma)
-    # Target quadratic forms b' omega^{-1} b; conjugate_constant() is the
+    # Target quadratic forms <b, b / omega>; conjugate_constant() is the
     # form of one problem's own b and omega.
     b = base.target_adjoint
-    rhs_plain = float(b @ (b / moved.omega_diagonal)) / (4.0 * beta)
+    rhs_plain = float((b * (b / moved.omega_diagonal)).sum()) / (4.0 * beta)
     rhs_tilde = moved.conjugate_constant() / (4.0 * beta)
     lhs = dual_image_norm(Q, lam_tilde, s)
     inputs = {"beta": beta, "gamma": float(gamma), "s": _norm_tag(s),
@@ -191,11 +198,12 @@ def regression_model_check(values: np.ndarray, delta: np.ndarray, y: np.ndarray,
     base = RidgeProblem(Dataset(values, y), gamma)
     moved = RidgeProblem(Dataset(values + delta, y), gamma)
 
-    x = stack_columns(np.asarray(x_star, dtype=float))
-    xt = stack_columns(np.asarray(x_tilde_star, dtype=float))
-    lhs = float(xt @ (base.omega_diagonal * xt)) - float(x @ (base.omega_diagonal * x))
+    x = np.asarray(x_star, dtype=float)
+    xt = np.asarray(x_tilde_star, dtype=float)
+    omega = base.omega_diagonal
+    lhs = float((xt * (omega * xt)).sum()) - float((x * (omega * x)).sum())
 
-    form_tilde = moved.conjugate_constant()  # b' omega^{-1} b
+    form_tilde = moved.conjugate_constant()  # <b, b / omega>
     form_plain = base.conjugate_constant()
     norm_tilde = _sandwich_spectral_norm(values, delta, moved.omega_diagonal)
     norm_plain = _sandwich_spectral_norm(values, delta, base.omega_diagonal)

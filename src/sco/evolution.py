@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import DualState, SolveResult, SolverConfig, solve_dual
+from .admm import DualState, SolverConfig, solve_dual
 from .errors import DimensionError, ParameterError, SCOError
 from .graph import Dataset, VariableGraph, build_knn_graph
 from .incidence import EdgeIncidence
@@ -80,7 +80,6 @@ class SessionState:
     Q: EdgeIncidence
     dual: DualState
     x_star: np.ndarray
-    last_result: SolveResult
     previous_problem: Problem | None = None
     previous_x_star: np.ndarray | None = None
 
@@ -122,7 +121,7 @@ def run_session(initial_problem: Problem, graph: VariableGraph, stream,
     Q = EdgeIncidence(graph, config.alpha)
     result = solve_dual(initial_problem, Q, config, rng=rng)
     session = SessionState(problem=initial_problem, graph=graph, Q=Q,
-                           dual=result.state, x_star=result.x_star, last_result=result)
+                           dual=result.state, x_star=result.x_star)
 
     decisions: list[EvolutionDecision] = []
     for snapshot in stream:
@@ -171,7 +170,6 @@ def _accept_and_resolve(session: SessionState, snapshot: Snapshot, score: float,
     session.problem = new_problem
     session.dual = result.state
     session.x_star = result.x_star
-    session.last_result = result
     return EvolutionDecision(index=snapshot.index, delta_metric=score, threshold=threshold,
                              action="resolve", solve_iters=result.iterations,
                              solve_inner_iters=result.inner_iterations,

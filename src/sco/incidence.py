@@ -1,10 +1,10 @@
 """Scaled edge-incidence operator and its structure-exploiting linear maps.
 
-Row k of the operator carries +alpha*w_ij at column i and -alpha*w_ij at
-column j for edge (i, j). The operator is kept as an edge list; the
-Kronecker-lifted maps the solver needs are realised as matrix products
-with the operator and its transpose, never as dense (m*d)-by-(n*d)
-matrices.
+Row k of the operator Q carries +alpha*w_ij at column i and -alpha*w_ij
+at column j for edge (i, j). The operator is kept as an edge list. It acts
+on n-by-d matrices (one row per instance), and its transpose on m-by-d
+matrices (one row per edge), through the edge ends; Q is never
+materialised, and neither is any lift of it to flattened matrices.
 
 The transpose map is a flat scatter: the scaled m-by-d dual rows are
 read as one vector of length m*d, and entry (k, c) is summed into bin
@@ -12,10 +12,6 @@ read as one vector of length m*d, and entry (k, c) is summed into bin
 n*d vector by ``np.bincount``. Each bin accumulates its entries in
 increasing edge order, so the sums are the same, bit for bit, as a
 per-column accumulation, and they do not depend on any schedule.
-
-Vectorisation convention: matrices are stacked column by column
-(``stack_columns``), and all adjoint identities in this package are pinned
-to that convention.
 
 The edge arrays are fixed at construction and every map here is pure.
 The only state that changes is the cache of flat scatter indices, one
@@ -30,19 +26,6 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError
 from .graph import VariableGraph
-
-
-def stack_columns(M: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorisation of a matrix."""
-    return np.asarray(M, dtype=float).reshape(-1, order="F")
-
-
-def unstack_columns(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`stack_columns`."""
-    v = np.asarray(v, dtype=float)
-    if v.size != rows * cols:
-        raise DimensionError(f"cannot reshape length-{v.size} vector to {rows} x {cols}")
-    return v.reshape((rows, cols), order="F")
 
 
 class EdgeIncidence:
@@ -74,9 +57,7 @@ class EdgeIncidence:
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Map an n-by-d matrix to the m-by-d matrix of scaled row differences.
 
-        Row k of the result is alpha * w_ij * (X_i - X_j); stacking it
-        column-wise equals the Kronecker-lifted operator acting on the
-        stacked input.
+        Row k of the result is alpha * w_ij * (X_i - X_j): the product Q X.
         """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
@@ -88,7 +69,7 @@ class EdgeIncidence:
         return self.coef[:, None] * (X.take(self.head, 0) - X.take(self.tail, 0))
 
     def apply_t(self, lam: np.ndarray) -> np.ndarray:
-        """Transpose map: m-by-d dual rows back to an n-by-d matrix.
+        """Transpose map Q^T lam: m-by-d dual rows back to an n-by-d matrix.
 
         One flat scatter per edge end over the m*d scaled entries (see the
         module docstring): bin (v, c) sums its entries in increasing edge
@@ -109,10 +90,6 @@ class EdgeIncidence:
         out = np.bincount(head, weights=scaled, minlength=size)
         out -= np.bincount(tail, weights=scaled, minlength=size)
         return out.reshape(self.col_count, d)
-
-    def apply_t_stacked(self, lam: np.ndarray) -> np.ndarray:
-        """Column-stacked transpose map, as a length n*d vector."""
-        return stack_columns(self.apply_t(lam))
 
 
 def operator_norm_estimate(Q: EdgeIncidence, iterations: int = 50, safety: float = 1.01,

@@ -145,7 +145,9 @@ def read_snapshot_jsonl(path: str, with_targets: bool = False):
     """Snapshots from a JSONL file: one {"values": [[...]], "targets": [...]}
     object per line (targets optional). Values and targets must be JSON
     numbers in rectangular arrays; bools, strings and ragged rows raise
-    DataValidationError naming ``path:lineno`` instead of being coerced."""
+    DataValidationError naming ``path:lineno`` instead of being coerced.
+    Without ``with_targets`` the targets are checked but returned as None,
+    as :func:`read_matrix_csv` does for CSV snapshots."""
     out = []
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -175,7 +177,7 @@ def read_snapshot_jsonl(path: str, with_targets: bool = False):
                     raise DataValidationError(
                         f"{path}:{lineno}: values or targets are not a numeric array: "
                         f"{exc}") from None
-                out.append((values, targets))
+                out.append((values, targets if with_targets else None))
     except OSError as exc:
         raise ParameterError(f"cannot read {path}: {exc}") from exc
     return out

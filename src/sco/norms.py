@@ -43,7 +43,7 @@ def dual_norm(p) -> float:
 
 
 def vec_norm(v: np.ndarray, s) -> float:
-    """s-norm of a flat vector for s in {1, 2, inf}."""
+    """s-norm over all entries of an array (a vector or a matrix), s in {1, 2, inf}."""
     s = as_norm(s)
     v = np.asarray(v, dtype=float).ravel()
     if v.size == 0:

@@ -10,6 +10,9 @@ the dual rows, everything else follows:
 * conjugate gradient   incidence(linear + curvature(V))
 * primal recovery      X = -(linear + curvature(V))
 
+Here <M, N> is the sum of the elementwise products of two n-by-d
+matrices.
+
 The recovery line is the stationarity condition: the loss gradient at the
 optimum cancels the transposed incidence image of the dual variables.
 
@@ -29,7 +32,7 @@ import numpy as np
 
 from .errors import DataValidationError, DimensionError, ParameterError
 from .graph import Dataset
-from .incidence import EdgeIncidence, stack_columns, unstack_columns
+from .incidence import EdgeIncidence
 from .norms import sum_norms
 
 
@@ -87,11 +90,6 @@ class Problem(ABC):
         """Conjugate value with the dropped data-dependent constant restored."""
         return self.conjugate_value(Q, lam) + self.conjugate_constant()
 
-    def conjugate_gradient(self, Q: EdgeIncidence, lam: np.ndarray) -> np.ndarray:
-        """Gradient of ``conjugate_value`` with respect to the dual rows."""
-        V = Q.apply_t(lam)
-        return Q.apply(self.conjugate_linear_term() + self.conjugate_curvature(V))
-
     def recover_primal(self, Q: EdgeIncidence, lam: np.ndarray) -> np.ndarray:
         """Primal optimum implied by a dual point via stationarity."""
         V = Q.apply_t(lam)
@@ -126,17 +124,20 @@ class ConvexClusteringProblem(Problem):
         return 0.0
 
     def with_values(self, values, targets=None) -> "ConvexClusteringProblem":
-        return ConvexClusteringProblem(Dataset(values))
+        if targets is None:
+            targets = self.dataset.targets
+        return ConvexClusteringProblem(Dataset(values, targets))
 
 
 class RidgeProblem(Problem):
     """Separable quadratic regression loss with l2 shrinkage.
 
-    The loss is x' diag(omega) x - 2 b' x on the stacked model x, with
-    ``omega = vec(A)**2 + gamma`` and ``b = vec(A) * tile(y, d)``, the
-    data-weighted targets repeated once per feature. Both are kept as
-    stacked vectors (``omega_diagonal``, ``target_adjoint``). The
-    target-only constant is dropped throughout and restored by
+    The loss is <X, omega * X> - 2 <b, X> on the n-by-d model X, with the
+    n-by-d matrices ``omega = A**2 + gamma`` and ``b = A * y[:, None]``
+    (each row of the data weighted by its target); products are
+    elementwise. Both are exposed as ``omega_diagonal`` (the weights of
+    the quadratic form, one per model entry) and ``target_adjoint``.
+    The target-only constant is dropped throughout and restored by
     ``conjugate_constant`` where exact conjugate values are needed.
     """
 
@@ -148,11 +149,9 @@ class RidgeProblem(Problem):
             raise ParameterError(f"gamma must be positive, got {gamma}")
         self.dataset = dataset
         self.gamma = gamma
-        n, d = dataset.values.shape
-        a = stack_columns(dataset.values)
+        a = dataset.values
         self._omega = a ** 2 + gamma
-        self._omega_matrix = np.ascontiguousarray(unstack_columns(self._omega, n, d))
-        self._b = a * np.tile(dataset.targets, d)
+        self._b = a * dataset.targets[:, None]
 
     @property
     def omega_diagonal(self) -> np.ndarray:
@@ -160,26 +159,24 @@ class RidgeProblem(Problem):
 
     @property
     def target_adjoint(self) -> np.ndarray:
-        """Stacked adjoint image of the targets (the conjugate shift)."""
+        """Adjoint image of the targets, n-by-d (the conjugate shift)."""
         return self._b
 
     def primal_value(self, X: np.ndarray) -> float:
         X = self._check_shape(X)
-        x = stack_columns(X)
-        return float(x @ (self._omega * x) - 2.0 * self._b @ x)
+        return float((X * (self._omega * X)).sum() - 2.0 * (self._b * X).sum())
 
     def conjugate_linear_term(self) -> np.ndarray:
-        n, d = self.values.shape
-        return -unstack_columns(self._b / self._omega, n, d)
+        return -(self._b / self._omega)
 
     def conjugate_curvature(self, V: np.ndarray) -> np.ndarray:
-        return 0.5 * V / self._omega_matrix
+        return 0.5 * V / self._omega
 
     def curvature_bound(self) -> float:
         return float(0.5 / self._omega.min())
 
     def conjugate_constant(self) -> float:
-        return float(self._b @ (self._b / self._omega))
+        return float((self._b * (self._b / self._omega)).sum())
 
     def with_values(self, values, targets=None) -> "RidgeProblem":
         if targets is None:

@@ -44,18 +44,6 @@ def project_l1_ball(v: np.ndarray, radius: float = 1.0) -> np.ndarray:
     return _project_l1_rows(v[None, :], radius)[0]
 
 
-def project_ball(v: np.ndarray, q) -> np.ndarray:
-    """Euclidean projection of v onto the unit q-norm ball, q in {1, 2, inf}."""
-    q = as_norm(q)
-    v = np.asarray(v, dtype=float)
-    if q == np.inf:
-        return np.clip(v, -1.0, 1.0)
-    if q == 2.0:
-        nrm = np.linalg.norm(v)
-        return v.copy() if nrm <= 1.0 else v / nrm
-    return project_l1_ball(v, 1.0)
-
-
 def project_rows(lam: np.ndarray, q) -> np.ndarray:
     """Project every row of an m-by-d matrix onto the unit q-norm ball.
 
@@ -85,9 +73,12 @@ def project_rows(lam: np.ndarray, q) -> np.ndarray:
 def prox_norm(omega: np.ndarray, t: float, s) -> np.ndarray:
     """Proximal map of t * ||.||_s at omega: argmin_v t*||v||_s + 0.5*||v - omega||^2.
 
-    s = 1 soft-thresholds each entry at t; s = 2 shrinks the whole vector
-    by max(0, 1 - t/||omega||); s = inf subtracts the projection onto the
-    l1 ball of radius t (Moreau decomposition against the dual norm).
+    The norm is taken over all entries of omega, whatever its shape (for a
+    matrix, the s-norm of its flattened entries), and the result has
+    omega's shape. s = 1 soft-thresholds each entry at t; s = 2 shrinks
+    the whole array by max(0, 1 - t/||omega||); s = inf subtracts the
+    projection onto the l1 ball of radius t (Moreau decomposition against
+    the dual norm).
     """
     s = as_norm(s)
     t = float(t)
@@ -103,4 +94,4 @@ def prox_norm(omega: np.ndarray, t: float, s) -> np.ndarray:
         return (1.0 - t / nrm) * omega
     if np.abs(omega).sum() <= t:
         return np.zeros_like(omega)
-    return omega - t * project_l1_ball(omega / t, 1.0)
+    return omega - t * project_l1_ball((omega / t).ravel(), 1.0).reshape(omega.shape)

@@ -16,6 +16,14 @@ The inner dual-step kernels are pinned bit for bit to plainer versions of
 the same arithmetic: a per-column transposed incidence map, a
 fancy-indexed forward map, an unbuffered-add power iteration, ``np.clip``
 for the box projection and the ridge curvature on column-stacked vectors.
+
+The library keeps every per-instance quantity as an n-by-d matrix. The
+dense oracles work on column-stacked vectors instead, through the
+``stack_columns``/``unstack_columns`` pair defined here: vec(M) stacks
+the columns of M, so the lift of Q to stacked matrices is I_d (x) Q
+(``kron_lift``). The unit-ball projection ``project_ball`` and the
+conjugate gradient ``conjugate_gradient`` are kept here too; the library
+calls neither.
 """
 
 from __future__ import annotations
@@ -23,9 +31,37 @@ from __future__ import annotations
 import numpy as np
 
 from sco import (ConvexClusteringProblem, DataValidationError, Dataset, ParameterError,
-                 RidgeProblem, VariableGraph, project_l1_ball, project_rows,
-                 stack_columns, sum_norms, unstack_columns, vec_norm)
+                 RidgeProblem, VariableGraph, as_norm, project_l1_ball, project_rows,
+                 sum_norms, vec_norm)
 from sco.graph import DEFAULT_WEIGHT_CAP
+
+
+def stack_columns(M: np.ndarray) -> np.ndarray:
+    """Column-stacking vectorisation vec(M) of a matrix."""
+    return np.asarray(M, dtype=float).reshape(-1, order="F")
+
+
+def unstack_columns(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Inverse of :func:`stack_columns`."""
+    return np.asarray(v, dtype=float).reshape((rows, cols), order="F")
+
+
+def project_ball(v: np.ndarray, q) -> np.ndarray:
+    """Euclidean projection of v onto the unit q-norm ball, q in {1, 2, inf}."""
+    q = as_norm(q)
+    v = np.asarray(v, dtype=float)
+    if q == np.inf:
+        return np.clip(v, -1.0, 1.0)
+    if q == 2.0:
+        nrm = np.linalg.norm(v)
+        return v.copy() if nrm <= 1.0 else v / nrm
+    return project_l1_ball(v, 1.0)
+
+
+def conjugate_gradient(problem, Q, lam: np.ndarray) -> np.ndarray:
+    """Gradient of ``problem.conjugate_value(Q, .)`` at the dual rows lam."""
+    V = Q.apply_t(lam)
+    return Q.apply(problem.conjugate_linear_term() + problem.conjugate_curvature(V))
 
 
 def dense_incidence(graph, alpha: float) -> np.ndarray:
@@ -39,12 +75,14 @@ def dense_incidence(graph, alpha: float) -> np.ndarray:
 
 def dense_ridge_sandwich(values: np.ndarray, delta: np.ndarray, omega: np.ndarray) -> np.ndarray:
     """Dense omega^{-1} C omega^{-1} for the ridge cross operator
-    C = 2 diag(vec D) (11' (x) I_n) diag(vec A)."""
+    C = 2 diag(vec D) (11' (x) I_n) diag(vec A), with omega the diagonal
+    matrix of vec(omega) for an n-by-d weight matrix omega."""
     n, d = values.shape
     cross = (2.0 * np.diag(stack_columns(delta))
              @ np.kron(np.ones((d, d)), np.eye(n))
              @ np.diag(stack_columns(values)))
-    return cross / np.outer(omega, omega)
+    w = stack_columns(omega)
+    return cross / np.outer(w, w)
 
 
 def kron_lift(Qd: np.ndarray, d: int) -> np.ndarray:
@@ -189,11 +227,9 @@ def clustering_objective(values: np.ndarray, graph, alpha: float, p: float,
 def dual_subproblem_objective(problem, Q, lam: np.ndarray, u: np.ndarray,
                               mu: np.ndarray, rho: float) -> float:
     """Value of the smooth dual-row subproblem: conjugate + multiplier
-    coupling + quadratic penalty."""
-    n, d = problem.values.shape
-    stacked = Q.apply_t_stacked(lam)
-    coupling = float((lam * Q.apply(unstack_columns(mu, n, d))).sum())
-    penalty = 0.5 * rho * float(np.sum((stacked - u) ** 2))
+    coupling + quadratic penalty, with u and mu n-by-d matrices."""
+    coupling = float((lam * Q.apply(mu)).sum())
+    penalty = 0.5 * rho * float(np.sum((Q.apply_t(lam) - u) ** 2))
     return problem.conjugate_value(Q, lam) + coupling + penalty
 
 
@@ -287,7 +323,8 @@ def clip_project_rows(lam: np.ndarray, q) -> np.ndarray:
 def stacked_ridge_curvature(problem, V: np.ndarray) -> np.ndarray:
     """``RidgeProblem.conjugate_curvature`` on the column-stacked vector."""
     n, d = problem.values.shape
-    return unstack_columns(0.5 * stack_columns(V) / problem.omega_diagonal, n, d)
+    return unstack_columns(0.5 * stack_columns(V) / stack_columns(problem.omega_diagonal),
+                           n, d)
 
 
 def reference_lambda_step(problem, Q, state, config, lipschitz: float | None = None,
@@ -303,9 +340,7 @@ def reference_lambda_step(problem, Q, state, config, lipschitz: float | None = N
         lipschitz = sigma ** 2 * (problem.curvature_bound() + config.rho)
     if lipschitz <= 0:
         return clip_project_rows(state.lam, q)
-    n, d = problem.values.shape
-    fixed = problem.conjugate_linear_term() + unstack_columns(state.mu, n, d) \
-        - config.rho * unstack_columns(state.u, n, d)
+    fixed = problem.conjugate_linear_term() + state.mu - config.rho * state.u
     step = 1.0 / lipschitz
     lam = clip_project_rows(state.lam, q)
     y = lam
@@ -328,16 +363,15 @@ def fenchel_gap(problem, Q, config, result) -> float:
     """Duality gap P + D of a solve, with D the full dual objective
     ``conjugate_value_full(lam) + beta * ||Q^T lam||_s`` and P the primal
     value ``f(x_star) + sum_e ||(Q X)_e||_p`` at the fused point
-    X = x_star - unstack(mu). The loss of that primal is the infimal
+    X = x_star - mu. The loss of that primal is the infimal
     convolution of f with the indicator of the beta-ball of the dual norm
     of s; mu lies in that ball after every multiplier step, so
     f(x_star) bounds the loss at X and the gap is nonnegative."""
-    n, d = problem.values.shape
     lam = result.state.lam
-    X = result.x_star - unstack_columns(result.state.mu, n, d)
+    X = result.x_star - result.state.mu
     primal = problem.primal_value(result.x_star) + sum_norms(Q.apply(X), config.p)
     dual = problem.conjugate_value_full(Q, lam) \
-        + config.beta * vec_norm(Q.apply_t_stacked(lam), config.s)
+        + config.beta * vec_norm(Q.apply_t(lam), config.s)
     return primal + dual
 
 

@@ -13,13 +13,12 @@ import numpy as np
 from sco import (ConvexClusteringProblem, Dataset, EdgeIncidence, RidgeProblem,
                  Snapshot, SolverConfig, VariableGraph, build_knn_graph,
                  clustering_dual_image_check, clustering_model_check,
-                 delta_metric, project_ball, prox_norm,
+                 delta_metric, prox_norm,
                  regression_dual_image_check, regression_model_check,
-                 run_session, solve_dual, stack_columns, sweep, u_step,
-                 zero_state)
+                 run_session, solve_dual, sweep, u_step, zero_state)
 from sco.prox import project_rows
 
-from oracles import clustering_subgradient_oracle, prox_argmin_oracle
+from oracles import clustering_subgradient_oracle, project_ball, prox_argmin_oracle
 
 ORACLE_ITERS = 50_000
 
@@ -145,8 +144,8 @@ def test_criterion_5_unit_threshold_closed_form():
     for _ in range(50):
         state = zero_state(Q.row_count, 6, 2)
         state.lam = project_rows(rng.standard_normal(state.lam.shape), config.q)
-        state.mu = rng.standard_normal(12) * 2.0
-        omega = state.mu / config.rho + stack_columns(Q.apply_t(state.lam))
+        state.mu = rng.standard_normal((6, 2)) * 2.0
+        omega = state.mu / config.rho + Q.apply_t(state.lam)
         with np.errstate(divide="ignore"):
             plus = np.where(omega != 0.0, np.maximum(0.0, 1.0 - 1.0 / np.abs(omega)), 0.0)
         worst = max(worst, np.abs(u_step(state, Q, config) - plus * omega).max())
@@ -298,8 +297,8 @@ def test_criterion_10_sweep_step_decay():
     assert len(result.trace.h_step) == 500
     final_step = result.trace.h_step[-1]
     # weighted distance from the zero start to the final iterate (fixed-point proxy)
-    start_distance = config.rho * float(result.state.u @ result.state.u) \
-        + float(result.state.mu @ result.state.mu) / config.rho
+    start_distance = config.rho * float(np.vdot(result.state.u, result.state.u)) \
+        + float(np.vdot(result.state.mu, result.state.mu)) / config.rho
     bound = 1.5 * start_distance / 500.0
     ok = final_step <= bound
     assert report(10, "weighted step norm decays like 1/T", ok,

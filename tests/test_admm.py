@@ -3,11 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sco import (ConvexClusteringProblem, Dataset, DualState, EdgeIncidence,
-                 ParameterError, RidgeProblem, SolverConfig, VariableGraph,
+from sco import (ConvexClusteringProblem, Dataset, DimensionError, DualState,
+                 EdgeIncidence, ParameterError, RidgeProblem, SolverConfig, VariableGraph,
                  h_norm_step, lambda_step, mu_step, parallel_lambda_step,
-                 build_knn_graph, project_rows, solve_dual,
-                 stack_columns, u_step, zero_state)
+                 build_knn_graph, project_rows, solve_dual, u_step, zero_state)
 
 import sco.admm
 from oracles import (clustering_subgradient_oracle, column_problem,
@@ -92,7 +91,7 @@ def test_lambda_step_matches_longrun_projected_gradient():
     config = SolverConfig(alpha=1.0, beta=1.0, p=2, s=1,
                           inner_max_iters=5000, inner_tol=1e-12)
     state = DualState(lam=rng.standard_normal((2, 1)) * 0.3,
-                      u=rng.standard_normal(3), mu=rng.standard_normal(3))
+                      u=rng.standard_normal((3, 1)), mu=rng.standard_normal((3, 1)))
 
     def objective_flat(lam_flat):
         return dual_subproblem_objective(problem, Q, lam_flat.reshape(2, 1),
@@ -112,8 +111,8 @@ def test_u_step_identity_when_beta_zero():
     problem, graph, Q, config = random_clustering(rng, 4, 2, beta=0.0)
     state = zero_state(Q.row_count, 4, 2)
     state.lam = project_rows(rng.standard_normal(state.lam.shape), config.q)
-    state.mu = rng.standard_normal(8)
-    omega = state.mu / config.rho + stack_columns(Q.apply_t(state.lam))
+    state.mu = rng.standard_normal((4, 2))
+    omega = state.mu / config.rho + Q.apply_t(state.lam)
     np.testing.assert_array_equal(u_step(state, Q, config), omega)
 
 
@@ -129,8 +128,8 @@ def test_u_step_reproduces_hadamard_form_at_unit_threshold():
     problem, graph, Q, config = random_clustering(rng, 5, 2, beta=1.0, rho=1.0, s=1)
     state = zero_state(Q.row_count, 5, 2)
     state.lam = project_rows(rng.standard_normal(state.lam.shape), config.q)
-    state.mu = rng.standard_normal(10)
-    omega = state.mu / config.rho + stack_columns(Q.apply_t(state.lam))
+    state.mu = rng.standard_normal((5, 2))
+    omega = state.mu / config.rho + Q.apply_t(state.lam)
     with np.errstate(divide="ignore"):
         plus = np.where(omega != 0.0, np.maximum(0.0, 1.0 - 1.0 / np.abs(omega)), 0.0)
     np.testing.assert_allclose(u_step(state, Q, config), plus * omega, atol=1e-12)
@@ -141,10 +140,10 @@ def test_mu_step_definition_and_consensus():
     problem, graph, Q, config = random_clustering(rng, 4, 1, beta=0.5, rho=1.0)
     state = zero_state(Q.row_count, 4, 1)
     state.lam = project_rows(rng.standard_normal(state.lam.shape), config.q)
-    stacked = stack_columns(Q.apply_t(state.lam))
-    state.u = stacked.copy()
+    image = Q.apply_t(state.lam)
+    state.u = image.copy()
     np.testing.assert_array_equal(mu_step(state, Q, config), state.mu)  # exact consensus
-    state.u = stacked - 0.25
+    state.u = image - 0.25
     np.testing.assert_allclose(mu_step(state, Q, config), state.mu + 0.25, atol=1e-14)
 
 
@@ -157,9 +156,9 @@ def test_mu_movement_bounded_by_primal_tolerance_after_convergence():
     assert result.converged
     n, d = 6, 2
     sqrt_nd = np.sqrt(n * d)
-    stacked = stack_columns(Q.apply_t(result.state.lam))
+    image = Q.apply_t(result.state.lam)
     eps_pri = config.eps_abs * sqrt_nd + config.eps_rel * max(
-        np.linalg.norm(stacked), np.linalg.norm(result.state.u))
+        np.linalg.norm(image), np.linalg.norm(result.state.u))
     # the final multiplier displacement is rho times the final primal residual
     assert config.rho * result.trace.primal_res[-1] <= config.rho * eps_pri + 1e-15
 
@@ -269,8 +268,8 @@ def test_parallel_single_column_identical():
             config = SolverConfig(alpha=1.0, beta=0.5, p=1, inner_max_iters=3000)
             state = zero_state(Q.row_count, n, d)
             state.lam = np.clip(rng.standard_normal(state.lam.shape) * 0.4, -1, 1)
-            state.u = rng.standard_normal(n * d)
-            state.mu = rng.standard_normal(n * d)
+            state.u = rng.standard_normal((n, d))
+            state.mu = rng.standard_normal((n, d))
             serial_state, parallel_state = state.copy(), state.copy()
             serial = lambda_step(problem, Q, serial_state, config)
             parallel = parallel_lambda_step(problem, Q, parallel_state, config)
@@ -284,15 +283,14 @@ def test_parallel_block_objectives_sum_to_full():
     problem, graph, Q, config = random_clustering(rng, 6, d, p=1, beta=0.5)
     n = 6
     lam = np.clip(rng.standard_normal((Q.row_count, d)), -1, 1)
-    u = rng.standard_normal(n * d)
-    mu = rng.standard_normal(n * d)
+    u = rng.standard_normal((n, d))
+    mu = rng.standard_normal((n, d))
     full = dual_subproblem_objective(problem, Q, lam, u, mu, config.rho)
     parts = 0.0
     for c in range(d):
         sub = column_problem(problem, c)
-        parts += dual_subproblem_objective(sub, Q, lam[:, c:c + 1],
-                                           u[c * n:(c + 1) * n],
-                                           mu[c * n:(c + 1) * n], config.rho)
+        parts += dual_subproblem_objective(sub, Q, lam[:, c:c + 1], u[:, c:c + 1],
+                                           mu[:, c:c + 1], config.rho)
     assert abs(full - parts) <= 1e-10 * max(1.0, abs(full))
 
 
@@ -313,8 +311,8 @@ def test_lambda_step_bit_identical_to_reference_kernels(task):
                               inner_tol=inner_tol, inner_max_iters=cap)
         state = zero_state(Q.row_count, n, d)
         state.lam = rng.standard_normal(state.lam.shape) * 0.6
-        state.u = rng.standard_normal(n * d)
-        state.mu = rng.standard_normal(n * d)
+        state.u = rng.standard_normal((n, d))
+        state.mu = rng.standard_normal((n, d))
         assert same_bits(lambda_step(problem, Q, state, config),
                          reference_lambda_step(problem, Q, state, config))
 
@@ -332,8 +330,8 @@ def test_sweep_tolerance_matches_reference_and_stops_earlier():
                               inner_tol=1e-8, inner_max_iters=3000)
         state = zero_state(Q.row_count, n, d)
         state.lam = rng.standard_normal(state.lam.shape) * 0.6
-        state.u = rng.standard_normal(n * d)
-        state.mu = rng.standard_normal(n * d)
+        state.u = rng.standard_normal((n, d))
+        state.mu = rng.standard_normal((n, d))
         runs = {}
         for label, step, tol in (("floor", lambda_step, None), ("sweep", lambda_step, 1e-3),
                                  ("reference", reference_lambda_step, 1e-3)):
@@ -450,6 +448,20 @@ def test_warm_start_reaches_same_solution():
     warm = solve_dual(problem, Q, config, warm_start=cold.state)
     assert warm.iterations <= cold.iterations
     assert np.abs(cold.x_star - warm.x_star).max() <= 1e-5
+
+
+def test_warm_start_with_flat_consensus_or_multiplier_rejected():
+    # u and mu are n-by-d matrices; their n*d entries as a flat vector do
+    # not fit
+    rng = np.random.default_rng(18)
+    problem, graph, Q, config = random_clustering(rng, 6, 2, beta=1.0, outer_max_iters=5)
+    state = solve_dual(problem, Q, config).state
+    assert state.u.shape == state.mu.shape == (6, 2)
+    for flat in ("u", "mu"):
+        warm = state.copy()
+        setattr(warm, flat, getattr(warm, flat).ravel())
+        with pytest.raises(DimensionError):
+            solve_dual(problem, Q, config, warm_start=warm)
 
 
 def test_max_iterations_flagged_not_raised():

@@ -1,3 +1,7 @@
+import ast
+import inspect
+from pathlib import Path
+
 import sco
 
 # Every public name of the package. A change here adds or removes public
@@ -12,12 +16,34 @@ PUBLIC_NAMES = [
     "clusterpath", "default_fuse_tolerance", "delta_metric", "dual_norm", "errors",
     "evolution", "extract_clusters", "graph", "h_norm_step", "incidence", "lambda_step",
     "make_problem", "mu_step", "norms", "operator_norm_estimate", "parallel_lambda_step",
-    "problems", "project_ball", "project_l1_ball", "project_rows", "prox", "prox_norm",
+    "problems", "project_l1_ball", "project_rows", "prox", "prox_norm",
     "regression_dual_image_check", "regression_model_check", "run_session", "solve_dual",
-    "stack_columns", "sum_norms", "sweep", "u_step", "unstack_columns", "validate_graph",
-    "vec_norm", "zero_state",
+    "sum_norms", "sweep", "u_step", "validate_graph", "vec_norm", "zero_state",
 ]
 
 
 def test_public_api_is_pinned():
     assert sorted(sco.__all__) == PUBLIC_NAMES
+
+
+def library_references() -> set[str]:
+    """Every name the package's source reads: plain names and attribute
+    names. Definitions and imports bind names without reading them, so
+    they do not count."""
+    names = set()
+    for path in Path(sco.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_public_function_and_class_is_used_by_the_library():
+    # a helper that only the tests call belongs in tests/, not in sco
+    used = library_references()
+    unused = [name for name in sco.__all__
+              if (inspect.isfunction(getattr(sco, name)) or inspect.isclass(getattr(sco, name)))
+              and name not in used]
+    assert unused == []

@@ -5,10 +5,10 @@ from sco import (ConvexClusteringProblem, Dataset, EdgeIncidence, ParameterError
                  RidgeProblem, SolverConfig, build_knn_graph,
                  clustering_dual_image_bound, clustering_dual_image_check,
                  clustering_model_check, regression_dual_image_check,
-                 regression_model_check, solve_dual, stack_columns)
+                 regression_model_check, solve_dual)
 from sco.bounds import _NORM_INFLATION, _sandwich_spectral_norm, dual_image_norm
 
-from oracles import dense_ridge_sandwich
+from oracles import dense_ridge_sandwich, stack_columns
 
 
 def test_clustering_dual_image_bound_examples():
@@ -91,7 +91,7 @@ def test_sandwich_norm_matches_dense(n, d):
     for trial in range(6):
         values = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-2, 2)
         delta = np.zeros((n, d)) if trial == 0 else rng.standard_normal((n, d))
-        omega = stack_columns(values) ** 2 + rng.uniform(0.1, 5.0)
+        omega = values ** 2 + rng.uniform(0.1, 5.0)
         expected = np.linalg.norm(dense_ridge_sandwich(values, delta, omega), 2)
         got = _sandwich_spectral_norm(values, delta, omega) / _NORM_INFLATION
         assert abs(got - expected) <= 1e-12 * expected, (trial, got, expected)
@@ -110,10 +110,11 @@ def test_regression_model_rhs_uses_the_exact_norm():
     block = np.kron(np.ones((1, d)), np.eye(n))
     expected = 4.0 * c
     for data in (values + delta, values):
-        omega = stack_columns(data) ** 2 + gamma
+        omega = data ** 2 + gamma
         b = (block @ np.diag(stack_columns(data))).T @ y
         norm = np.linalg.norm(dense_ridge_sandwich(values, delta, omega), 2)
-        expected += float(b @ (b / omega)) ** 2 * norm * _NORM_INFLATION / (16.0 * beta ** 2)
+        expected += float(b @ (b / stack_columns(omega))) ** 2 * norm * _NORM_INFLATION \
+            / (16.0 * beta ** 2)
     assert abs(report.rhs - expected) <= 1e-12 * expected
 
 
@@ -184,6 +185,6 @@ def test_dual_image_norm_selectors():
     graph = build_knn_graph(Dataset([[0.0], [1.0]]), k=1)
     Q = EdgeIncidence(graph, 1.0)
     lam = np.array([[0.5]])
-    image = Q.apply_t_stacked(lam)
+    image = Q.apply_t(lam)
     assert dual_image_norm(Q, lam, 1) == np.abs(image).sum()
     assert dual_image_norm(Q, lam, np.inf) == np.abs(image).max()

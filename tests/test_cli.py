@@ -5,7 +5,7 @@ import pytest
 
 import sco.evolution
 from sco import (Dataset, EdgeIncidence, RidgeProblem, SolverConfig, build_knn_graph,
-                 solve_dual, stack_columns)
+                 solve_dual)
 from sco.cli import main
 from sco.io import load_graph_json, read_matrix_csv
 
@@ -436,8 +436,7 @@ def test_monitor_keep_on_changed_targets_runs_the_shadow_solve(tmp_path):
     x = solve_dual(base, Q, SolverConfig()).x_star
     x_new = solve_dual(base.with_values(values, targets + 5.0), Q, SolverConfig()).x_star
     omega = base.omega_diagonal
-    expected = float(stack_columns(x_new) @ (omega * stack_columns(x_new))
-                     - stack_columns(x) @ (omega * stack_columns(x)))
+    expected = float((x_new * (omega * x_new)).sum() - (x * (omega * x)).sum())
     assert abs(expected) > 1.0
     assert abs(energy["lhs"] - expected) <= 1e-3 * abs(expected)
     assert energy["satisfied"]
@@ -481,3 +480,25 @@ def test_monitor_jsonl_bad_snapshot_exits_2(random_csv, tmp_path, capsys, bad_li
     assert err["kind"] == "DataValidationError"
     assert f"{stream}:2:" in err["error"]
 
+
+
+@pytest.mark.parametrize("with_targets", [True, False])
+def test_monitor_cc_keeps_a_repeated_snapshot_that_carries_targets(tmp_path, with_targets):
+    # cc reads no targets: a snapshot equal to the accepted data is a keep
+    # with score 0, whether the targets come in through --targets and
+    # survive the re-solve, or ride along unread in the JSONL stream
+    rng = np.random.default_rng(13)
+    values, targets = rng.standard_normal((10, 2)), rng.standard_normal(10)
+    data = tmp_path / "cc.csv"
+    write_matrix_csv(str(data), values, targets=targets if with_targets else None)
+    moved = values + 0.1 if with_targets else values
+    stream = tmp_path / "stream.jsonl"
+    stream.write_text(3 * (json.dumps({"values": moved.tolist(),
+                                       "targets": targets.tolist()}) + "\n"))
+    out = tmp_path / "dec.jsonl"
+    argv = ["monitor", "--input", str(data), "--task", "cc", "--stream", str(stream),
+            "--k", "3", "--c", "0", "--out", str(out)]
+    assert main(argv + (["--targets"] if with_targets else [])) == 0
+    decisions = [json.loads(line) for line in out.read_text().strip().splitlines()][1:]
+    assert decisions[0]["action"] == ("resolve" if with_targets else "keep")
+    assert [(d["action"], d["delta_metric"]) for d in decisions[1:]] == [("keep", 0.0)] * 2

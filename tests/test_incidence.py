@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from sco import (DimensionError, EdgeIncidence, ParameterError, VariableGraph,
-                 operator_norm_estimate, stack_columns, sum_norms,
-                 unstack_columns, vec_norm)
+                 operator_norm_estimate, sum_norms, vec_norm)
 
 from oracles import (add_at_norm_estimate, dense_incidence, fancy_index_apply, kron_lift,
-                     per_column_apply_t, same_bits)
+                     per_column_apply_t, same_bits, stack_columns, unstack_columns)
 
 
 def single_edge(alpha_w=1.0):

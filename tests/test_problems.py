@@ -3,9 +3,10 @@ import pytest
 
 from sco import (ConvexClusteringProblem, DataValidationError, Dataset,
                  DimensionError, EdgeIncidence, ParameterError, RidgeProblem,
-                 VariableGraph, make_problem, stack_columns, unstack_columns)
+                 VariableGraph, make_problem)
 
-from oracles import conjugate_sup_oracle, same_bits, stacked_ridge_curvature
+from oracles import (conjugate_gradient, conjugate_sup_oracle, same_bits, stack_columns,
+                     stacked_ridge_curvature, unstack_columns)
 
 
 def two_point_instance():
@@ -70,7 +71,7 @@ def test_conjugate_gradient_zero_dual():
     rng = np.random.default_rng(1)
     problem, Q, _ = random_setup(rng, 4, 2, "cc")
     lam0 = np.zeros((Q.row_count, 2))
-    np.testing.assert_allclose(problem.conjugate_gradient(Q, lam0),
+    np.testing.assert_allclose(conjugate_gradient(problem, Q, lam0),
                                -Q.apply(problem.values), atol=1e-14)
 
 
@@ -79,7 +80,7 @@ def test_conjugate_gradient_zero_dataset():
     Q = EdgeIncidence(graph, 1.0)
     problem = ConvexClusteringProblem(Dataset(np.zeros((3, 2))))
     lam = np.random.default_rng(2).standard_normal((2, 2))
-    np.testing.assert_allclose(problem.conjugate_gradient(Q, lam),
+    np.testing.assert_allclose(conjugate_gradient(problem, Q, lam),
                                0.5 * Q.apply(Q.apply_t(lam)), atol=1e-14)
 
 
@@ -91,7 +92,7 @@ def test_conjugate_gradient_finite_differences():
             n, d = int(rng.integers(2, 5)), int(rng.integers(1, 3))
             problem, Q, _ = random_setup(rng, n, d, task)
             lam = rng.standard_normal((Q.row_count, d))
-            grad = problem.conjugate_gradient(Q, lam)
+            grad = conjugate_gradient(problem, Q, lam)
             numeric = np.zeros_like(grad)
             for a in range(lam.shape[0]):
                 for b in range(lam.shape[1]):
@@ -115,7 +116,7 @@ def test_ridge_recovery_zero_dual_is_diagonal_solve():
     problem, Q, _ = random_setup(rng, 5, 2, "ridge")
     x = problem.recover_primal(Q, np.zeros((Q.row_count, 2)))
     b = problem.target_adjoint
-    np.testing.assert_allclose(stack_columns(x), b / problem.omega_diagonal, atol=1e-12)
+    np.testing.assert_allclose(x, b / problem.omega_diagonal, atol=1e-12)
 
 
 def test_fenchel_equality_at_recovered_point():
@@ -156,9 +157,9 @@ def test_ridge_operators_match_dense_definitions():
     problem, _, _ = random_setup(rng, n, d, "ridge")
     block = np.kron(np.ones((1, d)), np.eye(n))
     dense_lam = block @ np.diag(stack_columns(problem.values))
-    np.testing.assert_allclose(problem.target_adjoint, dense_lam.T @ problem.dataset.targets,
-                               atol=1e-12)
-    np.testing.assert_allclose(problem.omega_diagonal,
+    np.testing.assert_allclose(stack_columns(problem.target_adjoint),
+                               dense_lam.T @ problem.dataset.targets, atol=1e-12)
+    np.testing.assert_allclose(stack_columns(problem.omega_diagonal),
                                np.diag(dense_lam.T @ dense_lam) + problem.gamma, atol=1e-12)
 
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from sco import ParameterError, project_ball, project_l1_ball, project_rows, prox_norm
+from sco import ParameterError, project_l1_ball, project_rows, prox_norm
 
 from oracles import (clip_project_rows, l1_ball_sort_reference, per_row_l1_projection,
-                     prox_argmin_oracle, same_bits)
+                     project_ball, prox_argmin_oracle, same_bits)
 
 
 def sample_feasible(rng, d, q):
@@ -175,3 +175,14 @@ def test_moreau_identity_for_max_norm():
         t = float(rng.uniform(0.1, 2.0))
         reconstructed = prox_norm(omega, t, np.inf) + t * project_l1_ball(omega / t, 1.0)
         np.testing.assert_allclose(reconstructed, omega, atol=1e-10)
+
+
+@pytest.mark.parametrize("s", [1, 2, np.inf])
+def test_prox_norm_of_a_matrix_is_the_prox_of_its_entries(s):
+    # the norm runs over all entries, and the result keeps the input's shape
+    rng = np.random.default_rng(21)
+    for shape in ((4, 3), (1, 5), (6, 1)):
+        omega = rng.standard_normal(shape) * 2.0
+        for t in (0.3, 1.5, 1e3):
+            expected = prox_norm(omega.ravel(), t, s).reshape(shape)
+            assert same_bits(prox_norm(omega, t, s), expected), (shape, t)
