@@ -25,6 +25,11 @@ Regression task (diagonal quadratic loss):
   <X, omega * X> is at most the two squared quadratic forms weighted by
   spectral norms of the sandwiched cross operator, plus 4c.
 
+``reports`` is the one place that chooses the checks by task: given the
+problem a kept model was solved on, the evolved data and both solutions,
+it runs the task's model and dual-image checks, reading gamma and the
+targets from the problem.
+
 Bare operator norms are read as spectral norms. The sandwiched cross
 operator is block diagonal over instances with rank-one blocks, so its
 norm has a closed form; it is exact up to a fixed 1% inflation (see
@@ -43,7 +48,7 @@ from .errors import ParameterError
 from .graph import Dataset
 from .incidence import EdgeIncidence
 from .norms import as_norm, vec_norm
-from .problems import RidgeProblem
+from .problems import ConvexClusteringProblem, Problem, RidgeProblem
 
 RELATIVE_SLACK = 1e-9
 
@@ -215,3 +220,24 @@ def regression_model_check(values: np.ndarray, delta: np.ndarray, y: np.ndarray,
               "delta_fro": float(np.linalg.norm(delta)),
               "targets_norm": float(np.linalg.norm(y))}
     return BoundReport.build("regression-model-energy", lhs, rhs, inputs)
+
+
+def reports(Q: EdgeIncidence, base_problem: Problem, new_values: np.ndarray,
+            x_star: np.ndarray, x_tilde_star: np.ndarray, lam_tilde: np.ndarray,
+            beta: float, s, c: float) -> list[BoundReport]:
+    """Model and dual-image reports for the task of ``base_problem``.
+
+    x_star is the model solved on ``base_problem``; x_tilde_star and
+    lam_tilde are the solution on ``new_values``. Both checks see the
+    perturbation D = new_values - A and the evolved data as A + D.
+    """
+    values = base_problem.values
+    delta = np.asarray(new_values, dtype=float) - values
+    if isinstance(base_problem, RidgeProblem):
+        y, gamma = base_problem.dataset.targets, base_problem.gamma
+        return [regression_model_check(values, delta, y, gamma, beta, c, x_star, x_tilde_star),
+                regression_dual_image_check(Q, lam_tilde, values, delta, y, gamma, beta, s)]
+    if isinstance(base_problem, ConvexClusteringProblem):
+        return [clustering_model_check(values, delta, beta, c, x_star, x_tilde_star),
+                clustering_dual_image_check(Q, lam_tilde, values + delta, beta, s)]
+    raise ParameterError(f"no bound checks for {type(base_problem).__name__}")

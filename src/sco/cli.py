@@ -20,20 +20,36 @@ from . import bounds as bounds_mod
 from .admm import SolverConfig, solve_dual
 from .clusterpath import sweep
 from .errors import ParameterError, SCOError
-from .evolution import Snapshot, _snapshot_changed, delta_metric, run_session
+from .evolution import Snapshot, _snapshot_changed, run_session
+# Not called here; the benchmark's tracer wraps it under this module's name.
+from .evolution import delta_metric  # noqa: F401
 from .graph import Dataset, build_knn_graph, validate_graph
 from .incidence import EdgeIncidence
 from .io import (graph_to_dict, iter_snapshot_files, load_graph_json,
                  matrix_to_lists, read_matrix_csv, read_snapshot_jsonl,
                  write_json_atomic, write_jsonl_atomic, write_path_csv,
                  write_trace_csv)
-from .problems import make_problem
+from .problems import TASKS, make_problem
 
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with usage text by default; route through our error path
     def error(self, message):
         raise ParameterError(message)
+
+
+def finite_float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
+    return value
 
 
 def _require_file(path: str) -> str:
@@ -43,25 +59,25 @@ def _require_file(path: str) -> str:
 
 
 def _add_solver_flags(sub):
-    sub.add_argument("--alpha", type=float, default=1.0, help="coupling strength")
-    sub.add_argument("--beta", type=float, default=5.0, help="dual-image regulariser weight")
-    sub.add_argument("--gamma", type=float, default=5.0, help="l2 shrinkage (ridge only)")
-    sub.add_argument("--rho", type=float, default=1.0, help="penalty parameter")
+    sub.add_argument("--alpha", type=finite_float, default=1.0, help="coupling strength")
+    sub.add_argument("--beta", type=finite_float, default=5.0, help="dual-image regulariser weight")
+    sub.add_argument("--gamma", type=finite_float, default=5.0, help="l2 shrinkage (ridge only)")
+    sub.add_argument("--rho", type=finite_float, default=1.0, help="penalty parameter")
     sub.add_argument("--p", default="2", choices=["1", "2", "inf"],
                      help="regulariser row norm (constraint geometry is its dual)")
     sub.add_argument("--s", default="1", choices=["1", "2", "inf"],
                      help="dual-image regulariser norm")
     sub.add_argument("--outer-max-iters", type=int, default=500)
     sub.add_argument("--inner-max-iters", type=int, default=200)
-    sub.add_argument("--eps-abs", type=float, default=1e-6)
-    sub.add_argument("--eps-rel", type=float, default=1e-4)
-    sub.add_argument("--inner-tol", type=float, default=1e-8,
+    sub.add_argument("--eps-abs", type=finite_float, default=1e-6)
+    sub.add_argument("--eps-rel", type=finite_float, default=1e-4)
+    sub.add_argument("--inner-tol", type=finite_float, default=1e-8,
                      help="floor of the inner stopping test; each inner solve stops at 1%% "
                           "of the last outer residual (the first at 1%% of its starting "
                           "gradient-mapping norm), never below it")
     sub.add_argument("--parallel", action="store_true",
                      help="kept for compatibility: runs the same dual update (needs --p 1)")
-    sub.add_argument("--seed", type=int, default=0, help="seed for all randomness")
+    sub.add_argument("--seed", type=nonnegative_int, default=0, help="seed for all randomness")
 
 
 def _add_data_flags(sub):
@@ -69,7 +85,7 @@ def _add_data_flags(sub):
     sub.add_argument("--targets", action="store_true",
                      help="treat the final CSV column as the regression target")
     sub.add_argument("--k", type=int, default=10, help="neighbours per vertex")
-    sub.add_argument("--weight-cap", type=float, default=1e6)
+    sub.add_argument("--weight-cap", type=finite_float, default=1e6)
     sub.add_argument("--graph", default=None, help="load a graph JSON instead of building one")
 
 
@@ -84,7 +100,7 @@ def build_parser() -> _Parser:
     s = subs.add_parser("solve", help="solve one dataset and write the solution")
     _add_data_flags(s)
     _add_solver_flags(s)
-    s.add_argument("--task", default="cc", choices=["cc", "ridge"])
+    s.add_argument("--task", default="cc", choices=TASKS)
     s.add_argument("--out", required=True)
     s.add_argument("--trace-out", default=None, help="also write the residual trace CSV")
 
@@ -93,7 +109,7 @@ def build_parser() -> _Parser:
     _add_solver_flags(p)
     p.add_argument("--alphas", required=True,
                    help="comma-separated increasing strengths, e.g. 0,0.5,1")
-    p.add_argument("--fuse-tol", type=float, default=None,
+    p.add_argument("--fuse-tol", type=finite_float, default=None,
                    help="fusion tolerance (default: 1e-3 of the widest feature range)")
     p.add_argument("--no-warm-start", action="store_true")
     p.add_argument("--out", required=True, help="per-vertex CSV output")
@@ -102,13 +118,13 @@ def build_parser() -> _Parser:
     m = subs.add_parser("monitor", help="process an evolving snapshot stream")
     _add_data_flags(m)
     _add_solver_flags(m)
-    m.add_argument("--task", default="cc", choices=["cc", "ridge"])
-    m.add_argument("--c", type=float, default=10.0, help="refresh threshold")
+    m.add_argument("--task", default="cc", choices=TASKS)
+    m.add_argument("--c", type=finite_float, default=10.0, help="refresh threshold")
     m.add_argument("--stream", default=None,
                    help="directory of CSV snapshots (lexicographic) or a JSONL file")
     m.add_argument("--synthetic", type=int, default=0,
                    help="generate this many perturbed snapshots instead of reading a stream")
-    m.add_argument("--sigma", type=float, default=0.1,
+    m.add_argument("--sigma", type=finite_float, default=0.1,
                    help="noise scale for synthetic snapshots")
     m.add_argument("--rebuild-graph", action="store_true",
                    help="rebuild the graph when a snapshot is accepted")
@@ -123,10 +139,10 @@ def build_parser() -> _Parser:
     b = subs.add_parser("bound", help="evaluate the accuracy bounds for one perturbation")
     _add_data_flags(b)
     _add_solver_flags(b)
-    b.add_argument("--task", default="cc", choices=["cc", "ridge"])
-    b.add_argument("--c", type=float, default=10.0)
+    b.add_argument("--task", default="cc", choices=TASKS)
+    b.add_argument("--c", type=finite_float, default=10.0)
     b.add_argument("--delta", default=None, help="perturbation CSV of the same shape")
-    b.add_argument("--sigma", type=float, default=0.1,
+    b.add_argument("--sigma", type=finite_float, default=0.1,
                    help="scale for a synthetic Gaussian perturbation when --delta is absent")
     b.add_argument("--out", required=True)
     return parser
@@ -141,12 +157,9 @@ def _solver_config(args) -> SolverConfig:
     )
 
 
-def _config_echo(args, extra=None) -> dict:
+def _config_echo(args) -> dict:
     skip = {"command", "out", "trace_out", "summary_out", "bounds_out", "metrics_out"}
-    echo = {key: value for key, value in sorted(vars(args).items()) if key not in skip}
-    if extra:
-        echo.update(extra)
-    return echo
+    return {key: value for key, value in sorted(vars(args).items()) if key not in skip}
 
 
 def _load_dataset(args) -> Dataset:
@@ -170,9 +183,7 @@ def _load_or_build_graph(args, data: Dataset):
 def cmd_graph(args) -> int:
     data = _load_dataset(args)
     graph = _load_or_build_graph(args, data)
-    payload = graph_to_dict(graph)
-    payload["config"] = _config_echo(args)
-    write_json_atomic(args.out, payload)
+    write_json_atomic(args.out, {**graph_to_dict(graph), "config": _config_echo(args)})
     return 0
 
 
@@ -227,11 +238,9 @@ def cmd_path(args) -> int:
 
 
 def _synthetic_stream(data: Dataset, count: int, sigma: float, rng) -> list[Snapshot]:
-    out = []
-    for idx in range(count):
-        delta = sigma * rng.standard_normal(data.values.shape)
-        out.append(Snapshot(index=idx, values=data.values + delta, targets=data.targets))
-    return out
+    shape = data.values.shape
+    return [Snapshot(index=idx, values=data.values + sigma * rng.standard_normal(shape),
+                     targets=data.targets) for idx in range(count)]
 
 
 def _read_stream(args, data: Dataset) -> list[Snapshot]:
@@ -241,15 +250,13 @@ def _read_stream(args, data: Dataset) -> list[Snapshot]:
     if args.stream is None:
         raise ParameterError("monitor needs --stream or --synthetic N")
     _require_file(args.stream)
-    snapshots = []
     if os.path.isdir(args.stream):
-        for idx, path in enumerate(iter_snapshot_files(args.stream)):
-            values, targets = read_matrix_csv(path, with_targets=args.targets)
-            snapshots.append(Snapshot(index=idx, values=values, targets=targets))
+        arrivals = (read_matrix_csv(path, with_targets=args.targets)
+                    for path in iter_snapshot_files(args.stream))
     else:
-        for idx, (values, targets) in enumerate(
-                read_snapshot_jsonl(args.stream, with_targets=args.targets)):
-            snapshots.append(Snapshot(index=idx, values=values, targets=targets))
+        arrivals = read_snapshot_jsonl(args.stream, with_targets=args.targets)
+    snapshots = [Snapshot(index=idx, values=values, targets=targets)
+                 for idx, (values, targets) in enumerate(arrivals)]
     if not snapshots:
         raise ParameterError(f"no snapshots found in {args.stream}")
     for snap in snapshots:
@@ -259,61 +266,30 @@ def _read_stream(args, data: Dataset) -> list[Snapshot]:
     return snapshots
 
 
-def _bound_reports(Q, values, delta, targets, x_star, x_tilde, lam_tilde, args, config):
-    """Model and dual-image bound reports for ``args.task``: x_star is the
-    model of ``values``, x_tilde and lam_tilde the solution on
-    ``values + delta``."""
-    if args.task == "cc":
-        reports = [
-            bounds_mod.clustering_model_check(
-                values, delta, config.beta, args.c, x_star, x_tilde),
-            bounds_mod.clustering_dual_image_check(
-                Q, lam_tilde, values + delta, config.beta, config.s),
-        ]
-    else:
-        reports = [
-            bounds_mod.regression_model_check(
-                values, delta, targets, args.gamma, config.beta, args.c, x_star, x_tilde),
-            bounds_mod.regression_dual_image_check(
-                Q, lam_tilde, values, delta, targets, args.gamma, config.beta, config.s),
-        ]
-    return [r.as_dict() for r in reports]
-
-
-def _decision_bounds(decision, session, snapshot, args, config, rng):
+def _decision_bounds(decision, session, snapshot, config, c, rng):
     """Bound reports for one decision. A keep on a changed snapshot (values
     or targets) needs one extra solve on it to obtain the true perturbed
     model."""
     if decision.action == "resolve":
-        base_problem = session.previous_problem
-        x_star = session.previous_x_star
-        x_tilde = session.x_star
-        lam_tilde = session.dual.lam
-        new_values = session.problem.values
+        base_problem, x_star = session.previous_problem, session.previous_x_star
+        new_values, x_tilde, lam_tilde = session.problem.values, session.x_star, session.dual.lam
     else:
-        base_problem = session.problem
-        x_star = session.x_star
-        new_values = snapshot.values
-        if not _snapshot_changed(base_problem, snapshot):
-            x_tilde = x_star
-            lam_tilde = session.dual.lam
-        else:
+        base_problem, x_star, new_values = session.problem, session.x_star, snapshot.values
+        x_tilde, lam_tilde = x_star, session.dual.lam
+        if _snapshot_changed(base_problem, snapshot):
             shadow = base_problem.with_values(snapshot.values, snapshot.targets)
             result = solve_dual(shadow, session.Q, config, warm_start=session.dual, rng=rng)
-            x_tilde = result.x_star
-            lam_tilde = result.state.lam
-    values = base_problem.values
-    return _bound_reports(session.Q, values, new_values - values, base_problem.dataset.targets,
-                          x_star, x_tilde, lam_tilde, args, config)
+            x_tilde, lam_tilde = result.x_star, result.state.lam
+    reports = bounds_mod.reports(session.Q, base_problem, new_values, x_star, x_tilde,
+                                 lam_tilde, config.beta, config.s, c)
+    return [report.as_dict() for report in reports]
 
 
 def cmd_monitor(args) -> int:
     data = _load_dataset(args)
-    if args.task == "ridge" and data.targets is None:
-        raise ParameterError("ridge monitoring needs --targets")
+    problem = make_problem(args.task, data, gamma=args.gamma)
     config = _solver_config(args)
     graph = _load_or_build_graph(args, data)
-    problem = make_problem(args.task, data, gamma=args.gamma)
     stream = _read_stream(args, data)
     rng = np.random.default_rng(args.seed)
 
@@ -334,7 +310,7 @@ def cmd_monitor(args) -> int:
         })
         metric_records.append({"idx": decision.index, "wall_ms": decision.wall_ms})
         if not args.no_bounds:
-            for report in _decision_bounds(decision, session, snapshot, args, config, rng):
+            for report in _decision_bounds(decision, session, snapshot, config, args.c, rng):
                 report["idx"] = decision.index
                 bound_records.append(report)
 
@@ -351,35 +327,32 @@ def cmd_monitor(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    """A one-snapshot monitor session on values + delta that never accepts
+    the snapshot, so its reports come from the keep path's shadow solve."""
     data = _load_dataset(args)
-    if args.task == "ridge" and data.targets is None:
-        raise ParameterError("ridge bounds need --targets")
+    problem = make_problem(args.task, data, gamma=args.gamma)
     config = _solver_config(args)
     graph = _load_or_build_graph(args, data)
-    Q = EdgeIncidence(graph, config.alpha)
-    problem = make_problem(args.task, data, gamma=args.gamma)
     rng = np.random.default_rng(args.seed)
 
-    if args.delta is not None:
+    if args.delta is None:
+        stream = _synthetic_stream(data, 1, args.sigma, rng)
+    else:
         delta, _ = read_matrix_csv(_require_file(args.delta))
         if delta.shape != data.values.shape:
             raise ParameterError(
                 f"delta shape {delta.shape} != data shape {data.values.shape}")
-    else:
-        delta = args.sigma * rng.standard_normal(data.values.shape)
+        stream = [Snapshot(index=0, values=data.values + delta, targets=data.targets)]
 
-    base = solve_dual(problem, Q, config, rng=rng)
-    evolved_problem = problem.with_values(data.values + delta)
-    evolved = solve_dual(evolved_problem, Q, config, warm_start=base.state, rng=rng)
-    metric = delta_metric(problem, Q, base.state.lam, data.values + delta)
+    reports = []
 
-    payload = {
-        "reports": _bound_reports(Q, data.values, delta, data.targets, base.x_star,
-                                  evolved.x_star, evolved.state.lam, args, config),
-        "delta_metric": float(metric),
-        "config": _config_echo(args),
-    }
-    write_json_atomic(args.out, payload)
+    def on_decision(decision, session, snapshot):
+        reports.extend(_decision_bounds(decision, session, snapshot, config, args.c, rng))
+
+    decisions, _ = run_session(problem, graph, stream, config, np.inf, rng=rng,
+                               on_decision=on_decision)
+    write_json_atomic(args.out, {"reports": reports, "delta_metric": decisions[0].delta_metric,
+                                 "config": _config_echo(args)})
     return 0
 
 

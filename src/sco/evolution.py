@@ -116,7 +116,7 @@ def run_session(initial_problem: Problem, graph: VariableGraph, stream,
     Returns the decision log and the final accepted state. Solver errors
     propagate with the snapshot index attached.
     """
-    if threshold < 0:
+    if not threshold >= 0:  # NaN too: no score is ever >= NaN
         raise ParameterError(f"threshold must be nonnegative, got {threshold}")
     Q = EdgeIncidence(graph, config.alpha)
     result = solve_dual(initial_problem, Q, config, rng=rng)

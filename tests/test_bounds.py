@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from sco import (ConvexClusteringProblem, Dataset, EdgeIncidence, ParameterError,
-                 RidgeProblem, SolverConfig, build_knn_graph,
+                 Problem, RidgeProblem, SolverConfig, build_knn_graph,
                  clustering_dual_image_bound, clustering_dual_image_check,
                  clustering_model_check, regression_dual_image_check,
                  regression_model_check, solve_dual)
-from sco.bounds import _NORM_INFLATION, _sandwich_spectral_norm, dual_image_norm
+from sco.bounds import _NORM_INFLATION, _sandwich_spectral_norm, dual_image_norm, reports
 
 from oracles import dense_ridge_sandwich, stack_columns
 
@@ -171,6 +171,41 @@ def test_ridge_bounds_hold_on_converged_solves():
                       beta=config.beta, s=config.s)
     assert t4.satisfied, (t4.lhs, t4.rhs)
     assert l2.satisfied, (l2.lhs, l2.rhs)
+
+
+def test_reports_on_a_ridge_problem_are_the_two_regression_checks():
+    rng = np.random.default_rng(5)
+    values, y = rng.standard_normal((6, 2)), rng.standard_normal(6)
+    new_values = values + 0.1 * rng.standard_normal((6, 2))
+    graph = build_knn_graph(Dataset(values), k=2)
+    Q = EdgeIncidence(graph, 1.0)
+    problem = RidgeProblem(Dataset(values, y), gamma=3.0)
+    config = SolverConfig(alpha=1.0, beta=2.0, p=2, s=2)
+    base = solve_dual(problem, Q, config)
+    moved = solve_dual(problem.with_values(new_values), Q, config, warm_start=base.state)
+    got = reports(Q, problem, new_values, base.x_star, moved.x_star, moved.state.lam,
+                  config.beta, config.s, c=0.7)
+    delta = new_values - values
+    want = [regression_model_check(values, delta, y, 3.0, config.beta, 0.7,
+                                   base.x_star, moved.x_star),
+            regression_dual_image_check(Q, moved.state.lam, values, delta, y, 3.0,
+                                        config.beta, config.s)]
+    assert [r.as_dict() for r in got] == [r.as_dict() for r in want]
+
+
+def test_reports_reject_a_task_without_bound_checks():
+    class Other(Problem):
+        primal_value = conjugate_linear_term = conjugate_curvature = None
+        curvature_bound = conjugate_constant = with_values = None
+
+        def __init__(self, dataset):
+            self.dataset = dataset
+
+    zeros = np.zeros((2, 1))
+    graph = build_knn_graph(Dataset([[0.0], [1.0]]), k=1)
+    with pytest.raises(ParameterError):
+        reports(EdgeIncidence(graph, 1.0), Other(Dataset(zeros)), zeros, zeros, zeros,
+                np.zeros((1, 1)), 1.0, 1, 0.0)
 
 
 def test_bound_report_serialisation():

@@ -502,3 +502,69 @@ def test_monitor_cc_keeps_a_repeated_snapshot_that_carries_targets(tmp_path, wit
     decisions = [json.loads(line) for line in out.read_text().strip().splitlines()][1:]
     assert decisions[0]["action"] == ("resolve" if with_targets else "keep")
     assert [(d["action"], d["delta_metric"]) for d in decisions[1:]] == [("keep", 0.0)] * 2
+
+
+@pytest.mark.parametrize("task", ["cc", "ridge"])
+def test_bound_equals_a_monitor_keep_on_the_moved_snapshot(tmp_path, task):
+    # sco bound is the monitor's keep path on one snapshot A + D: both
+    # commands write the same reports, bit for bit
+    rng = np.random.default_rng(14)
+    values, targets = rng.standard_normal((12, 2)), rng.standard_normal(12)
+    delta = 0.05 * rng.standard_normal(values.shape)
+    data, delta_path = tmp_path / "data.csv", tmp_path / "delta.csv"
+    write_matrix_csv(str(data), values, targets=targets if task == "ridge" else None)
+    write_matrix_csv(str(delta_path), delta)
+    stream = tmp_path / "stream.jsonl"
+    stream.write_text(json.dumps({"values": (values + delta).tolist(),
+                                  "targets": targets.tolist()}) + "\n")
+    common = ["--input", str(data), "--task", task, "--k", "3", "--beta", "0.5",
+              "--c", "1e12", "--seed", "4"] + (["--targets"] if task == "ridge" else [])
+    bound_out, monitor_out = tmp_path / "bound.json", tmp_path / "dec.jsonl"
+    assert main(["bound", "--delta", str(delta_path), "--out", str(bound_out)] + common) == 0
+    assert main(["monitor", "--stream", str(stream), "--out", str(monitor_out)] + common) == 0
+    bound = read_json(bound_out)
+    decision = json.loads(monitor_out.read_text().splitlines()[1])
+    assert decision["action"] == "keep"
+    assert bound["delta_metric"] == decision["delta_metric"] > 0
+    monitored = [json.loads(line) for line in
+                 (tmp_path / "dec.jsonl.bounds.jsonl").read_text().splitlines()]
+    for report in monitored:
+        assert report.pop("idx") == 0
+    assert len(monitored) == 2 and bound["reports"] == monitored
+
+
+@pytest.mark.parametrize("argv", [["monitor", "--synthetic", "1"], ["bound"]])
+def test_ridge_without_targets_exits_2(random_csv, tmp_path, capsys, argv):
+    code = main(argv + ["--input", random_csv, "--task", "ridge", "--k", "2",
+                        "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err.strip())["kind"] == "DataValidationError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["monitor", "--synthetic", "1", "--c", "nan"],
+    ["monitor", "--synthetic", "1", "--c", "inf"],
+    ["bound", "--c", "nan"],
+    ["bound", "--c", "inf"],
+    ["solve", "--task", "cc", "--gamma", "inf"],
+    ["solve", "--weight-cap", "inf", "--graph", "GRAPH"],
+    ["graph", "--weight-cap=-inf", "--graph", "GRAPH"],
+])
+def test_non_finite_float_flag_exits_2_before_any_solve(three_points, tmp_path, capsys, argv):
+    graph = tmp_path / "graph.json"
+    assert main(["graph", "--input", three_points, "--k", "1", "--out", str(graph)]) == 0
+    argv = [str(graph) if arg == "GRAPH" else arg for arg in argv]
+    code = main(argv + ["--input", three_points, "--k", "1", "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["kind"] == "ParameterError" and "must be finite" in err["error"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["monitor", "--synthetic", "1"], ["bound"]])
+def test_negative_seed_exits_2(three_points, tmp_path, capsys, argv):
+    code = main(argv + ["--input", three_points, "--seed", "-1", "--k", "1",
+                        "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["kind"] == "ParameterError" and "nonnegative" in err["error"]

@@ -148,6 +148,14 @@ def test_negative_threshold_rejected():
         run_session(problem, graph, [], config, threshold=-1.0)
 
 
+def test_nan_threshold_rejected():
+    # no score is ever >= NaN, so a NaN threshold would never refresh
+    rng = np.random.default_rng(10)
+    problem, graph, config = clustering_setup(rng)
+    with pytest.raises(ParameterError):
+        run_session(problem, graph, [], config, threshold=float("nan"))
+
+
 def test_rebuild_graph_on_resolve():
     rng = np.random.default_rng(11)
     problem, graph, config = clustering_setup(rng)
