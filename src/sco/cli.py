@@ -45,6 +45,13 @@ def finite_float(text: str) -> float:
     return value
 
 
+def nonnegative_float(text: str) -> float:
+    value = finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
+    return value
+
+
 def nonnegative_int(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -119,7 +126,7 @@ def build_parser() -> _Parser:
     _add_data_flags(m)
     _add_solver_flags(m)
     m.add_argument("--task", default="cc", choices=TASKS)
-    m.add_argument("--c", type=finite_float, default=10.0, help="refresh threshold")
+    m.add_argument("--c", type=nonnegative_float, default=10.0, help="refresh threshold")
     m.add_argument("--stream", default=None,
                    help="directory of CSV snapshots (lexicographic) or a JSONL file")
     m.add_argument("--synthetic", type=int, default=0,
@@ -140,7 +147,7 @@ def build_parser() -> _Parser:
     _add_data_flags(b)
     _add_solver_flags(b)
     b.add_argument("--task", default="cc", choices=TASKS)
-    b.add_argument("--c", type=finite_float, default=10.0)
+    b.add_argument("--c", type=nonnegative_float, default=10.0)
     b.add_argument("--delta", default=None, help="perturbation CSV of the same shape")
     b.add_argument("--sigma", type=finite_float, default=0.1,
                    help="scale for a synthetic Gaussian perturbation when --delta is absent")

@@ -10,12 +10,15 @@ row, the blocked kNN graph build against a dense n-by-n distance matrix
 and a sorted scan of each row, the vectorised cluster extraction
 against one norm per edge, and the closed-form ridge sandwich norm
 against the SVD of the dense matrix. The relative-error inner stopping
-rule is held to the Fenchel duality gap that the fixed rule reaches.
+rule is held to the Fenchel duality gap that the fixed rule reaches, and
+the over-relaxed outer loop to that of the unrelaxed one.
 
 The inner dual-step kernels are pinned bit for bit to plainer versions of
 the same arithmetic: a per-column transposed incidence map, a
 fancy-indexed forward map, an unbuffered-add power iteration, ``np.clip``
 for the box projection and the ridge curvature on column-stacked vectors.
+The outer sweep's over-relaxed u- and mu-updates are pinned the same way
+to their textbook form.
 
 The library keeps every per-instance quantity as an n-by-d matrix. The
 dense oracles work on column-stacked vectors instead, through the
@@ -32,7 +35,7 @@ import numpy as np
 
 from sco import (ConvexClusteringProblem, DataValidationError, Dataset, ParameterError,
                  RidgeProblem, VariableGraph, as_norm, project_l1_ball, project_rows,
-                 sum_norms, vec_norm)
+                 prox_norm, sum_norms, vec_norm)
 from sco.graph import DEFAULT_WEIGHT_CAP
 
 
@@ -357,6 +360,18 @@ def reference_lambda_step(problem, Q, state, config, lipschitz: float | None = N
             break
     state.inner += iterations
     return lam
+
+
+def reference_relaxed_sweep(image: np.ndarray, u_prev: np.ndarray, mu_prev: np.ndarray,
+                            config, relax: float) -> tuple[np.ndarray, np.ndarray]:
+    """The u- and mu-updates of over-relaxed ADMM (Boyd et al. 2011,
+    sec. 3.4.3) written out for the constraint Q^T lam - u = 0: the relaxed
+    image h = r Q^T lam + (1 - r) u_prev replaces Q^T lam in both,
+    u = prox of (beta/rho)||.||_s at h + mu/rho, mu+ = mu + rho (h - u)."""
+    h = relax * image + (1.0 - relax) * u_prev
+    v = h + mu_prev / config.rho
+    u = v if config.beta == 0.0 else prox_norm(v, config.beta / config.rho, config.s)
+    return u, mu_prev + config.rho * (h - u)
 
 
 def fenchel_gap(problem, Q, config, result) -> float:

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -22,8 +23,20 @@ PUBLIC_NAMES = [
 ]
 
 
+# Every solver setting, in declaration order. A new field (a relaxation
+# factor or a rho rule, say) is a new knob and belongs in CHANGES.md.
+SOLVER_CONFIG_FIELDS = [
+    "alpha", "beta", "rho", "p", "s", "outer_max_iters", "inner_max_iters",
+    "eps_abs", "eps_rel", "inner_tol", "parallel",
+]
+
+
 def test_public_api_is_pinned():
     assert sorted(sco.__all__) == PUBLIC_NAMES
+
+
+def test_solver_config_fields_are_pinned():
+    assert [f.name for f in dataclasses.fields(sco.SolverConfig)] == SOLVER_CONFIG_FIELDS
 
 
 def library_references() -> set[str]:

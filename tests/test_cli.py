@@ -568,3 +568,20 @@ def test_negative_seed_exits_2(three_points, tmp_path, capsys, argv):
     assert code == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["kind"] == "ParameterError" and "nonnegative" in err["error"]
+
+
+@pytest.mark.parametrize("argv", [["monitor", "--synthetic", "1"], ["bound"]])
+def test_negative_threshold_exits_2_before_any_solve(three_points, tmp_path, capsys,
+                                                    monkeypatch, argv):
+    # bound's session never re-solves, so only the flag type can reject a
+    # negative --c before its report shows a negative rhs
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before rejecting --c")
+
+    monkeypatch.setattr(sco.evolution, "solve_dual", no_solve)
+    code = main(argv + ["--input", three_points, "--c=-1e6", "--k", "1",
+                        "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["kind"] == "ParameterError" and "nonnegative" in err["error"]
+    assert not (tmp_path / "out").exists()
