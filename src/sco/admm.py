@@ -9,7 +9,7 @@ n-by-d consensus matrix u with an n-by-d multiplier mu gives three
 updates per sweep:
 
 1. the dual rows solve a smooth constrained subproblem (accelerated
-   projected gradient with a power-iteration Lipschitz step),
+   projected gradient with one step 1/L_k per dual row),
 2. u has a closed-form norm proximal update with threshold beta/rho,
 3. mu takes the usual scaled residual step, mu + rho (h - u).
 
@@ -24,15 +24,24 @@ Frobenius norms of the unrelaxed Q^T lam - u and of rho Q (u - u_prev))
 and the weighted step norm that decays like 1/T for this family of
 methods (blocks: zero weight on the dual rows, rho on u, 1/rho on mu).
 
+The dual-row steps are diagonally preconditioned (Pock & Chambolle 2011,
+"Diagonal preconditioning for first order primal-dual algorithms"): one
+scalar L would be set by the heaviest edges of the graph, while
+L_k = (kappa + rho) lt J_k, with J the scaled diagonal-dominance bound
+of QQ^T and lt <= 1 the squared norm of J^{-1/2} Q, lets the rows of
+light edges take longer steps. Every row's constraint is a ball and its
+metric weight a scalar, so the row projections stay exact in the
+diag(L) metric.
+
 The dual-row subproblems are solved inexactly, with a relative error
 (Eckstein & Yao 2018, relative-error approximate ADMM): each sweep stops
-its inner loop once the gradient-mapping norm is at most 1% of the
-larger outer residual of the sweep before, and never asks for less than
-``inner_tol``. The first sweep of every solve, cold or warm-started, has
-no sweep before it and stops at 1% of the gradient-mapping norm at its
-starting dual rows instead. Early sweeps, whose residuals are large, take
-a few inner iterations; the tolerance tightens as the outer residuals
-fall.
+its inner loop once the L-weighted gradient-mapping norm
+||diag(L) (y - lam+)||_F is at most 1% of the larger outer residual of
+the sweep before, and never asks for less than ``inner_tol``. The first
+sweep of every solve, cold or warm-started, has no sweep before it and
+stops at 1% of that norm at its starting dual rows instead. Early
+sweeps, whose residuals are large, take a few inner iterations; the
+tolerance tightens as the outer residuals fall.
 
 A solve owns its state exclusively. With box constraints (q = inf) the
 dual-row subproblem splits into one independent block per feature
@@ -186,68 +195,118 @@ def h_norm_step(u_prev: np.ndarray, u_next: np.ndarray,
     return float(rho * np.vdot(du, du) + np.vdot(dmu, dmu) / rho)
 
 
-def _dual_quadratic_gradient(problem: Problem, Q: EdgeIncidence, lam: np.ndarray,
-                             fixed_term: np.ndarray, rho: float) -> np.ndarray:
-    # One transpose map, one forward map per evaluation.
-    V = Q.apply_t(lam)
-    return Q.apply(fixed_term + problem.conjugate_curvature(V) + rho * V)
-
-
 def _fixed_term(problem: Problem, state: DualState, config: SolverConfig) -> np.ndarray:
     # The part of the dual-row gradient's inner argument that a sweep holds fixed.
     return problem.conjugate_linear_term() + state.mu - config.rho * state.u
 
 
+def _scaled_gradient(problem: Problem, Q: EdgeIncidence, P: EdgeIncidence, lam: np.ndarray,
+                     fixed_term: np.ndarray, rho: float) -> np.ndarray:
+    # diag(1/L) times the dual-row gradient, with P = diag(1/L) Q: one
+    # transpose map through Q and one forward map through P.
+    V = Q.apply_t(lam)
+    return P.apply(fixed_term + problem.conjugate_curvature(V) + rho * V)
+
+
+def _weighted_norm(lipschitz_flat: np.ndarray, r: np.ndarray) -> float:
+    # ||diag(L) r||_F for an m-by-d temporary r, with lipschitz_flat =
+    # np.repeat(L, d): the raveled rows are scaled in place, one flat pass
+    # instead of a broadcast over rows of d entries.
+    z = r.ravel()
+    z *= lipschitz_flat
+    return float(np.sqrt(np.dot(z, z)))
+
+
+def _row_lipschitz(problem: Problem, Q: EdgeIncidence, config: SolverConfig,
+                   rng: np.random.Generator | None = None) -> np.ndarray:
+    """Per-row Lipschitz constants L of the dual-row gradient: diag(L)
+    dominates the subproblem's Hessian, so row k may step by 1/L_k.
+
+    On each feature column the Hessian is Q (C + rho I) Q^T, with the
+    conjugate curvature C at most kappa = ``problem.curvature_bound()``.
+    J_k = (|Q||Q|^T w)_k / w_k with w = |Q||Q|^T 1 gives diag(J) >= QQ^T
+    by scaled diagonal dominance. With s = |Q|^T 1 and t = |Q|^T w at the
+    vertices, edge k = (i, j) has w_k = |c_k| (s_i + s_j), and its factor
+    |c_k| cancels: J_k = (t_i + t_j) / (s_i + s_j). Then QQ^T <= lt J with
+    lt the squared norm of J^{-1/2} Q, at most 1, which the power
+    iteration estimates; so L_k = (kappa + rho) lt J_k. Two scatters over
+    the edge ends and one norm estimate, no pass over an m-by-d block.
+
+    A zero-weight edge is a zero row of Q, which any positive L_k bounds;
+    its J_k is that formula when an end has another edge and 1 when not,
+    finite either way.
+    """
+    c = np.abs(Q.coef)
+    ends = np.concatenate([Q.head, Q.tail])
+    s = np.bincount(ends, weights=np.concatenate([c, c]), minlength=Q.col_count)
+    s_row = s[Q.head] + s[Q.tail]
+    cw = c * (c * s_row)
+    t = np.bincount(ends, weights=np.concatenate([cw, cw]), minlength=Q.col_count)
+    J = np.divide(t[Q.head] + t[Q.tail], s_row, out=np.ones(Q.row_count), where=s_row > 0)
+    sigma = operator_norm_estimate(Q.with_coef(Q.coef / np.sqrt(J)), rng=rng)
+    return (sigma ** 2 * (problem.curvature_bound() + config.rho)) * J
+
+
 def _gradient_mapping_norm(problem: Problem, Q: EdgeIncidence, state: DualState,
-                           config: SolverConfig, lipschitz: float) -> float:
-    """``L * ||lam - project_rows(lam - grad / L)||_F`` at the state's dual
-    rows, which must be feasible: what the first stop test of
-    :func:`lambda_step` measures when it starts from these rows."""
-    grad = _dual_quadratic_gradient(problem, Q, state.lam, _fixed_term(problem, state, config),
-                                    config.rho)
-    step = 1.0 / lipschitz
-    return lipschitz * float(np.linalg.norm(
-        state.lam - project_rows(state.lam - step * grad, config.q)))
+                           config: SolverConfig, lipschitz: np.ndarray) -> float:
+    """``||diag(L) (lam - project_rows(lam - diag(1/L) grad))||_F`` at the
+    state's dual rows, which must be feasible: what the first stop test
+    of :func:`lambda_step` measures when it starts from these rows."""
+    P = Q.with_coef(Q.coef / lipschitz)
+    step = _scaled_gradient(problem, Q, P, state.lam, _fixed_term(problem, state, config),
+                            config.rho)
+    return _weighted_norm(np.repeat(lipschitz, state.lam.shape[1]),
+                          state.lam - project_rows(state.lam - step, config.q))
 
 
 def lambda_step(problem: Problem, Q: EdgeIncidence, state: DualState, config: SolverConfig,
-                lipschitz: float | None = None,
+                lipschitz: float | np.ndarray | None = None,
                 rng: np.random.Generator | None = None,
                 tol: float | None = None) -> np.ndarray:
     """One dual-row update: accelerated projected gradient on the smooth
     subproblem (conjugate + multiplier coupling + quadratic penalty) over
-    the per-row q-ball constraints.
+    the per-row q-ball constraints, in the metric diag(L) of one Lipschitz
+    constant per dual row.
 
-    Stops when the gradient-mapping norm ``L * ||y - lam+||_F`` falls to
-    ``tol`` or after ``inner_max_iters`` iterations; the returned rows are
-    feasible. ``tol`` defaults to ``config.inner_tol``; :func:`solve_dual`
-    passes the relative-error tolerance of the sweep, which is never below
-    that floor.
+    ``lipschitz`` holds the constants L, one per row or one scalar for
+    all; by default they are the diagonally preconditioned ones of
+    :func:`_row_lipschitz` (Pock & Chambolle 2011, "Diagonal
+    preconditioning for first order primal-dual algorithms"). Row k steps
+    by 1/L_k. Each row's metric weight is a scalar and its constraint a
+    ball, so the diag(L)-projection is the plain row projection and the
+    method is exact. The steps are folded into the operator diag(1/L) Q,
+    built once per call, so scaling the gradient costs no pass over the
+    m-by-d rows. A nonpositive constant returns the projected rows
+    unchanged.
+
+    Stops when the L-weighted gradient-mapping norm
+    ``||diag(L) (y - lam+)||_F`` falls to ``tol`` or after
+    ``inner_max_iters`` iterations; the returned rows are feasible.
+    ``tol`` defaults to ``config.inner_tol``; :func:`solve_dual` passes the
+    relative-error tolerance of the sweep, which is never below that floor.
 
     Adds the number of iterations run to ``state.inner``.
     """
     if tol is None:
         tol = config.inner_tol
     if lipschitz is None:
-        sigma = operator_norm_estimate(Q, rng=rng)
-        lipschitz = sigma ** 2 * (problem.curvature_bound() + config.rho)
+        lipschitz = _row_lipschitz(problem, Q, config, rng)
+    lipschitz = np.broadcast_to(np.asarray(lipschitz, dtype=float), (Q.row_count,))
     q = config.q
-    if lipschitz <= 0:
+    if np.any(lipschitz <= 0):
         return project_rows(state.lam, q)
     fixed = _fixed_term(problem, state, config)
-    step = 1.0 / lipschitz
+    P = Q.with_coef(Q.coef / lipschitz)
+    lipschitz_flat = np.repeat(lipschitz, state.lam.shape[1])
 
     lam = project_rows(state.lam, q)
     y = lam
     t_k = 1.0
     for performed in range(1, config.inner_max_iters + 1):
-        grad = _dual_quadratic_gradient(problem, Q, y, fixed, config.rho)
-        lam_next = project_rows(y - step * grad, q)
+        lam_next = project_rows(y - _scaled_gradient(problem, Q, P, y, fixed, config.rho), q)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k))
         y_next = lam_next + ((t_k - 1.0) / t_next) * (lam_next - lam)
-        # np.linalg.norm's arithmetic without its call overhead
-        r = (y - lam_next).ravel(order="K")
-        stop = lipschitz * float(np.sqrt(np.dot(r, r))) <= tol
+        stop = _weighted_norm(lipschitz_flat, y - lam_next) <= tol
         y, lam, t_k = y_next, lam_next, t_next
         if stop:
             break
@@ -262,7 +321,7 @@ def parallel_lambda_step(problem: Problem, Q: EdgeIncidence, state: DualState,
     """Dual-row update for box constraints, kept for compatibility.
 
     With q = inf the subproblem splits into one independent block per
-    feature column, but all blocks share the step size, the momentum
+    feature column, but all blocks share the row steps, the momentum
     sequence and the whole-block stopping test, so this is
     :func:`lambda_step` and returns the same bits. Raises ParameterError
     unless q = inf.
@@ -305,7 +364,9 @@ def solve_dual(problem: Problem, Q: EdgeIncidence, config: SolverConfig,
     result is then flagged ``"max-iterations"`` rather than raising).
     Each sweep's dual-row solve runs to ``max(inner_tol, 0.01 * r)``,
     where r is ``max(primal_res, dual_res)`` of the sweep before or, for
-    the first sweep, the gradient-mapping norm at the starting dual rows.
+    the first sweep, the L-weighted gradient-mapping norm at the starting
+    dual rows. The per-row Lipschitz constants L of the dual-row steps are
+    computed once per solve.
     The u- and mu-steps both take the over-relaxed image
     ``r * Q^T lam + (1 - r) * u_prev`` with r = 1.4; the primal residual
     stays ``||Q^T lam - u||_F``, on the unrelaxed image.
@@ -353,8 +414,7 @@ def solve_dual(problem: Problem, Q: EdgeIncidence, config: SolverConfig,
     else:
         state = zero_state(m, n, d)
 
-    sigma = operator_norm_estimate(Q, rng=rng)
-    lipschitz = sigma ** 2 * (problem.curvature_bound() + config.rho)
+    lipschitz = _row_lipschitz(problem, Q, config, rng)
     trace = ConvergenceTrace()
     sqrt_nd = np.sqrt(n * d)
     converged = False

@@ -101,10 +101,11 @@ def sweep(data: Dataset, graph: VariableGraph, alphas, config: SolverConfig,
           rng: np.random.Generator | None = None) -> ClusterPath:
     """Solve along an increasing grid of coupling strengths.
 
-    Each strength builds its own scaled incidence operator; solves are
-    warm-started from the previous strength unless disabled. A solver
-    failure truncates the path and records the failing position instead
-    of raising.
+    The incidence operator is built once, at unit strength, and each
+    strength rescales its coefficients (alpha * w, the bits a fresh
+    operator at that strength has); solves are warm-started from the
+    previous strength unless disabled. A solver failure truncates the
+    path and records the failing position instead of raising.
     """
     alphas = [float(a) for a in alphas]
     if not alphas:
@@ -120,8 +121,9 @@ def sweep(data: Dataset, graph: VariableGraph, alphas, config: SolverConfig,
     path = ClusterPath(alphas=[], solutions=[], memberships=[], cluster_counts=[],
                        fuse_tolerance=eps_fuse, converged=[])
     previous_state = None
+    base = EdgeIncidence(graph, 1.0)
     for idx, alpha in enumerate(alphas):
-        Q = EdgeIncidence(graph, alpha)
+        Q = base.with_coef(alpha * base.coef, alpha)
         cfg = replace(config, alpha=alpha)
         try:
             result = solve_dual(problem, Q, cfg,

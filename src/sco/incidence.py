@@ -14,13 +14,19 @@ increasing edge order, so the sums are the same, bit for bit, as a
 per-column accumulation, and they do not depend on any schedule.
 
 The edge arrays are fixed at construction and every map here is pure.
-The only state that changes is the cache of flat scatter indices, one
-pair per feature count d, filled on first use; filling it is idempotent
-(a second thread that races the first stores equal arrays), so
-concurrent use is safe.
+The only state that changes is in two caches, filled on first use: the
+flat scatter indices, one pair per feature count d, and the row
+coefficients repeated d times, which scale the raveled dual rows.
+Filling them is idempotent (a second thread that races the first stores
+equal arrays), so concurrent use is safe. :meth:`EdgeIncidence.with_coef`
+makes an operator on the same edges with other row coefficients; it
+shares the edge arrays and the scatter indices, not the repeated
+coefficients.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -28,20 +34,36 @@ from .errors import DimensionError, ParameterError
 from .graph import VariableGraph
 
 
+def _strength(alpha: float) -> float:
+    alpha = float(alpha)
+    if not (np.isfinite(alpha) and alpha >= 0):
+        raise ParameterError(f"alpha must be a nonnegative finite real, got {alpha}")
+    return alpha
+
+
 class EdgeIncidence:
     """Edge-difference operator with entries +/- alpha * w per edge row."""
 
     def __init__(self, graph: VariableGraph, alpha: float):
-        alpha = float(alpha)
-        if not (np.isfinite(alpha) and alpha >= 0):
-            raise ParameterError(f"alpha must be a nonnegative finite real, got {alpha}")
-        self.alpha = alpha
+        self.alpha = _strength(alpha)
         self.col_count = graph.vertex_count
         self.head = np.array([e[0] for e in graph.edges], dtype=np.intp)
         self.tail = np.array([e[1] for e in graph.edges], dtype=np.intp)
-        self.coef = alpha * np.array([e[2] for e in graph.edges], dtype=float)
+        self.coef = self.alpha * np.array([e[2] for e in graph.edges], dtype=float)
         self.row_count = len(graph.edges)
         self._flat_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._flat_coef: dict[int, np.ndarray] = {}
+
+    def with_coef(self, coef: np.ndarray, alpha: float | None = None) -> "EdgeIncidence":
+        """The operator on the same edges with row coefficients ``coef``
+        (one per edge) and coupling strength ``alpha`` (this one's when
+        None). It shares the edge arrays and the scatter-index cache."""
+        other = copy.copy(self)
+        other.coef = np.asarray(coef, dtype=float)
+        if alpha is not None:
+            other.alpha = _strength(alpha)
+        other._flat_coef = {}
+        return other
 
     def _flat_index(self, d: int) -> tuple[np.ndarray, np.ndarray]:
         """Scatter bins ``head*d + c`` and ``tail*d + c`` of the flattened
@@ -85,7 +107,11 @@ class EdgeIncidence:
         if self.row_count == 0:
             return np.zeros((self.col_count, d))
         head, tail = self._flat_index(d)
-        scaled = (self.coef[:, None] * lam).ravel()
+        coef = self._flat_coef.get(d)
+        if coef is None:
+            coef = self._flat_coef[d] = np.repeat(self.coef, d)
+        # the products coef[k] * lam[k, c] of a broadcast multiply, in raveled order
+        scaled = lam.ravel() * coef
         size = self.col_count * d
         out = np.bincount(head, weights=scaled, minlength=size)
         out -= np.bincount(tail, weights=scaled, minlength=size)

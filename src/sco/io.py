@@ -15,16 +15,33 @@ from .errors import DataValidationError, ParameterError
 from .graph import VariableGraph
 
 
+def _finite_matrix(path: str, rows: list, linenos: list):
+    """The parsed rows as a matrix, or None when their widths differ,
+    after raising DataValidationError for the first row that holds a
+    non-finite value. One check over all rows: a check per line took
+    about 40% of the time to read a 2500-by-10 file."""
+    try:
+        matrix = np.array(rows, dtype=float)
+        finite = np.isfinite(matrix).all(axis=1)
+    except ValueError:  # ragged rows: check them one by one
+        matrix = None
+        finite = np.array([np.isfinite(row).all() for row in rows], dtype=bool)
+    if not finite.all():
+        raise DataValidationError(f"{path}:{linenos[int(finite.argmin())]}: non-finite value")
+    return matrix
+
+
 def read_matrix_csv(path: str, with_targets: bool = False):
     """Read a numeric CSV: one row per instance, comma-separated,
-    decimal-dot floats only. Non-numeric or non-finite entries fail fast.
+    decimal-dot floats only. Non-numeric or non-finite entries fail; the
+    error names the first faulty line, counting blank lines.
 
     With ``with_targets`` the final column is split off as the target
     vector.
 
     Returns (values, targets_or_None).
     """
-    rows = []
+    rows, linenos, non_numeric = [], [], None
     try:
         with open(path, "r", encoding="utf-8") as handle:
             for lineno, line in enumerate(handle, start=1):
@@ -33,21 +50,22 @@ def read_matrix_csv(path: str, with_targets: bool = False):
                     continue
                 cells = line.split(",")
                 try:
-                    row = [float(c) for c in cells]
+                    rows.append([float(c) for c in cells])
                 except ValueError:
-                    raise DataValidationError(
-                        f"{path}:{lineno}: non-numeric cell in {cells!r}") from None
-                if not all(np.isfinite(row)):
-                    raise DataValidationError(f"{path}:{lineno}: non-finite value")
-                rows.append(row)
+                    non_numeric = f"{path}:{lineno}: non-numeric cell in {cells!r}"
+                    break
+                linenos.append(lineno)
     except OSError as exc:
         raise ParameterError(f"cannot read {path}: {exc}") from exc
+    # a non-finite line before a non-numeric one is the first fault
+    matrix = _finite_matrix(path, rows, linenos) if rows else None
+    if non_numeric is not None:
+        raise DataValidationError(non_numeric)
     if not rows:
         raise DataValidationError(f"{path}: empty dataset")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise DataValidationError(f"{path}: ragged rows with widths {sorted(widths)}")
-    matrix = np.array(rows, dtype=float)
+    if matrix is None:
+        widths = sorted({len(r) for r in rows})
+        raise DataValidationError(f"{path}: ragged rows with widths {widths}")
     if with_targets:
         if matrix.shape[1] < 2:
             raise DataValidationError(f"{path}: need at least one feature beside the target")

@@ -15,10 +15,12 @@ the over-relaxed outer loop to that of the unrelaxed one.
 
 The inner dual-step kernels are pinned bit for bit to plainer versions of
 the same arithmetic: a per-column transposed incidence map, a
-fancy-indexed forward map, an unbuffered-add power iteration, ``np.clip``
-for the box projection and the ridge curvature on column-stacked vectors.
-The outer sweep's over-relaxed u- and mu-updates are pinned the same way
-to their textbook form.
+fancy-indexed forward map, an unbuffered-add power iteration and vertex
+sums for the per-row step constants, ``np.clip`` for the box projection
+and the ridge curvature on column-stacked vectors. The outer sweep's
+over-relaxed u- and mu-updates are pinned the same way to their textbook
+form. The CSV reader's one finiteness check per file is held to a reader
+that checks each line as it goes.
 
 The library keeps every per-instance quantity as an n-by-d matrix. The
 dense oracles work on column-stacked vectors instead, through the
@@ -30,6 +32,8 @@ calls neither.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -330,31 +334,55 @@ def stacked_ridge_curvature(problem, V: np.ndarray) -> np.ndarray:
                            n, d)
 
 
-def reference_lambda_step(problem, Q, state, config, lipschitz: float | None = None,
+def reference_row_lipschitz(problem, Q, config,
+                            rng: np.random.Generator | None = None) -> np.ndarray:
+    """``admm._row_lipschitz``: the vertex sums s = |Q|^T 1 and t = |Q|^T w
+    accumulated by unbuffered ``np.add.at`` calls, heads first, and the
+    norm of J^{-1/2} Q by ``add_at_norm_estimate``."""
+    c = np.abs(Q.coef)
+    s = np.zeros(Q.col_count)
+    np.add.at(s, Q.head, c)
+    np.add.at(s, Q.tail, c)
+    s_row = s[Q.head] + s[Q.tail]
+    cw = c * (c * s_row)
+    t = np.zeros(Q.col_count)
+    np.add.at(t, Q.head, cw)
+    np.add.at(t, Q.tail, cw)
+    linked = s_row > 0
+    J = np.where(linked, (t[Q.head] + t[Q.tail]) / np.where(linked, s_row, 1.0), 1.0)
+    rescaled = SimpleNamespace(head=Q.head, tail=Q.tail, coef=Q.coef / np.sqrt(J),
+                               col_count=Q.col_count)
+    sigma = add_at_norm_estimate(rescaled, rng=rng)
+    return (sigma ** 2 * (problem.curvature_bound() + config.rho)) * J
+
+
+def reference_lambda_step(problem, Q, state, config, lipschitz=None,
                           rng: np.random.Generator | None = None,
                           tol: float | None = None) -> np.ndarray:
-    """``lambda_step`` built from the reference kernels above, with the
-    gap taken by ``np.linalg.norm``."""
+    """``lambda_step`` built from the reference kernels above: row k steps
+    by 1/L_k through a fancy-indexed forward map with coefficients
+    coef_k / L_k, and the stop test takes ``np.linalg.norm`` of
+    diag(L) (y - lam+)."""
     if tol is None:
         tol = config.inner_tol
     q = config.q
     if lipschitz is None:
-        sigma = add_at_norm_estimate(Q, rng=rng)
-        lipschitz = sigma ** 2 * (problem.curvature_bound() + config.rho)
-    if lipschitz <= 0:
+        lipschitz = reference_row_lipschitz(problem, Q, config, rng=rng)
+    lipschitz = np.broadcast_to(np.asarray(lipschitz, dtype=float), (Q.row_count,))
+    if np.any(lipschitz <= 0):
         return clip_project_rows(state.lam, q)
     fixed = problem.conjugate_linear_term() + state.mu - config.rho * state.u
-    step = 1.0 / lipschitz
+    step_coef = (Q.coef / lipschitz)[:, None]
     lam = clip_project_rows(state.lam, q)
     y = lam
     t_k = 1.0
     for iterations in range(1, config.inner_max_iters + 1):
         V = Q.apply_t(y)
-        grad = Q.apply(fixed + problem.conjugate_curvature(V) + config.rho * V)
-        lam_next = clip_project_rows(y - step * grad, q)
+        Z = fixed + problem.conjugate_curvature(V) + config.rho * V
+        lam_next = clip_project_rows(y - step_coef * (Z[Q.head] - Z[Q.tail]), q)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k))
         y_next = lam_next + ((t_k - 1.0) / t_next) * (lam_next - lam)
-        stop = lipschitz * float(np.linalg.norm(y - lam_next)) <= tol
+        stop = float(np.linalg.norm(lipschitz[:, None] * (y - lam_next))) <= tol
         y, lam, t_k = y_next, lam_next, t_next
         if stop:
             break
@@ -395,6 +423,33 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     compares NaNs by payload."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def per_line_read_matrix_csv(path: str):
+    """``read_matrix_csv`` without targets, checking each line for
+    non-numeric and then non-finite cells as it is read, and the widths
+    once the whole file is in."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            cells = line.split(",")
+            try:
+                row = [float(c) for c in cells]
+            except ValueError:
+                raise DataValidationError(
+                    f"{path}:{lineno}: non-numeric cell in {cells!r}") from None
+            if not all(np.isfinite(row)):
+                raise DataValidationError(f"{path}:{lineno}: non-finite value")
+            rows.append(row)
+    if not rows:
+        raise DataValidationError(f"{path}: empty dataset")
+    widths = {len(r) for r in rows}
+    if len(widths) != 1:
+        raise DataValidationError(f"{path}: ragged rows with widths {sorted(widths)}")
+    return np.array(rows, dtype=float)
 
 
 def pairwise_distances(values: np.ndarray) -> np.ndarray:

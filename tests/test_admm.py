@@ -9,10 +9,10 @@ from sco import (ConvexClusteringProblem, Dataset, DimensionError, DualState,
                  build_knn_graph, project_rows, solve_dual, u_step, vec_norm, zero_state)
 
 import sco.admm
-from oracles import (add_at_norm_estimate, clip_project_rows, clustering_subgradient_oracle,
-                     column_problem, dual_subproblem_objective, fenchel_gap,
+from oracles import (clip_project_rows, clustering_subgradient_oracle,
+                     column_problem, dense_incidence, dual_subproblem_objective, fenchel_gap,
                      quadratic_from_values, reference_lambda_step, reference_relaxed_sweep,
-                     same_bits)
+                     reference_row_lipschitz, same_bits)
 
 
 def two_point(alpha_w, beta=0.0, **kwargs):
@@ -388,13 +388,13 @@ def test_relaxed_sweeps_match_reference(task, p, s):
     Q = EdgeIncidence(build_knn_graph(data, k=2), 1.3)
     problem = ConvexClusteringProblem(data) if task == "cc" else RidgeProblem(data, gamma=2.0)
     config = SolverConfig(alpha=1.3, beta=0.5, p=p, s=s)
-    lipschitz = add_at_norm_estimate(Q) ** 2 * (problem.curvature_bound() + config.rho)
+    lipschitz = reference_row_lipschitz(problem, Q, config)
     state = zero_state(Q.row_count, n, d)
     V = Q.apply_t(state.lam)
     grad = Q.apply(problem.conjugate_linear_term() + state.mu - config.rho * state.u
                    + problem.conjugate_curvature(V) + config.rho * V)
-    start_gap = lipschitz * np.linalg.norm(
-        state.lam - clip_project_rows(state.lam - (1.0 / lipschitz) * grad, config.q))
+    start_gap = np.linalg.norm(lipschitz[:, None] * (
+        state.lam - clip_project_rows(state.lam - grad / lipschitz[:, None], config.q)))
     tol = max(config.inner_tol, sco.admm._INNER_REL * start_gap)
     for sweeps in (1, 2, 3):
         state.lam = reference_lambda_step(problem, Q, state, config, lipschitz=lipschitz,
@@ -588,3 +588,101 @@ def test_trace_rows_shape():
     rows = result.trace.rows()
     assert len(rows) == 7 and rows[0][0] == 1 and rows[-1][0] == 7
     assert all(np.isfinite(r[1:]).all() for r in [np.array(r) for r in rows])
+
+
+def uniform_lipschitz(problem, Q, config, rng=None):
+    # the one scalar constant sigma^2 (kappa + rho) for every dual row
+    sigma = sco.admm.operator_norm_estimate(Q, rng=rng)
+    return np.full(Q.row_count, sigma ** 2 * (problem.curvature_bound() + config.rho))
+
+
+def weighted_graph(rng, n, pairs):
+    return VariableGraph(n, tuple((i, j, float(w)) for (i, j), w in
+                                  zip(pairs, rng.uniform(0.05, 5.0, len(pairs)))))
+
+
+def preconditioner_graphs(rng):
+    # duplicated and near points: several kNN weights sit at the cap of 2
+    values = rng.standard_normal((30, 2))
+    values[20:25] = values[:5]
+    capped = build_knn_graph(Dataset(values), k=4, weight_cap=2.0)
+    assert sum(w == 2.0 for _, _, w in capped.edges) >= 5
+    star = weighted_graph(rng, 12, [(0, j) for j in range(1, 12)])
+    path = weighted_graph(rng, 25, [(i, i + 1) for i in range(24)])
+    two = weighted_graph(rng, 14, [(i, j) for i in range(7) for j in range(i + 1, 7)]
+                         + [(i, i + 1) for i in range(7, 13)])
+    return {"capped knn": capped, "star": star, "path": path, "two components": two}
+
+
+@pytest.mark.parametrize("task", ["cc", "ridge"])
+@pytest.mark.parametrize("name", ["capped knn", "star", "path", "two components"])
+def test_row_lipschitz_dominates_the_hessian(task, name):
+    # diag(L) - (kappa + rho) QQ^T is positive semidefinite on the dense matrix
+    rng = np.random.default_rng(31)
+    graph = preconditioner_graphs(rng)[name]
+    n = graph.vertex_count
+    values = rng.standard_normal((n, 2)) * np.array([0.3, 2.0])
+    problem = ConvexClusteringProblem(Dataset(values)) if task == "cc" else \
+        RidgeProblem(Dataset(values, rng.standard_normal(n)), gamma=0.5)
+    alpha = 1.7
+    config = SolverConfig(alpha=alpha, rho=0.3)
+    L = sco.admm._row_lipschitz(problem, EdgeIncidence(graph, alpha), config)
+    Qd = dense_incidence(graph, alpha)
+    kappa = problem.curvature_bound()
+    slack = np.diag(L) - (kappa + config.rho) * Qd @ Qd.T
+    assert np.all(np.isfinite(L)) and np.all(L > 0)
+    assert np.linalg.eigvalsh(slack).min() >= -1e-9 * L.max()
+
+
+def test_zero_weight_edges_leave_the_solve_unchanged():
+    # a zero-weight edge is a zero row of Q: finite constants, and x_star
+    # as without it, whether its ends have other edges or not
+    rng = np.random.default_rng(33)
+    values = np.vstack([four_blobs(rng)[:30], [[20.0, 0.0, 0.0], [0.0, 20.0, 0.0]]])
+    data = Dataset(values)
+    base = build_knn_graph(Dataset(values[:30]), k=4)
+    plain = VariableGraph(32, base.edges)
+    zero_edges = [(0, 29, 0.0), (30, 31, 0.0)]
+    assert not {e[:2] for e in zero_edges} & {e[:2] for e in base.edges}
+    padded = VariableGraph(32, tuple(sorted(base.edges + tuple(zero_edges))))
+    problem = ConvexClusteringProblem(data)
+    for p in (2, np.inf):
+        config = SolverConfig(alpha=1.0, beta=0.5, p=p, s=1)
+        Q_zero = EdgeIncidence(padded, 1.0)
+        L = sco.admm._row_lipschitz(problem, Q_zero, config)
+        assert np.all(np.isfinite(L)) and np.all(L > 0)
+        with_zero = solve_dual(problem, Q_zero, config)
+        without = solve_dual(problem, EdgeIncidence(plain, 1.0), config)
+        assert with_zero.converged and without.converged
+        np.testing.assert_allclose(with_zero.x_star, without.x_star, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(with_zero.x_star[30:], values[30:])
+
+
+@pytest.mark.parametrize("task, p, rho", [("cc", 2, 1.0), ("cc", np.inf, 1.0),
+                                          ("ridge", 1, 0.1)])
+def test_row_steps_cut_inner_work_and_keep_the_model(task, p, rho, monkeypatch):
+    # against the same solve with one scalar constant for every row: fewer
+    # inner iterations, and a model within X_RTOL = 3e-4 of a tight solve
+    rng = np.random.default_rng(21)
+    if task == "cc":
+        values = four_blobs(rng)
+        problem = ConvexClusteringProblem(Dataset(values))
+    else:
+        values, targets = blob_regression(rng)
+        problem = RidgeProblem(Dataset(values, targets), gamma=5.0)
+    Q = EdgeIncidence(build_knn_graph(Dataset(values), k=5), 1.0)
+    config = SolverConfig(alpha=1.0, beta=0.5, p=p, s=1, rho=rho)
+    tight = solve_dual(problem, Q, replace(config, eps_abs=1e-10, eps_rel=1e-8,
+                                           inner_tol=1e-12, inner_max_iters=5000,
+                                           outer_max_iters=50000))
+    per_row = solve_dual(problem, Q, config)
+    monkeypatch.setattr("sco.admm._row_lipschitz", uniform_lipschitz)
+    uniform = solve_dual(problem, Q, config)
+    assert tight.converged and per_row.converged and uniform.converged
+    assert per_row.inner_iterations < uniform.inner_iterations
+    scale = np.linalg.norm(tight.x_star - values)
+    for result in (per_row, uniform):
+        assert np.linalg.norm(result.x_star - tight.x_star) <= 3e-4 * scale
+    # the gaps are reported in CHANGES.md; both must keep their sign
+    for result in (per_row, uniform):
+        assert fenchel_gap(problem, Q, config, result) >= -1e-9 * abs(result.dual_objective)

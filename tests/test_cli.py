@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 import sco.evolution
-from sco import (Dataset, EdgeIncidence, RidgeProblem, SolverConfig, build_knn_graph,
-                 solve_dual)
+from sco import (DataValidationError, Dataset, EdgeIncidence, RidgeProblem, SolverConfig,
+                 build_knn_graph, solve_dual)
 from sco.cli import main
 from sco.io import load_graph_json, read_matrix_csv
 
 from helpers import load_solution_json, write_matrix_csv
 from oracles import (add_at_norm_estimate, clip_project_rows, fancy_index_apply,
-                     per_column_apply_t, per_row_l1_projection, reference_lambda_step,
-                     stacked_ridge_curvature)
+                     per_column_apply_t, per_line_read_matrix_csv, per_row_l1_projection,
+                     reference_lambda_step, same_bits, stacked_ridge_curvature)
 
 
 @pytest.fixture
@@ -317,6 +317,39 @@ def test_nan_csv_rejected(tmp_path, capsys):
                  "--out", str(tmp_path / "g.json")])
     assert code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("text", [
+    "1,2\n\n1,inf\n3,x\n",          # non-finite line before a non-numeric one
+    "1,2\n3,x\n\n1,nan\n",          # non-numeric line before a non-finite one
+    "1,2\n1,2,3\n\n1e999,0\n",      # ragged rows with a non-finite line after them
+    "1,2\n1,2,3\n4,y\n1,-inf\n",    # ragged rows, then non-numeric, then non-finite
+    "1,2,3\n\n1,2\n4,5\n",          # ragged rows only
+    "nan\n1,2\n",                    # non-finite first line, ragged after it
+    "\n\n  \n",                      # blank lines only
+    "1,2\n\n3,4\n",                  # clean
+])
+def test_csv_faults_report_the_first_faulty_line(tmp_path, capsys, text):
+    # one finiteness check per file reports the fault, message and line
+    # (blank lines counted) that checking each line as it is read does
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    try:
+        expected = per_line_read_matrix_csv(str(path))
+    except DataValidationError as exc:
+        expected = exc
+    if isinstance(expected, DataValidationError):
+        with pytest.raises(DataValidationError) as caught:
+            read_matrix_csv(str(path))
+        assert str(caught.value) == str(expected)
+        code = main(["graph", "--input", str(path), "--k", "1",
+                     "--out", str(tmp_path / "g.json")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": str(expected), "kind": "DataValidationError"}
+    else:
+        values, _ = read_matrix_csv(str(path))
+        assert same_bits(values, expected)
 
 
 def test_graph_roundtrip_via_solve(three_points, tmp_path):

@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from sco import (Dataset, ParameterError, SolverConfig, VariableGraph,
-                 build_knn_graph, canonical_labels, default_fuse_tolerance,
-                 extract_clusters, sweep)
+import sco.clusterpath
+from sco import (ConvexClusteringProblem, Dataset, EdgeIncidence, ParameterError,
+                 SolverConfig, VariableGraph, build_knn_graph, canonical_labels,
+                 default_fuse_tolerance, extract_clusters, sweep)
 
-from oracles import per_edge_extract_clusters
+from oracles import per_edge_extract_clusters, same_bits
 
 
 def chain_graph(n):
@@ -153,3 +156,34 @@ def test_fused_rows_stay_within_chained_tolerance():
                 # fused edges chain: pairwise spread is capped by the
                 # tolerance times the longest possible path
                 assert np.linalg.norm(X[a] - X[b]) <= path.fuse_tolerance * (n - 1) + 1e-12
+
+
+def test_sweep_rescales_one_operator_to_the_bits_of_fresh_ones(monkeypatch):
+    # one operator per path, rescaled per strength: every solve sees the
+    # coefficients alpha * w of a fresh operator at its strength, and the
+    # path equals warm-started solves on fresh operators, bit for bit
+    rng = np.random.default_rng(9)
+    data = Dataset(np.vstack([rng.standard_normal((10, 2)) + shift for shift in (0.0, 5.0)]))
+    graph = build_knn_graph(data, k=4)
+    alphas = [0.1, 0.3, 1.7, 4.0]
+    config = SolverConfig(beta=0.5, p=2)
+    seen = []
+    solve = sco.clusterpath.solve_dual
+
+    def recording(problem, Q, cfg, **kwargs):
+        seen.append(Q)
+        return solve(problem, Q, cfg, **kwargs)
+
+    monkeypatch.setattr("sco.clusterpath.solve_dual", recording)
+    path = sweep(data, graph, alphas, config)
+    assert len(seen) == len(alphas)
+    previous = None
+    for alpha, Q, X in zip(alphas, seen, path.solutions):
+        fresh = EdgeIncidence(graph, alpha)
+        assert Q.alpha == alpha
+        assert same_bits(Q.coef, fresh.coef)
+        assert np.array_equal(Q.head, fresh.head) and np.array_equal(Q.tail, fresh.tail)
+        result = solve(ConvexClusteringProblem(data), fresh, replace(config, alpha=alpha),
+                       warm_start=previous)
+        previous = result.state
+        assert same_bits(result.x_star, X)

@@ -215,6 +215,25 @@ def test_flat_index_cache_with_alternating_feature_counts():
     assert sorted(Q._flat_cache) == [1, 3, 10]
 
 
+def test_with_coef_shares_the_edges_but_not_the_coefficients():
+    # a rescaled operator maps with its own coefficients, bit for bit, after
+    # either operator has filled the shared scatter-index cache
+    rng = np.random.default_rng(13)
+    Q = EdgeIncidence(scatter_instance(rng, 9, 14), 0.8)
+    lam = wide_block(rng, Q.row_count, 3)
+    X = wide_block(rng, 9, 3)
+    Q.apply_t(lam)
+    R = Q.with_coef(rng.uniform(0.1, 5.0, Q.row_count))
+    assert R.alpha == Q.alpha and R.head is Q.head and R.tail is Q.tail
+    assert R._flat_cache is Q._flat_cache
+    for op in (R, Q):
+        assert same_bits(op.apply_t(lam), per_column_apply_t(op, lam))
+        assert same_bits(op.apply(X), fancy_index_apply(op, X))
+    assert Q.with_coef(Q.coef, 2.5).alpha == 2.5
+    with pytest.raises(ParameterError):
+        Q.with_coef(Q.coef, np.inf)
+
+
 def test_maps_without_edges():
     Q = EdgeIncidence(VariableGraph(4, ()), 1.0)
     for d in (1, 3):
