@@ -51,7 +51,8 @@ the ``parallel`` update is the same loop under another name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -203,18 +204,24 @@ def _fixed_term(problem: Problem, state: DualState, config: SolverConfig) -> np.
 def _scaled_gradient(problem: Problem, Q: EdgeIncidence, P: EdgeIncidence, lam: np.ndarray,
                      fixed_term: np.ndarray, rho: float) -> np.ndarray:
     # diag(1/L) times the dual-row gradient, with P = diag(1/L) Q: one
-    # transpose map through Q and one forward map through P.
+    # transpose map through Q and one forward map through P, both fresh.
+    # The inner argument (fixed + curvature) + rho V is summed in place; V
+    # is scaled only after the curvature, which may return V itself, has
+    # been added into a new array.
     V = Q.apply_t(lam)
-    return P.apply(fixed_term + problem.conjugate_curvature(V) + rho * V)
+    Z = fixed_term + problem.conjugate_curvature(V)
+    np.multiply(rho, V, out=V)
+    Z += V
+    return P.apply(Z)
 
 
 def _weighted_norm(lipschitz_flat: np.ndarray, r: np.ndarray) -> float:
-    # ||diag(L) r||_F for an m-by-d temporary r, with lipschitz_flat =
-    # np.repeat(L, d): the raveled rows are scaled in place, one flat pass
-    # instead of a broadcast over rows of d entries.
+    # ||diag(L) r||_F for a C-contiguous m-by-d temporary r, with
+    # lipschitz_flat = np.repeat(L, d): the raveled rows are scaled in
+    # place, one flat pass instead of a broadcast over rows of d entries.
     z = r.ravel()
     z *= lipschitz_flat
-    return float(np.sqrt(np.dot(z, z)))
+    return math.sqrt(np.dot(z, z))
 
 
 def _row_lipschitz(problem: Problem, Q: EdgeIncidence, config: SolverConfig,
@@ -255,8 +262,9 @@ def _gradient_mapping_norm(problem: Problem, Q: EdgeIncidence, state: DualState,
     P = Q.with_coef(Q.coef / lipschitz)
     step = _scaled_gradient(problem, Q, P, state.lam, _fixed_term(problem, state, config),
                             config.rho)
+    np.subtract(state.lam, step, out=step)
     return _weighted_norm(np.repeat(lipschitz, state.lam.shape[1]),
-                          state.lam - project_rows(state.lam - step, config.q))
+                          state.lam - project_rows(step, config.q))
 
 
 def lambda_step(problem: Problem, Q: EdgeIncidence, state: DualState, config: SolverConfig,
@@ -278,6 +286,16 @@ def lambda_step(problem: Problem, Q: EdgeIncidence, state: DualState, config: So
     built once per call, so scaling the gradient costs no pass over the
     m-by-d rows. A nonpositive constant returns the projected rows
     unchanged.
+
+    One iteration makes no m-by-d block beyond those ``apply_t``,
+    ``apply`` and ``project_rows`` return. The step y - G is written over
+    the scaled gradient G that ``apply`` returned, the stop residual
+    y - lam+ over the step once it is projected, and the momentum point
+    lam+ + ((t_k - 1)/t_{k+1}) (lam+ - lam) over the spent residual,
+    which becomes the next y while the old y is released. Every pass
+    computes the products and sums of those expressions, operands in the
+    same order, so the bits are theirs. The returned rows are a fresh array;
+    ``state.lam``, ``state.u`` and ``state.mu`` are only read.
 
     Stops when the L-weighted gradient-mapping norm
     ``||diag(L) (y - lam+)||_F`` falls to ``tol`` or after
@@ -303,13 +321,18 @@ def lambda_step(problem: Problem, Q: EdgeIncidence, state: DualState, config: So
     y = lam
     t_k = 1.0
     for performed in range(1, config.inner_max_iters + 1):
-        lam_next = project_rows(y - _scaled_gradient(problem, Q, P, y, fixed, config.rho), q)
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k))
-        y_next = lam_next + ((t_k - 1.0) / t_next) * (lam_next - lam)
-        stop = _weighted_norm(lipschitz_flat, y - lam_next) <= tol
-        y, lam, t_k = y_next, lam_next, t_next
-        if stop:
+        G = _scaled_gradient(problem, Q, P, y, fixed, config.rho)
+        np.subtract(y, G, out=G)
+        lam_next = project_rows(G, q)
+        np.subtract(y, lam_next, out=G)
+        if _weighted_norm(lipschitz_flat, G) <= tol:
+            lam = lam_next
             break
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_k * t_k))
+        np.subtract(lam_next, lam, out=G)
+        np.multiply((t_k - 1.0) / t_next, G, out=G)
+        np.add(lam_next, G, out=G)
+        y, lam, t_k = G, lam_next, t_next
     state.inner += performed
     return lam
 
@@ -326,8 +349,9 @@ def parallel_lambda_step(problem: Problem, Q: EdgeIncidence, state: DualState,
     :func:`lambda_step` and returns the same bits. Raises ParameterError
     unless q = inf.
     """
-    return lambda_step(problem, Q, state, replace(config, parallel=True),
-                       lipschitz=lipschitz, rng=rng, tol=tol)
+    if config.q != np.inf:
+        raise ParameterError("parallel dual updates need box constraints (p = 1, q = inf)")
+    return lambda_step(problem, Q, state, config, lipschitz=lipschitz, rng=rng, tol=tol)
 
 
 def u_step(state: DualState, Q: EdgeIncidence, config: SolverConfig,

@@ -33,21 +33,27 @@ def default_fuse_tolerance(values: np.ndarray) -> float:
     return 1e-3 * spread
 
 
-def extract_clusters(X: np.ndarray, graph: VariableGraph, eps_fuse: float) -> np.ndarray:
+def extract_clusters(X: np.ndarray, graph: VariableGraph, eps_fuse: float, *,
+                     ends: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Connected components of the subgraph of edges whose endpoint rows
     lie within ``eps_fuse`` of each other.
 
     Returns one label per vertex, the smallest member index of its
     component. The distance test runs on all edges at once; only the
-    fused edges enter the union-find.
+    fused edges enter the union-find. ``ends`` holds the edges' first and
+    second endpoints as index arrays in the graph's edge order (an
+    :class:`EdgeIncidence`'s ``head`` and ``tail``); when None they are
+    built from ``graph.edges``.
     """
     if not eps_fuse > 0:
         raise ParameterError(f"eps_fuse must be positive, got {eps_fuse}")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = graph.vertex_count
-    ends = np.array([e[:2] for e in graph.edges], dtype=np.intp).reshape(-1, 2)
-    diff = X[ends[:, 0]] - X[ends[:, 1]]
-    fused = ends[np.sqrt(np.einsum("ij,ij->i", diff, diff)) <= eps_fuse]
+    if ends is None:
+        ends = np.array([e[:2] for e in graph.edges], dtype=np.intp).reshape(-1, 2).T
+    head, tail = ends
+    diff = X[head] - X[tail]
+    close = np.sqrt(np.einsum("ij,ij->i", diff, diff)) <= eps_fuse
     # Each root is the smallest member of its set: a union hangs the larger
     # root under the smaller one.
     parent = list(range(n))
@@ -58,7 +64,7 @@ def extract_clusters(X: np.ndarray, graph: VariableGraph, eps_fuse: float) -> np
             v = parent[v]
         return v
 
-    for i, j in fused.tolist():
+    for i, j in zip(head[close].tolist(), tail[close].tolist()):
         ri, rj = find(i), find(j)
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)
@@ -103,7 +109,8 @@ def sweep(data: Dataset, graph: VariableGraph, alphas, config: SolverConfig,
 
     The incidence operator is built once, at unit strength, and each
     strength rescales its coefficients (alpha * w, the bits a fresh
-    operator at that strength has); solves are warm-started from the
+    operator at that strength has); its edge ends also serve the cluster
+    extraction at every strength. Solves are warm-started from the
     previous strength unless disabled. A solver failure truncates the
     path and records the failing position instead of raising.
     """
@@ -135,7 +142,8 @@ def sweep(data: Dataset, graph: VariableGraph, alphas, config: SolverConfig,
             break
         if warm_start:
             previous_state = result.state
-        labels = canonical_labels(extract_clusters(result.x_star, graph, eps_fuse))
+        labels = canonical_labels(extract_clusters(result.x_star, graph, eps_fuse,
+                                                   ends=(base.head, base.tail)))
         path.alphas.append(alpha)
         path.solutions.append(result.x_star)
         path.memberships.append(labels)

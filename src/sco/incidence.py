@@ -13,15 +13,21 @@ n*d vector by ``np.bincount``. Each bin accumulates its entries in
 increasing edge order, so the sums are the same, bit for bit, as a
 per-column accumulation, and they do not depend on any schedule.
 
+The forward map is flat too: the gathered head rows become the output
+block, the gathered tail rows are subtracted from it in place, and its
+raveled entries are scaled in place by the row coefficients repeated d
+times, the same products coef[k] * diff[k, c] a broadcast over rows
+computes, in one flat pass.
+
 The edge arrays are fixed at construction and every map here is pure.
 The only state that changes is in two caches, filled on first use: the
 flat scatter indices, one pair per feature count d, and the row
-coefficients repeated d times, which scale the raveled dual rows.
-Filling them is idempotent (a second thread that races the first stores
-equal arrays), so concurrent use is safe. :meth:`EdgeIncidence.with_coef`
-makes an operator on the same edges with other row coefficients; it
-shares the edge arrays and the scatter indices, not the repeated
-coefficients.
+coefficients repeated d times, which scale the raveled rows of both
+maps. Filling them is idempotent (a second thread that races the first
+stores equal arrays), so concurrent use is safe.
+:meth:`EdgeIncidence.with_coef` makes an operator on the same edges with
+other row coefficients; it shares the edge arrays and the scatter
+indices, not the repeated coefficients.
 """
 
 from __future__ import annotations
@@ -76,6 +82,14 @@ class EdgeIncidence:
             self._flat_cache[d] = index
         return index
 
+    def _repeated_coef(self, d: int) -> np.ndarray:
+        """The row coefficients repeated d times, ``np.repeat(coef, d)``:
+        entry k*d + c scales entry (k, c) of a raveled m-by-d block."""
+        coef = self._flat_coef.get(d)
+        if coef is None:
+            coef = self._flat_coef[d] = np.repeat(self.coef, d)
+        return coef
+
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Map an n-by-d matrix to the m-by-d matrix of scaled row differences.
 
@@ -88,7 +102,14 @@ class EdgeIncidence:
             raise DimensionError(f"expected {self.col_count} rows, got {X.shape[0]}")
         if self.row_count == 0:
             return np.zeros((0, X.shape[1]))
-        return self.coef[:, None] * (X.take(self.head, 0) - X.take(self.tail, 0))
+        diff = X.take(self.head, 0)
+        diff -= X.take(self.tail, 0)
+        # the products coef[k] * diff[k, c] of a broadcast multiply, in raveled
+        # order; the result is the raveled block, so a ravel that had to copy
+        # still carries the scaling
+        flat = diff.ravel()
+        np.multiply(self._repeated_coef(X.shape[1]), flat, out=flat)
+        return flat.reshape(diff.shape)
 
     def apply_t(self, lam: np.ndarray) -> np.ndarray:
         """Transpose map Q^T lam: m-by-d dual rows back to an n-by-d matrix.
@@ -107,11 +128,8 @@ class EdgeIncidence:
         if self.row_count == 0:
             return np.zeros((self.col_count, d))
         head, tail = self._flat_index(d)
-        coef = self._flat_coef.get(d)
-        if coef is None:
-            coef = self._flat_coef[d] = np.repeat(self.coef, d)
         # the products coef[k] * lam[k, c] of a broadcast multiply, in raveled order
-        scaled = lam.ravel() * coef
+        scaled = lam.ravel() * self._repeated_coef(d)
         size = self.col_count * d
         out = np.bincount(head, weights=scaled, minlength=size)
         out -= np.bincount(tail, weights=scaled, minlength=size)

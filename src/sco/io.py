@@ -33,8 +33,9 @@ def _finite_matrix(path: str, rows: list, linenos: list):
 
 def read_matrix_csv(path: str, with_targets: bool = False):
     """Read a numeric CSV: one row per instance, comma-separated,
-    decimal-dot floats only. Non-numeric or non-finite entries fail; the
-    error names the first faulty line, counting blank lines.
+    decimal-dot floats only, in ASCII and without digit-group
+    underscores. Non-numeric or non-finite entries fail; the error names
+    the first faulty line, counting blank lines.
 
     With ``with_targets`` the final column is split off as the target
     vector.
@@ -50,6 +51,10 @@ def read_matrix_csv(path: str, with_targets: bool = False):
                     continue
                 cells = line.split(",")
                 try:
+                    # float() also takes digit-group underscores and
+                    # non-ASCII digits; one test per line keeps them out
+                    if "_" in line or not line.isascii():
+                        raise ValueError(line)
                     rows.append([float(c) for c in cells])
                 except ValueError:
                     non_numeric = f"{path}:{lineno}: non-numeric cell in {cells!r}"

@@ -11,7 +11,7 @@ from .errors import ParameterError
 from .norms import as_norm
 
 
-def _project_l1_rows(V: np.ndarray, radius: float) -> np.ndarray:
+def _project_l1_rows(V: np.ndarray, radius: float, a: np.ndarray | None = None) -> np.ndarray:
     """Project every row of V, each with l1 norm over radius, onto the l1 ball.
 
     The sort-based method of Duchi et al. (2008) in one pass for all rows:
@@ -19,15 +19,21 @@ def _project_l1_rows(V: np.ndarray, radius: float) -> np.ndarray:
     shrink the row by the threshold at the last index where the sorted
     magnitude exceeds it. In floating point that test can fail at a tie and
     hold again after it, so the index is the last true one, not the count.
+
+    ``a`` is ``np.abs(V)`` when the caller has it already; it is
+    overwritten with the result.
     """
-    a = np.abs(V)
+    if a is None:
+        a = np.abs(V)
     u = np.sort(a, axis=1)[:, ::-1]
     css = np.cumsum(u, axis=1)
     ks = np.arange(1, V.shape[1] + 1)
     mask = u > (css - radius) / ks
     rho = V.shape[1] - 1 - np.argmax(mask[:, ::-1], axis=1)
     theta = (css[np.arange(V.shape[0]), rho] - radius) / (rho + 1.0)
-    return np.sign(V) * np.maximum(a - theta[:, None], 0.0)
+    a -= theta[:, None]
+    np.maximum(a, 0.0, out=a)
+    return np.multiply(np.sign(V), a, out=a)
 
 
 def project_l1_ball(v: np.ndarray, radius: float = 1.0) -> np.ndarray:
@@ -49,6 +55,7 @@ def project_rows(lam: np.ndarray, q) -> np.ndarray:
 
     Each q is one vectorised pass over the whole matrix; for q = 1 the pass
     covers only the rows whose l1 norm is over 1, and the others are copied.
+    The result is a fresh array; ``lam`` is never written.
     """
     q = as_norm(q)
     lam = np.asarray(lam, dtype=float)
@@ -58,15 +65,22 @@ def project_rows(lam: np.ndarray, q) -> np.ndarray:
         return lam.copy()
     if q == np.inf:
         # np.clip's bits (NaN and -0.0 kept) without its dispatch overhead
-        return np.minimum(np.maximum(lam, -1.0), 1.0)
+        out = np.maximum(lam, -1.0)
+        return np.minimum(out, 1.0, out=out)
     if q == 2.0:
-        nrm = np.sqrt((lam * lam).sum(axis=1))
-        scale = np.where(nrm > 1.0, 1.0 / np.maximum(nrm, 1e-300), 1.0)
+        # 1/max(nrm, 1) is 1/nrm over the ball and exactly 1 inside it; fmax
+        # also maps a NaN norm to 1, so a NaN row passes through unscaled
+        scale = np.sqrt((lam * lam).sum(axis=1))
+        np.fmax(scale, 1.0, out=scale)
+        np.divide(1.0, scale, out=scale)
         return lam * scale[:, None]
+    a = np.abs(lam)
+    # integer row indices: two takes and one scatter cost less than three
+    # boolean-mask passes
+    over = np.flatnonzero(a.sum(axis=1) > 1.0)
     out = lam.copy()
-    over = np.abs(lam).sum(axis=1) > 1.0
-    if over.any():
-        out[over] = _project_l1_rows(lam[over], 1.0)
+    if over.size:
+        out[over] = _project_l1_rows(lam.take(over, 0), 1.0, a.take(over, 0))
     return out
 
 

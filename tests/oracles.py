@@ -320,10 +320,23 @@ def add_at_norm_estimate(Q, iterations: int = 50, safety: float = 1.01,
     return float(np.linalg.norm(w)) * float(safety)
 
 
+def where_project_rows_l2(lam: np.ndarray) -> np.ndarray:
+    """``project_rows(lam, 2)`` written out: the row norms, a scale of
+    1/norm where the norm is over 1 and 1 elsewhere (a NaN norm included),
+    and one broadcast multiply."""
+    lam = np.atleast_2d(np.asarray(lam, dtype=float))
+    nrm = np.sqrt((lam * lam).sum(axis=1))
+    scale = np.where(nrm > 1.0, 1.0 / np.maximum(nrm, 1e-300), 1.0)
+    return lam * scale[:, None]
+
+
 def clip_project_rows(lam: np.ndarray, q) -> np.ndarray:
-    """``project_rows`` with the box (q = inf) case done by ``np.clip``."""
+    """``project_rows`` with the box (q = inf) case done by ``np.clip`` and
+    the l2 case (q = 2) by :func:`where_project_rows_l2`."""
     if float(q) == np.inf:
         return np.clip(np.atleast_2d(np.asarray(lam, dtype=float)), -1.0, 1.0)
+    if float(q) == 2.0:
+        return where_project_rows_l2(lam)
     return project_rows(lam, q)
 
 
@@ -437,6 +450,8 @@ def per_line_read_matrix_csv(path: str):
                 continue
             cells = line.split(",")
             try:
+                if "_" in line or not line.isascii():
+                    raise ValueError(line)
                 row = [float(c) for c in cells]
             except ValueError:
                 raise DataValidationError(

@@ -9,6 +9,7 @@ import dataclasses
 import time
 
 import numpy as np
+import pytest
 
 from sco import (ConvexClusteringProblem, Dataset, EdgeIncidence, RidgeProblem,
                  Snapshot, SolverConfig, VariableGraph, build_knn_graph,
@@ -59,6 +60,7 @@ def solved_instances():
     return _solved_cache["instances"]
 
 
+@pytest.mark.slow
 def test_criterion_1_oracle_equivalence():
     started = time.perf_counter()
     worst = 0.0
@@ -200,6 +202,7 @@ def _regression_bound_trial(trial: int):
     return t4.satisfied and l2.satisfied
 
 
+@pytest.mark.slow
 def test_criterion_6_bound_suites():
     cc_failures = sum(1 for trial in range(100) if not _clustering_bound_trial(trial))
     ridge_failures = sum(1 for trial in range(100) if not _regression_bound_trial(trial))

@@ -226,6 +226,7 @@ def test_strong_duality_small_instances():
             assert gap <= 1e-4 * (1.0 + abs(full_primal))
 
 
+@pytest.mark.slow
 def test_oracle_equivalence_long_subgradient_run():
     # million-iteration diminishing-step subgradient descent on the primal
     rng = np.random.default_rng(7)
@@ -325,6 +326,62 @@ def test_lambda_step_bit_identical_to_reference_kernels(task):
         state.mu = rng.standard_normal((n, d))
         assert same_bits(lambda_step(problem, Q, state, config),
                          reference_lambda_step(problem, Q, state, config))
+
+
+def ten_d_blobs(rng):
+    # 5 Gaussian blobs of 50 points in 10-d with centres 6 apart: n=250, d=10
+    centres = 6.0 * np.vstack([np.zeros(10), np.eye(10)[:4]])
+    return np.vstack([c + rng.standard_normal((50, 10)) for c in centres])
+
+
+@pytest.mark.parametrize("task", ["cc", "ridge"])
+def test_lambda_step_bit_identical_to_reference_kernels_on_blobs(task):
+    # the whole-block passes at the benchmark's size: about 1800 dual rows of
+    # 10 entries, each q, stopping at a sweep tolerance and at the cap
+    rng = np.random.default_rng(18)
+    values = ten_d_blobs(rng)
+    targets = rng.standard_normal(len(values)) if task == "ridge" else None
+    data = Dataset(values, targets)
+    Q = EdgeIncidence(build_knn_graph(data, k=10), 0.7)
+    problem = ConvexClusteringProblem(data) if task == "cc" else RidgeProblem(data, gamma=2.0)
+    n, d = values.shape
+    assert Q.row_count > 1500
+    for p, parallel, tol, cap in ((2, False, 1e-3, 200), (2, False, None, 15),
+                                  ("inf", False, 1e-3, 200), (1, True, 1e-3, 200)):
+        config = SolverConfig(alpha=0.7, beta=0.5, p=p, parallel=parallel,
+                              inner_max_iters=cap)
+        state = zero_state(Q.row_count, n, d)
+        state.lam = rng.standard_normal(state.lam.shape) * 0.6
+        state.u = rng.standard_normal((n, d))
+        state.mu = rng.standard_normal((n, d))
+        ours, theirs = state.copy(), state.copy()
+        assert same_bits(lambda_step(problem, Q, ours, config, tol=tol),
+                         reference_lambda_step(problem, Q, theirs, config, tol=tol)), p
+        assert ours.inner == theirs.inner
+        assert (ours.inner == cap) == (tol is None), (p, ours.inner)
+
+
+@pytest.mark.parametrize("p", [2, 1, "inf"])
+def test_lambda_step_returns_fresh_rows_and_only_reads_the_state(p):
+    rng = np.random.default_rng(19)
+    n, d = 12, 3
+    problem, graph, Q, config = random_clustering(rng, n, d, beta=0.5, k=3, p=p)
+    state = zero_state(Q.row_count, n, d)
+    # rows inside their ball, so the starting projection could return them as they are
+    state.lam = project_rows(rng.standard_normal(state.lam.shape) * 0.3, config.q)
+    state.u = rng.standard_normal((n, d))
+    state.mu = rng.standard_normal((n, d))
+    before = state.copy()
+    first = lambda_step(problem, Q, state, config)
+    first_bits = first.copy()
+    second = lambda_step(problem, Q, state, config)
+    for name in ("lam", "u", "mu"):
+        assert same_bits(getattr(state, name), getattr(before, name)), name
+        assert not np.shares_memory(first, getattr(state, name))
+        assert not np.shares_memory(second, getattr(state, name))
+    assert same_bits(first, first_bits) and same_bits(second, first_bits)
+    assert not np.shares_memory(first, second)
+    assert state.inner > 0
 
 
 def test_sweep_tolerance_matches_reference_and_stops_earlier():

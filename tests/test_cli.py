@@ -319,6 +319,24 @@ def test_nan_csv_rejected(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text, cells", [
+    ("1_5,2\n3,4\n5,6\n", ["1_5", "2"]),               # float() reads 1_5 as 15
+    ("\u0661\u0665,2\n3,4\n", ["\u0661\u0665", "2"]),   # Arabic-Indic 15
+    ("1,\uff12\n3,4\n", ["1", "\uff12"]),               # fullwidth 2
+])
+def test_csv_rejects_cells_float_would_coerce(tmp_path, capsys, text, cells):
+    path = tmp_path / "data.csv"
+    path.write_text(text, encoding="utf-8")
+    message = f"{path}:1: non-numeric cell in {cells!r}"
+    with pytest.raises(DataValidationError) as caught:
+        read_matrix_csv(str(path))
+    assert str(caught.value) == message
+    code = main(["graph", "--input", str(path), "--k", "1", "--out", str(tmp_path / "g.json")])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err.strip()) == {
+        "error": message, "kind": "DataValidationError"}
+
+
 @pytest.mark.parametrize("text", [
     "1,2\n\n1,inf\n3,x\n",          # non-finite line before a non-numeric one
     "1,2\n3,x\n\n1,nan\n",          # non-numeric line before a non-finite one
@@ -328,12 +346,14 @@ def test_nan_csv_rejected(tmp_path, capsys):
     "nan\n1,2\n",                    # non-finite first line, ragged after it
     "\n\n  \n",                      # blank lines only
     "1,2\n\n3,4\n",                  # clean
+    "1,2\n3_0,4\n1,nan\n",           # digit-group underscore before a non-finite line
+    "1,2\n\u0663,4\n",               # non-ASCII digit
 ])
 def test_csv_faults_report_the_first_faulty_line(tmp_path, capsys, text):
     # one finiteness check per file reports the fault, message and line
     # (blank lines counted) that checking each line as it is read does
     path = tmp_path / "data.csv"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     try:
         expected = per_line_read_matrix_csv(str(path))
     except DataValidationError as exc:

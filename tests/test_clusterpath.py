@@ -56,6 +56,21 @@ def test_extract_matches_per_edge_oracle():
                                       per_edge_extract_clusters(X, graph, eps))
 
 
+def test_sweep_labels_and_operator_ends_match_per_edge_oracle():
+    # the sweep hands its operator's edge ends to the extraction; the
+    # labels are those of the per-edge oracle on the graph's edge tuples
+    rng = np.random.default_rng(9)
+    data = Dataset(np.vstack([rng.standard_normal((12, 2)) + shift for shift in (0.0, 6.0)]))
+    graph = build_knn_graph(data, k=4)
+    path = sweep(data, graph, [0.1, 1.0, 4.0], SolverConfig(beta=0.0, p=2))
+    Q = EdgeIncidence(graph, 1.0)
+    for X, labels in zip(path.solutions, path.memberships):
+        expected = per_edge_extract_clusters(X, graph, path.fuse_tolerance)
+        np.testing.assert_array_equal(labels, canonical_labels(expected))
+        np.testing.assert_array_equal(
+            extract_clusters(X, graph, path.fuse_tolerance, ends=(Q.head, Q.tail)), expected)
+
+
 def test_extract_requires_positive_tolerance():
     with pytest.raises(ParameterError):
         extract_clusters(np.zeros((2, 1)), chain_graph(2), eps_fuse=0.0)

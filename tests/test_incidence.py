@@ -234,6 +234,40 @@ def test_with_coef_shares_the_edges_but_not_the_coefficients():
         Q.with_coef(Q.coef, np.inf)
 
 
+def test_maps_bit_identical_on_fortran_ordered_and_sliced_inputs():
+    # the forward map scales its gathered rows in place through a ravel; a
+    # ravel that copied would lose the scaling on any of these layouts
+    rng = np.random.default_rng(15)
+    Q = EdgeIncidence(scatter_instance(rng, 12, 30), 1.7)
+    X = wide_block(rng, 24, 14)
+    lam = wide_block(rng, 2 * Q.row_count, 14)
+    blocks = [(np.asfortranarray(X[:12, :5]), np.asfortranarray(lam[:Q.row_count, :5])),
+              (X[::2, 1:6], lam[::2, 1:6]),
+              (X[:12, ::3], lam[:Q.row_count, ::3]),
+              (X[12:, :][::-1, ::-1][:, :4], lam[1::2, 10:])]
+    for Xb, lamb in blocks:
+        assert not Xb.flags.c_contiguous and not lamb.flags.c_contiguous
+        assert same_bits(Q.apply(Xb), fancy_index_apply(Q, Xb))
+        assert same_bits(Q.apply(Xb), Q.apply(np.ascontiguousarray(Xb)))
+        assert same_bits(Q.apply_t(lamb), per_column_apply_t(Q, lamb))
+        assert same_bits(Q.apply_t(lamb), Q.apply_t(np.ascontiguousarray(lamb)))
+
+
+def test_maps_return_fresh_arrays_and_leave_their_input():
+    rng = np.random.default_rng(16)
+    Q = EdgeIncidence(scatter_instance(rng, 10, 20), 0.9)
+    X, lam = wide_block(rng, 10, 4), wide_block(rng, Q.row_count, 4)
+    X_before, lam_before = X.copy(), lam.copy()
+    for apply, block, before in ((Q.apply, X, X_before), (Q.apply_t, lam, lam_before)):
+        first = apply(block)
+        first_bits = first.copy()
+        second = apply(block)
+        assert same_bits(block, before)
+        assert same_bits(first, first_bits) and same_bits(second, first_bits)
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, block) and not np.shares_memory(second, block)
+
+
 def test_maps_without_edges():
     Q = EdgeIncidence(VariableGraph(4, ()), 1.0)
     for d in (1, 3):

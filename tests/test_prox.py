@@ -4,7 +4,7 @@ import pytest
 from sco import ParameterError, project_l1_ball, project_rows, prox_norm
 
 from oracles import (clip_project_rows, l1_ball_sort_reference, per_row_l1_projection,
-                     project_ball, prox_argmin_oracle, same_bits)
+                     project_ball, prox_argmin_oracle, same_bits, where_project_rows_l2)
 
 
 def sample_feasible(rng, d, q):
@@ -122,6 +122,29 @@ def test_project_rows_box_bit_identical_to_clip():
     for lam in cases:
         assert same_bits(project_rows(lam, np.inf), clip_project_rows(lam, np.inf))
         assert same_bits(project_rows(lam.T, np.inf), clip_project_rows(lam.T, np.inf))
+
+
+def test_project_rows_l2_bit_identical_to_where_form():
+    rng = np.random.default_rng(22)
+    one_up = np.nextafter(1.0, 2.0)
+    special = np.array([[0.0, -0.0, 0.0], [np.nan, 0.5, -0.5], [np.inf, 1.0, 0.0],
+                        [-np.inf, np.nan, 0.0], [1.0, 0.0, -0.0], [one_up, 0.0, 0.0],
+                        [0.6, -0.8, 0.0], [5e-324, -5e-324, 0.0], [1e200, -1e200, 1.0],
+                        [1e-200, 3e-200, 0.0], [-0.0, -0.0, -0.0]])
+    cases = [special, special.T, np.zeros((0, 3)), np.zeros((3, 0))]
+    for _ in range(200):
+        m, d = int(rng.integers(1, 30)), int(rng.integers(1, 12))
+        block = rng.standard_normal((m, d)) * 10.0 ** rng.uniform(-2, 1, (m, 1))
+        picks = rng.random((m, d))
+        block[picks < 0.1] = -0.0
+        block[(picks >= 0.1) & (picks < 0.12)] = np.nan
+        cases.append(block)
+    for lam in cases:
+        before = lam.copy()
+        with np.errstate(over="ignore", invalid="ignore"):  # the 1e200 and inf rows
+            out, expected = project_rows(lam, 2), where_project_rows_l2(lam)
+        assert same_bits(out, expected)
+        assert same_bits(lam, before) and not np.shares_memory(out, lam)
 
 
 def test_l1_ball_matches_reference_at_any_radius():
