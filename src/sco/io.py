@@ -168,7 +168,9 @@ def read_snapshot_jsonl(path: str, with_targets: bool = False):
     """Snapshots from a JSONL file: one {"values": [[...]], "targets": [...]}
     object per line (targets optional). Values and targets must be JSON
     numbers in rectangular arrays; bools, strings and ragged rows raise
-    DataValidationError naming ``path:lineno`` instead of being coerced.
+    DataValidationError naming ``path:lineno`` instead of being coerced,
+    and so do NaN, Infinity and numbers beyond the float range, as in
+    :func:`read_matrix_csv`.
     Without ``with_targets`` the targets are checked but returned as None,
     as :func:`read_matrix_csv` does for CSV snapshots."""
     out = []
@@ -196,10 +198,16 @@ def read_snapshot_jsonl(path: str, with_targets: bool = False):
                     values = np.asarray(payload["values"], dtype=float)
                     if targets is not None:
                         targets = np.asarray(targets, dtype=float)
+                except OverflowError:  # a JSON integer beyond the float range
+                    raise DataValidationError(f"{path}:{lineno}: non-finite value") from None
                 except ValueError as exc:
                     raise DataValidationError(
                         f"{path}:{lineno}: values or targets are not a numeric array: "
                         f"{exc}") from None
+                # json also reads NaN, Infinity and overflowing numbers such as 1e999
+                if not (np.isfinite(values).all()
+                        and (targets is None or np.isfinite(targets).all())):
+                    raise DataValidationError(f"{path}:{lineno}: non-finite value")
                 out.append((values, targets if with_targets else None))
     except OSError as exc:
         raise ParameterError(f"cannot read {path}: {exc}") from exc

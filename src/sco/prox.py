@@ -1,36 +1,55 @@
 """Closed-form norm proximal maps and unit-ball projections.
 
-Everything here is stateless and elementwise-deterministic.
+Everything here is stateless and elementwise-deterministic. The dual rows
+are short (d entries) and many, so the row reductions avoid numpy's
+per-row reduction cost where that keeps every bit: row sums go through
+``norms._row_sums`` (column passes for rows of fewer than 8 entries), and
+the l1-ball threshold is read from the running sums in one gather.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import ParameterError
-from .norms import as_norm
+from .norms import _row_sums, as_norm
+
+
+@lru_cache(maxsize=64)
+def _ranks(d: int) -> np.ndarray:
+    """The read-only float ranks 1, 2, ..., d."""
+    ranks = np.arange(1.0, d + 1.0)
+    ranks.flags.writeable = False
+    return ranks
 
 
 def _project_l1_rows(V: np.ndarray, radius: float, a: np.ndarray | None = None) -> np.ndarray:
     """Project every row of V, each with l1 norm over radius, onto the l1 ball.
 
     The sort-based method of Duchi et al. (2008) in one pass for all rows:
-    sort each row's magnitudes in decreasing order, take running sums, and
-    shrink the row by the threshold at the last index where the sorted
-    magnitude exceeds it. In floating point that test can fail at a tie and
-    hold again after it, so the index is the last true one, not the count.
+    sort each row's magnitudes in decreasing order, turn their running sums
+    into the thresholds (sum - radius)/k in place, and shrink the row by the
+    threshold at the last index where the sorted magnitude exceeds it. In
+    floating point that test can fail at a tie and hold again after it, so
+    the index is the last true one, not the count. A row where it never
+    holds (an infinite magnitude, or one so large that subtracting the
+    radius rounds away) takes its last threshold.
 
     ``a`` is ``np.abs(V)`` when the caller has it already; it is
     overwritten with the result.
     """
     if a is None:
         a = np.abs(V)
+    m, d = V.shape
     u = np.sort(a, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1)
-    ks = np.arange(1, V.shape[1] + 1)
-    mask = u > (css - radius) / ks
-    rho = V.shape[1] - 1 - np.argmax(mask[:, ::-1], axis=1)
-    theta = (css[np.arange(V.shape[0]), rho] - radius) / (rho + 1.0)
+    thresholds = np.cumsum(u, axis=1)
+    thresholds -= radius
+    thresholds /= _ranks(d)
+    from_end = np.argmax((u > thresholds)[:, ::-1], axis=1)
+    # flat index of row k's last true column: k*d + (d - 1) - from_end[k]
+    theta = thresholds.take(np.arange(d - 1, m * d, d) - from_end)
     a -= theta[:, None]
     np.maximum(a, 0.0, out=a)
     return np.multiply(np.sign(V), a, out=a)
@@ -53,9 +72,13 @@ def project_l1_ball(v: np.ndarray, radius: float = 1.0) -> np.ndarray:
 def project_rows(lam: np.ndarray, q) -> np.ndarray:
     """Project every row of an m-by-d matrix onto the unit q-norm ball.
 
-    Each q is one vectorised pass over the whole matrix; for q = 1 the pass
-    covers only the rows whose l1 norm is over 1, and the others are copied.
-    The result is a fresh array; ``lam`` is never written.
+    q = inf clips every entry. q = 2 scales each row by 1/max(norm, 1), with
+    the squared norms summed by ``norms._row_sums``. q = 1 selects the rows
+    whose l1 norm (also by ``_row_sums``) is over 1, projects only those by
+    the sort-based method, and copies the others. The row sums have the bits
+    of ``sum(axis=1)`` on a numpy that sums short rows in the order
+    ``_row_sums`` repeats (see there). The result is a fresh array; ``lam``
+    is never written.
     """
     q = as_norm(q)
     lam = np.asarray(lam, dtype=float)
@@ -70,14 +93,14 @@ def project_rows(lam: np.ndarray, q) -> np.ndarray:
     if q == 2.0:
         # 1/max(nrm, 1) is 1/nrm over the ball and exactly 1 inside it; fmax
         # also maps a NaN norm to 1, so a NaN row passes through unscaled
-        scale = np.sqrt((lam * lam).sum(axis=1))
+        scale = np.sqrt(_row_sums(lam * lam))
         np.fmax(scale, 1.0, out=scale)
         np.divide(1.0, scale, out=scale)
         return lam * scale[:, None]
     a = np.abs(lam)
     # integer row indices: two takes and one scatter cost less than three
     # boolean-mask passes
-    over = np.flatnonzero(a.sum(axis=1) > 1.0)
+    over = np.flatnonzero(_row_sums(a) > 1.0)
     out = lam.copy()
     if over.size:
         out[over] = _project_l1_rows(lam.take(over, 0), 1.0, a.take(over, 0))

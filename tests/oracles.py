@@ -5,22 +5,24 @@ library: dense Kronecker products instead of edge lists, exact quadratic
 reconstruction from function values instead of conjugate formulas, long
 plain (sub)gradient runs instead of the accelerated solver, and 1-d
 golden-section searches instead of closed-form proximal maps. The
-batched l1-ball row projection is checked against one projection per
-row, the blocked kNN graph build against a dense n-by-n distance matrix
-and a sorted scan of each row, the vectorised cluster extraction
-against one norm per edge, and the closed-form ridge sandwich norm
-against the SVD of the dense matrix. The relative-error inner stopping
-rule is held to the Fenchel duality gap that the fixed rule reaches, and
-the over-relaxed outer loop to that of the unrelaxed one.
+batched l1-ball row projection is checked against the plain sort-based
+method on one row at a time, the blocked kNN graph build against a
+dense n-by-n distance matrix and a sorted scan of each row, the
+vectorised cluster extraction against one norm per edge, and the
+closed-form ridge sandwich norm against the SVD of the dense matrix.
+The relative-error inner stopping rule is held to the Fenchel duality
+gap that the fixed rule reaches, and the over-relaxed outer loop to that
+of the unrelaxed one.
 
 The inner dual-step kernels are pinned bit for bit to plainer versions of
 the same arithmetic: a per-column transposed incidence map, a
 fancy-indexed forward map, an unbuffered-add power iteration and vertex
-sums for the per-row step constants, ``np.clip`` for the box projection
-and the ridge curvature on column-stacked vectors. The outer sweep's
-over-relaxed u- and mu-updates are pinned the same way to their textbook
-form. The CSV reader's one finiteness check per file is held to a reader
-that checks each line as it goes.
+sums for the per-row step constants, ``np.clip`` for the box projection,
+``sum(axis=1)`` row norms for the l2 and l1 projections (the l1 one
+row by row) and the ridge curvature on column-stacked vectors. The outer
+sweep's over-relaxed u- and mu-updates are pinned the same way to their
+textbook form. The CSV reader's one finiteness check per file is held
+to a reader that checks each line as it goes.
 
 The library keeps every per-instance quantity as an n-by-d matrix. The
 dense oracles work on column-stacked vectors instead, through the
@@ -38,8 +40,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from sco import (ConvexClusteringProblem, DataValidationError, Dataset, ParameterError,
-                 RidgeProblem, VariableGraph, as_norm, project_l1_ball, project_rows,
-                 prox_norm, sum_norms, vec_norm)
+                 RidgeProblem, VariableGraph, as_norm, project_l1_ball, prox_norm,
+                 sum_norms, vec_norm)
 from sco.graph import DEFAULT_WEIGHT_CAP
 
 
@@ -257,19 +259,23 @@ def l1_ball_sort_reference(v: np.ndarray, radius: float) -> np.ndarray:
     u = np.sort(a)[::-1]
     css = np.cumsum(u)
     mask = u > (css - radius) / np.arange(1, v.size + 1)
-    rho = np.nonzero(mask)[0][-1]
+    # the test never holds when a magnitude is infinite (or so large that
+    # subtracting the radius rounds away): the whole row sets the threshold
+    hits = np.nonzero(mask)[0]
+    rho = hits[-1] if hits.size else v.size - 1
     theta = (css[rho] - radius) / (rho + 1.0)
     return np.sign(v) * np.maximum(a - theta, 0.0)
 
 
 def per_row_l1_projection(lam: np.ndarray, q=1.0) -> np.ndarray:
-    """``project_rows(lam, 1)`` one row at a time: ``project_l1_ball`` on each
-    row whose l1 norm is over 1. A drop-in for ``project_rows`` when q = 1."""
+    """``project_rows(lam, 1)`` one row at a time: :func:`l1_ball_sort_reference`
+    on each row whose l1 norm, summed by ``sum(axis=1)``, is over 1. A
+    drop-in for ``project_rows`` when q = 1."""
     assert float(q) == 1.0
     lam = np.atleast_2d(np.asarray(lam, dtype=float))
     out = lam.copy()
     for k in np.nonzero(np.abs(lam).sum(axis=1) > 1.0)[0]:
-        out[k] = project_l1_ball(lam[k], 1.0)
+        out[k] = l1_ball_sort_reference(lam[k], 1.0)
     return out
 
 
@@ -331,13 +337,14 @@ def where_project_rows_l2(lam: np.ndarray) -> np.ndarray:
 
 
 def clip_project_rows(lam: np.ndarray, q) -> np.ndarray:
-    """``project_rows`` with the box (q = inf) case done by ``np.clip`` and
-    the l2 case (q = 2) by :func:`where_project_rows_l2`."""
+    """``project_rows`` with the box (q = inf) case done by ``np.clip``, the
+    l2 case (q = 2) by :func:`where_project_rows_l2` and the l1 case (q = 1)
+    by :func:`per_row_l1_projection`."""
     if float(q) == np.inf:
         return np.clip(np.atleast_2d(np.asarray(lam, dtype=float)), -1.0, 1.0)
     if float(q) == 2.0:
         return where_project_rows_l2(lam)
-    return project_rows(lam, q)
+    return per_row_l1_projection(lam)
 
 
 def stacked_ridge_curvature(problem, V: np.ndarray) -> np.ndarray:

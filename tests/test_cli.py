@@ -118,7 +118,8 @@ def test_path_command_alpha_zero(random_csv, tmp_path):
 
 def test_pinf_outputs_match_per_row_projection(tmp_path, monkeypatch):
     # --p inf holds each dual row in the l1 ball; the batched projection must
-    # write the same bytes as one project_l1_ball call per over-budget row
+    # write the same bytes as the plain sort-based projection of each
+    # over-budget row
     rng = np.random.default_rng(3)
     data = tmp_path / "blobs.csv"
     write_matrix_csv(str(data), np.vstack([rng.standard_normal((6, 3)) + shift
@@ -533,6 +534,26 @@ def test_monitor_jsonl_bad_snapshot_exits_2(random_csv, tmp_path, capsys, bad_li
     assert err["kind"] == "DataValidationError"
     assert f"{stream}:2:" in err["error"]
 
+
+
+@pytest.mark.parametrize("bad_line", [
+    '{"values": [[0.0, 0.0], [1.0, NaN]]}',
+    '{"values": [[0.0, 0.0], [1.0, -Infinity]]}',
+    '{"values": [[0.0, 0.0], [1.0, 1e999]]}',
+    '{"values": [[0.0, 0.0], [1.0, 1%s]]}' % ("0" * 400),
+    '{"values": [[0.0, 0.0], [1.0, 2.0]], "targets": [0.0, Infinity]}',
+], ids=["nan", "-infinity", "float-overflow", "int-overflow", "infinite-target"])
+def test_monitor_jsonl_non_finite_snapshot_names_its_line(random_csv, tmp_path, capsys,
+                                                          bad_line):
+    # json reads these; the stream reader rejects them as read_matrix_csv does
+    values, _ = read_matrix_csv(random_csv)
+    stream = tmp_path / "stream.jsonl"
+    stream.write_text(json.dumps({"values": values.tolist()}) + "\n" + bad_line + "\n")
+    code = main(["monitor", "--input", random_csv, "--stream", str(stream), "--k", "2",
+                 "--no-bounds", "--out", str(tmp_path / "dec.jsonl")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": f"{stream}:2: non-finite value", "kind": "DataValidationError"}
 
 
 @pytest.mark.parametrize("with_targets", [True, False])

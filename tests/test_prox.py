@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sco import ParameterError, project_l1_ball, project_rows, prox_norm
+from sco.norms import _row_sums
 
 from oracles import (clip_project_rows, l1_ball_sort_reference, per_row_l1_projection,
                      project_ball, prox_argmin_oracle, same_bits, where_project_rows_l2)
@@ -90,19 +91,43 @@ def l1_cases():
     yield "broken-mask", np.array([[-0.2, 3.3, -3.3, -4.3, 0.6, 0.0, 0.0],
                                    [-4.8, -3.8, -2.2, -1.8, 3.8, 3.2, 1.8],
                                    [0.5, 0.25, 0.0, 0.0, 0.0, 0.0, 0.0]])
+    # magnitudes so large that subtracting the radius rounds away: the sorted
+    # test never holds, and the whole row sets the threshold
+    yield "huge", np.array([[1e20, 1.0, -1.0], [-3e17, 2.0, 0.5], [0.5, 0.25, 0.0]])
     yield "d1", rng.standard_normal((20, 1)) * 2.0
     yield "none-over", rng.uniform(-0.2, 0.2, size=(8, 4))
     yield "empty-rows", np.zeros((0, 3))
     yield "empty-cols", np.zeros((4, 0))
+    # 8 or more columns: numpy sums C-contiguous rows in 8 interleaved lanes
+    for d in (8, 9, 16, 17):
+        lam = rng.standard_normal((25, d)) * rng.uniform(0.05, 0.6, size=(25, 1))
+        yield f"wide-{d}", lam
+        yield f"wide-{d}-special", with_special_entries(rng, lam)
+    for d in (2, 3, 5, 7):
+        yield f"special-{d}", with_special_entries(rng, rng.standard_normal((40, d)))
+
+
+def with_special_entries(rng, lam):
+    """A copy of lam with about a fifth of its entries replaced by NaN, +-inf,
+    -0.0 or subnormals, and its first row all -0.0."""
+    lam = lam.copy()
+    picks = rng.random(lam.shape) < 0.2
+    lam[picks] = rng.choice([np.nan, np.inf, -np.inf, -0.0, 5e-324, -5e-324, 2.2e-310],
+                            size=int(picks.sum()))
+    lam[0] = -0.0
+    return lam
 
 
 def test_project_rows_l1_bit_identical_to_per_row():
     for name, lam in l1_cases():
-        batched = project_rows(lam, 1)
-        assert batched.shape == lam.shape, name
-        assert np.array_equal(batched, per_row_l1_projection(lam)), name
-        if lam.size:
-            assert np.abs(batched).sum(axis=1).max() <= 1.0 + 1e-12, name
+        with np.errstate(invalid="ignore"):  # inf - inf in the rows holding infinities
+            batched, expected = project_rows(lam, 1), per_row_l1_projection(lam)
+        assert same_bits(batched, expected), name
+        # a NaN row is copied, and a row with a magnitude of 2**53 or more
+        # (inf included) is left outside the ball (see "huge")
+        ordinary = (np.abs(lam) < 2.0 ** 53).all(axis=1)
+        if ordinary.any():
+            assert np.abs(batched[ordinary]).sum(axis=1).max() <= 1.0 + 1e-12, name
 
 
 def test_project_rows_box_bit_identical_to_clip():
@@ -153,8 +178,35 @@ def test_l1_ball_matches_reference_at_any_radius():
     vectors += [rng.standard_normal(int(rng.integers(1, 9))) * 3.0 for _ in range(100)]
     for t, v in enumerate(vectors):
         for radius in (0.3, 1.0, 2.5, 7.0):
-            assert np.array_equal(project_l1_ball(v, radius),
-                                  l1_ball_sort_reference(v, radius)), (t, radius)
+            with np.errstate(invalid="ignore"):  # inf - inf in the rows holding infinities
+                got, expected = project_l1_ball(v, radius), l1_ball_sort_reference(v, radius)
+            assert same_bits(got, expected), (t, radius)
+
+
+def row_sum_blocks(rng, d, rows=(0, 1, 7, 300)):
+    """m-by-d blocks for each m in rows, with NaN, +-inf, -0.0 and all -0.0
+    rows: in C order, in F order and as every other row of a C block."""
+    tall = rng.standard_normal((2 * max(rows), d)) * 10.0 ** rng.uniform(-3, 3, size=(1, d))
+    picks = rng.random(tall.shape)
+    tall[picks < 0.05] = np.nan
+    tall[(picks >= 0.05) & (picks < 0.08)] = np.inf
+    tall[(picks >= 0.08) & (picks < 0.11)] = -np.inf
+    tall[(picks >= 0.11) & (picks < 0.3)] = -0.0
+    tall[::5] = -0.0
+    for m in rows:
+        block = tall[:m].copy()
+        yield m, "C", block
+        yield m, "F", np.asfortranarray(block)
+        yield m, "row-sliced", tall[:2 * m:2]
+
+
+def test_row_sums_bit_identical_to_numpy():
+    # pins numpy's summation order: a numpy that changes it fails here
+    rng = np.random.default_rng(23)
+    with np.errstate(invalid="ignore"):  # inf + -inf
+        for d in range(141):
+            for m, layout, M in row_sum_blocks(rng, d):
+                assert same_bits(_row_sums(M), M.sum(axis=1)), (d, m, layout)
 
 
 def test_l1_ball_radius_scaling():
