@@ -204,7 +204,6 @@ def cmd_solve(args) -> int:
     result = solve_dual(problem, Q, config, rng=rng)
     payload = {
         "X": matrix_to_lists(result.x_star),
-        "lambda": matrix_to_lists(result.state.lam),
         "dual_objective": float(result.dual_objective),
         "primal_objective": float(result.primal_objective),
         "iters": int(result.iterations),

@@ -109,8 +109,8 @@ def matrix_to_lists(M: np.ndarray):
 
 
 def graph_to_dict(graph: VariableGraph) -> dict:
-    return {"n": graph.vertex_count,
-            "edges": [[int(i), int(j), float(w)] for i, j, w in graph.edges]}
+    # the edges are Python (int, int, float) tuples, which json writes as arrays
+    return {"n": graph.vertex_count, "edges": graph.edges}
 
 
 def graph_from_dict(payload: dict) -> VariableGraph:

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 
-SOLUTION_KEYS = {"X", "lambda", "dual_objective", "primal_objective", "iters", "converged"}
+SOLUTION_KEYS = {"X", "dual_objective", "primal_objective", "iters", "converged"}
 
 
 def write_matrix_csv(path: str, values, targets=None) -> None:

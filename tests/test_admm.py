@@ -743,3 +743,47 @@ def test_row_steps_cut_inner_work_and_keep_the_model(task, p, rho, monkeypatch):
     # the gaps are reported in CHANGES.md; both must keep their sign
     for result in (per_row, uniform):
         assert fenchel_gap(problem, Q, config, result) >= -1e-9 * abs(result.dual_objective)
+
+
+def mapped_solves(task, p, seed):
+    """Solve 40 blob points in 4-d and their image under a row permutation,
+    a signed feature permutation and, for cc, a translation, on the mapped
+    graph with its edges in a random order. Returns the base model mapped
+    forward, the model of the mapped problem and the base ||X - A||_F."""
+    n, d = 40, 4
+    rng = np.random.default_rng(seed)
+    values = 4.0 * rng.standard_normal((4, d))[np.arange(n) % 4] + rng.standard_normal((n, d))
+    targets = values @ rng.standard_normal(d) + 0.1 * rng.standard_normal(n)
+    rows, cols, signs = rng.permutation(n), rng.permutation(d), rng.choice([-1.0, 1.0], d)
+    shift = rng.uniform(-2.0, 2.0, d) if task == "cc" else np.zeros(d)
+
+    def forward(M):  # row i of the image is base row rows[i]
+        return M[rows][:, cols] * signs + shift
+
+    def problem(A, y):
+        data = Dataset(A, y)
+        return ConvexClusteringProblem(data) if task == "cc" else RidgeProblem(data, gamma=2.0)
+
+    graph = build_knn_graph(Dataset(values), k=5)
+    label = np.argsort(rows)  # base vertex -> its row in the image
+    edges = [(*sorted((int(label[i]), int(label[j]))), w) for i, j, w in graph.edges]
+    mapped = VariableGraph(n, tuple(edges[k] for k in rng.permutation(len(edges))))
+    config = SolverConfig(alpha=1.0, beta=0.5, p=p, s=1, eps_abs=1e-9, eps_rel=1e-7,
+                          outer_max_iters=5000)
+    base = solve_dual(problem(values, targets), EdgeIncidence(graph, 1.0), config)
+    image = solve_dual(problem(forward(values), targets[rows]), EdgeIncidence(mapped, 1.0),
+                       config)
+    assert base.converged and image.converged
+    return forward(base.x_star), image.x_star, np.linalg.norm(base.x_star - values)
+
+
+@pytest.mark.parametrize("p", [1, 2, "inf"])
+@pytest.mark.parametrize("task", ["cc", "ridge"])
+def test_solve_is_equivariant_under_the_data_symmetries(task, p):
+    # the problems are invariant under relabelling the instances and signed
+    # relabelling of the features (and, for cc, translation), so the model
+    # must map with the data. Over seeds 0-49 of this construction and all
+    # six settings the largest error was 6.0e-9 of ||X - A||_F and the
+    # median 5.6e-12, so the bound leaves a margin of 16x over the largest
+    expected, got, scale = mapped_solves(task, p, seed=0)
+    assert np.linalg.norm(got - expected) <= 1e-7 * scale

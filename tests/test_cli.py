@@ -5,9 +5,9 @@ import pytest
 
 import sco.evolution
 from sco import (DataValidationError, Dataset, EdgeIncidence, RidgeProblem, SolverConfig,
-                 build_knn_graph, solve_dual)
+                 build_knn_graph, make_problem, solve_dual)
 from sco.cli import main
-from sco.io import load_graph_json, read_matrix_csv
+from sco.io import canonical_json, load_graph_json, read_matrix_csv
 
 from helpers import load_solution_json, write_matrix_csv
 from oracles import (add_at_norm_estimate, clip_project_rows, fancy_index_apply,
@@ -46,6 +46,21 @@ def test_graph_command_matches_builder_example(three_points, tmp_path):
     assert graph.edge_count == 2
 
 
+def test_graph_file_bytes_match_the_list_form(tmp_path):
+    # the edge tuples go to the encoder as they are; the bytes must be those
+    # of the [int, int, float] lists the file was once built from
+    rng = np.random.default_rng(2)
+    data = tmp_path / "data.csv"
+    write_matrix_csv(str(data), rng.standard_normal((30, 3)))
+    out = tmp_path / "graph.json"
+    assert main(["graph", "--input", str(data), "--k", "4", "--out", str(out)]) == 0
+    values, _ = read_matrix_csv(str(data))
+    graph = build_knn_graph(Dataset(values), 4)
+    lists = [[int(i), int(j), float(w)] for i, j, w in graph.edges]
+    expected = {"n": 30, "edges": lists, "config": read_json(out)["config"]}
+    assert out.read_text(encoding="utf-8") == canonical_json(expected) + "\n"
+
+
 def test_solve_alpha_zero_returns_input(random_csv, tmp_path):
     out = tmp_path / "sol.json"
     code = main(["solve", "--input", random_csv, "--task", "cc", "--alpha", "0",
@@ -76,8 +91,43 @@ def test_solve_parallel_matches_serial(random_csv, tmp_path):
     assert main(base + ["--out", str(serial)]) == 0
     assert main(base + ["--parallel", "--out", str(parallel)]) == 0
     payloads = read_json(serial), read_json(parallel)
-    for key in ("X", "lambda", "iters", "inner_iters"):
+    for key in ("X", "dual_objective", "iters", "inner_iters"):
         assert payloads[0][key] == payloads[1][key], key
+
+
+@pytest.mark.parametrize("task, flags", [
+    ("cc", {"--p": "2", "--s": "1"}),
+    ("ridge", {"--p": "1", "--s": "inf", "--gamma": "2"}),
+])
+def test_solve_file_matches_a_library_solve(tmp_path, task, flags):
+    # the file holds the library's model, objectives and counts bit for bit
+    # (JSON round-trips floats exactly), and no dual rows
+    rng = np.random.default_rng(5)
+    data = tmp_path / "data.csv"
+    values = np.vstack([rng.standard_normal((6, 2)) + shift for shift in (0.0, 3.0)])
+    write_matrix_csv(str(data), values, targets=values @ [1.0, -1.0])
+    graph, out = tmp_path / "graph.json", tmp_path / "sol.json"
+    common = ["--input", str(data), "--targets", "--k", "3"]
+    assert main(["graph"] + common + ["--out", str(graph)]) == 0
+    argv = ["solve", "--task", task, "--graph", str(graph), "--alpha", "1.5", "--beta", "0.5",
+            "--seed", "4", "--out", str(out)] + common
+    assert main(argv + [a for pair in flags.items() for a in pair]) == 0
+    payload = read_json(out)
+    assert "lambda" not in payload
+    assert sorted(payload) == ["X", "config", "converged", "dual_objective", "inner_iters",
+                               "iters", "primal_objective", "stop_reason"]
+
+    values, targets = read_matrix_csv(str(data), with_targets=True)
+    problem = make_problem(task, Dataset(values, targets), gamma=float(flags.get("--gamma", 5.0)))
+    config = SolverConfig(alpha=1.5, beta=0.5, p=flags["--p"], s=flags["--s"])
+    result = solve_dual(problem, EdgeIncidence(load_graph_json(str(graph)), config.alpha),
+                        config, rng=np.random.default_rng(4))
+    assert same_bits(np.array(payload["X"]), result.x_star)
+    assert payload["dual_objective"] == result.dual_objective
+    assert payload["primal_objective"] == result.primal_objective
+    assert (payload["iters"], payload["inner_iters"]) == \
+        (result.iterations, result.inner_iterations)
+    assert (payload["converged"], payload["stop_reason"]) == (True, result.stop_reason)
 
 
 def test_solve_trace_output(random_csv, tmp_path):
