@@ -96,62 +96,72 @@ def _add_data_flags(sub):
     sub.add_argument("--graph", default=None, help="load a graph JSON instead of building one")
 
 
-def build_parser() -> _Parser:
+def build_parser(command: str | None = None) -> _Parser:
+    """The ``sco`` argument parser. Given one of the subcommand names as
+    ``command``, only that subcommand's arguments are added: it parses,
+    helps and fails on that subcommand's command lines as the full parser
+    does, at a fraction of the set-up cost."""
     parser = _Parser(prog="sco", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    g = subs.add_parser("graph", help="build the k-nearest-neighbour variable graph")
-    _add_data_flags(g)
-    g.add_argument("--out", required=True)
+    if command in (None, "graph"):
+        g = subs.add_parser("graph", help="build the k-nearest-neighbour variable graph")
+        _add_data_flags(g)
+        g.add_argument("--out", required=True)
 
-    s = subs.add_parser("solve", help="solve one dataset and write the solution")
-    _add_data_flags(s)
-    _add_solver_flags(s)
-    s.add_argument("--task", default="cc", choices=TASKS)
-    s.add_argument("--out", required=True)
-    s.add_argument("--trace-out", default=None, help="also write the residual trace CSV")
+    if command in (None, "solve"):
+        s = subs.add_parser("solve", help="solve one dataset and write the solution")
+        _add_data_flags(s)
+        _add_solver_flags(s)
+        s.add_argument("--task", default="cc", choices=TASKS)
+        s.add_argument("--out", required=True)
+        s.add_argument("--trace-out", default=None, help="also write the residual trace CSV")
 
-    p = subs.add_parser("path", help="sweep the coupling strength and emit the cluster path")
-    _add_data_flags(p)
-    _add_solver_flags(p)
-    p.add_argument("--alphas", required=True,
-                   help="comma-separated increasing strengths, e.g. 0,0.5,1")
-    p.add_argument("--fuse-tol", type=finite_float, default=None,
-                   help="fusion tolerance (default: 1e-3 of the widest feature range)")
-    p.add_argument("--no-warm-start", action="store_true")
-    p.add_argument("--out", required=True, help="per-vertex CSV output")
-    p.add_argument("--summary-out", default=None, help="JSON summary (default: <out>.summary.json)")
+    if command in (None, "path"):
+        p = subs.add_parser("path", help="sweep the coupling strength and emit the cluster path")
+        _add_data_flags(p)
+        _add_solver_flags(p)
+        p.add_argument("--alphas", required=True,
+                       help="comma-separated increasing strengths, e.g. 0,0.5,1")
+        p.add_argument("--fuse-tol", type=finite_float, default=None,
+                       help="fusion tolerance (default: 1e-3 of the widest feature range)")
+        p.add_argument("--no-warm-start", action="store_true")
+        p.add_argument("--out", required=True, help="per-vertex CSV output")
+        p.add_argument("--summary-out", default=None,
+                       help="JSON summary (default: <out>.summary.json)")
 
-    m = subs.add_parser("monitor", help="process an evolving snapshot stream")
-    _add_data_flags(m)
-    _add_solver_flags(m)
-    m.add_argument("--task", default="cc", choices=TASKS)
-    m.add_argument("--c", type=nonnegative_float, default=10.0, help="refresh threshold")
-    m.add_argument("--stream", default=None,
-                   help="directory of CSV snapshots (lexicographic) or a JSONL file")
-    m.add_argument("--synthetic", type=int, default=0,
-                   help="generate this many perturbed snapshots instead of reading a stream")
-    m.add_argument("--sigma", type=finite_float, default=0.1,
-                   help="noise scale for synthetic snapshots")
-    m.add_argument("--rebuild-graph", action="store_true",
-                   help="rebuild the graph when a snapshot is accepted")
-    m.add_argument("--no-bounds", action="store_true",
-                   help="skip the per-decision accuracy-bound reports")
-    m.add_argument("--out", required=True, help="decisions JSONL output")
-    m.add_argument("--bounds-out", default=None,
-                   help="bound reports JSONL (default: <out>.bounds.jsonl)")
-    m.add_argument("--metrics-out", default=None,
-                   help="also write run-dependent per-decision metrics (wall_ms) as JSONL")
+    if command in (None, "monitor"):
+        m = subs.add_parser("monitor", help="process an evolving snapshot stream")
+        _add_data_flags(m)
+        _add_solver_flags(m)
+        m.add_argument("--task", default="cc", choices=TASKS)
+        m.add_argument("--c", type=nonnegative_float, default=10.0, help="refresh threshold")
+        m.add_argument("--stream", default=None,
+                       help="directory of CSV snapshots (lexicographic) or a JSONL file")
+        m.add_argument("--synthetic", type=int, default=0,
+                       help="generate this many perturbed snapshots instead of reading a stream")
+        m.add_argument("--sigma", type=finite_float, default=0.1,
+                       help="noise scale for synthetic snapshots")
+        m.add_argument("--rebuild-graph", action="store_true",
+                       help="rebuild the graph when a snapshot is accepted")
+        m.add_argument("--no-bounds", action="store_true",
+                       help="skip the per-decision accuracy-bound reports")
+        m.add_argument("--out", required=True, help="decisions JSONL output")
+        m.add_argument("--bounds-out", default=None,
+                       help="bound reports JSONL (default: <out>.bounds.jsonl)")
+        m.add_argument("--metrics-out", default=None,
+                       help="also write run-dependent per-decision metrics (wall_ms) as JSONL")
 
-    b = subs.add_parser("bound", help="evaluate the accuracy bounds for one perturbation")
-    _add_data_flags(b)
-    _add_solver_flags(b)
-    b.add_argument("--task", default="cc", choices=TASKS)
-    b.add_argument("--c", type=nonnegative_float, default=10.0)
-    b.add_argument("--delta", default=None, help="perturbation CSV of the same shape")
-    b.add_argument("--sigma", type=finite_float, default=0.1,
-                   help="scale for a synthetic Gaussian perturbation when --delta is absent")
-    b.add_argument("--out", required=True)
+    if command in (None, "bound"):
+        b = subs.add_parser("bound", help="evaluate the accuracy bounds for one perturbation")
+        _add_data_flags(b)
+        _add_solver_flags(b)
+        b.add_argument("--task", default="cc", choices=TASKS)
+        b.add_argument("--c", type=nonnegative_float, default=10.0)
+        b.add_argument("--delta", default=None, help="perturbation CSV of the same shape")
+        b.add_argument("--sigma", type=finite_float, default=0.1,
+                       help="scale for a synthetic Gaussian perturbation when --delta is absent")
+        b.add_argument("--out", required=True)
     return parser
 
 
@@ -372,7 +382,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # any first word but a subcommand name gets the full parser and its messages
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)

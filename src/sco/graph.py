@@ -7,8 +7,9 @@ coincident points get a finite weight.
 
 The graph is built over blocks of rows, each compared with all n points
 through one matrix product, so the build needs O(block * n) memory and no
-n-by-n distance matrix. Weights come from the direct row differences of the
-kept pairs, not from the Gram identity used to select them.
+n-by-n distance matrix. Neighbours are ranked by |v_j|^2 - 2 v_i.v_j, the
+squared distance less the row's own |v_i|^2; weights come from the direct
+row differences of the kept pairs, not from that key.
 
 All functions here are pure and operate on immutable inputs, so they are
 safe to call concurrently.
@@ -91,12 +92,20 @@ def build_knn_graph(data: Dataset, k: int, weight_cap: float = DEFAULT_WEIGHT_CA
     min(1/dist, weight_cap), with dist taken from the direct difference
     ||v_i - v_j||; coincident points have dist exactly 0 and hit the cap.
 
-    The build runs over blocks of rows. For each block one matrix product
-    and the Gram identity give the squared distances to all n points, and
-    ``np.partition`` finds each row's k-th smallest; a row keeps every point
-    strictly closer than that and, of the points tied with it, the ones of
-    smallest index. A block holds about ``_BLOCK_ENTRIES`` squared
-    distances, so the working memory is O(block * n), not n-by-n.
+    The build runs over blocks of rows. Row i ranks every point j by the
+    key |v_j|^2 - 2 v_i.v_j, which is ||v_i - v_j||^2 less |v_i|^2, a
+    constant along the row: one matrix product of the block's rows scaled
+    by -2, plus the squared norms, computed once. The key is not clamped
+    at 0; it may be negative. ``np.partition`` finds each row's k-th
+    smallest key; a row keeps every point with a smaller key and, of the
+    points whose computed key ties with it, the ones of smallest index, so
+    ties at the rounding level are decided on the key, not on a distance.
+    A block holds about ``_BLOCK_ENTRIES`` keys, so the working memory is
+    O(block * n), not n-by-n.
+
+    One check before the loop raises DataValidationError when 4 max|v|^2,
+    the bound on every squared distance, overflows; below it every key and
+    every direct distance is finite.
 
     Parameters
     ----------
@@ -123,24 +132,26 @@ def build_knn_graph(data: Dataset, k: int, weight_cap: float = DEFAULT_WEIGHT_CA
 
     values = data.values
     sq = np.einsum("ij,ij->i", values, values)
+    # a ranking key is at most 3 max|v|^2 and a squared distance 4 max|v|^2;
+    # a bound of 2 max|v|^2 alone would let an overflowed key tie with the
+    # masked-out self entry, or a weight come out as 1/inf = 0
+    if not sq.max() <= np.finfo(float).max / 4:
+        raise DataValidationError("data magnitudes overflow the distance computation")
     rows = max(1, _BLOCK_ENTRIES // n)
     keys = []
     for start in range(0, n, rows):
         stop = min(start + rows, n)
-        # squared distances by the Gram identity, |v_i|^2 + |v_j|^2 - 2 v_i.v_j
-        d2 = np.add.outer(sq[start:stop], sq)
-        d2 -= (2.0 * values[start:stop]) @ values.T
-        np.maximum(d2, 0.0, out=d2)
-        if not np.isfinite(d2.max()):
-            raise DataValidationError("data magnitudes overflow the distance computation")
+        # ranking keys |v_j|^2 - 2 v_i.v_j; scaling by -2 is exact
+        rank = (-2.0 * values[start:stop]) @ values.T
+        rank += sq
         local = np.arange(stop - start)
-        d2[local, start + local] = np.inf  # a point is not its own neighbour
-        kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
-        keep = d2 <= kth
-        # rows with ties at the k-th distance keep the smallest tied indices
+        rank[local, start + local] = np.inf  # a point is not its own neighbour
+        kth = np.partition(rank, k - 1, axis=1)[:, k - 1:k]
+        keep = rank <= kth
+        # rows with ties at the k-th key keep the smallest tied indices
         over = np.flatnonzero(np.count_nonzero(keep, axis=1) > k)
         if over.size:
-            closer = d2[over] < kth[over]
+            closer = rank[over] < kth[over]
             tied = keep[over] & ~closer
             room = k - np.count_nonzero(closer, axis=1, keepdims=True)
             keep[over] = closer | (tied & (np.cumsum(tied, axis=1) <= room))

@@ -44,7 +44,8 @@ def read_matrix_csv(path: str, with_targets: bool = False):
     """
     rows, linenos, non_numeric = [], [], None
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        # a byte that is not UTF-8 reads as U+FFFD, a non-numeric cell
+        with open(path, "r", encoding="utf-8", errors="replace") as handle:
             for lineno, line in enumerate(handle, start=1):
                 line = line.strip()
                 if not line:
@@ -80,7 +81,10 @@ def read_matrix_csv(path: str, with_targets: bool = False):
 
 def canonical_json(obj) -> str:
     """Deterministic JSON serialisation (sorted keys, fixed separators)."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    # every payload is a tree built fresh by its command, so no container can
+    # hold itself; the cycle check only cost time, and the bytes are the same
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False,
+                      check_circular=False)
 
 
 def _write_text_atomic(path: str, text: str) -> None:

