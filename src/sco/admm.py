@@ -128,17 +128,16 @@ class SolverConfig:
 @dataclass
 class DualState:
     """Dual rows (m-by-d), consensus matrix u and multiplier mu (both
-    n-by-d), plus a sweep counter and the inner dual-row iterations summed
-    over those sweeps."""
+    n-by-d), plus the inner dual-row iterations summed over every sweep
+    that produced them, warm-started solves included."""
 
     lam: np.ndarray
     u: np.ndarray
     mu: np.ndarray
-    t: int = 0
     inner: int = 0
 
     def copy(self) -> "DualState":
-        return DualState(self.lam.copy(), self.u.copy(), self.mu.copy(), self.t, self.inner)
+        return DualState(self.lam.copy(), self.u.copy(), self.mu.copy(), self.inner)
 
 
 def zero_state(m: int, n: int, d: int) -> DualState:
@@ -196,34 +195,6 @@ def h_norm_step(u_prev: np.ndarray, u_next: np.ndarray,
     return float(rho * np.vdot(du, du) + np.vdot(dmu, dmu) / rho)
 
 
-def _fixed_term(problem: Problem, state: DualState, config: SolverConfig) -> np.ndarray:
-    # The part of the dual-row gradient's inner argument that a sweep holds fixed.
-    return problem.conjugate_linear_term() + state.mu - config.rho * state.u
-
-
-def _scaled_gradient(problem: Problem, Q: EdgeIncidence, P: EdgeIncidence, lam: np.ndarray,
-                     fixed_term: np.ndarray, rho: float) -> np.ndarray:
-    # diag(1/L) times the dual-row gradient, with P = diag(1/L) Q: one
-    # transpose map through Q and one forward map through P, both fresh.
-    # The inner argument (fixed + curvature) + rho V is summed in place; V
-    # is scaled only after the curvature, which may return V itself, has
-    # been added into a new array.
-    V = Q.apply_t(lam)
-    Z = fixed_term + problem.conjugate_curvature(V)
-    np.multiply(rho, V, out=V)
-    Z += V
-    return P.apply(Z)
-
-
-def _weighted_norm(lipschitz_flat: np.ndarray, r: np.ndarray) -> float:
-    # ||diag(L) r||_F for a C-contiguous m-by-d temporary r, with
-    # lipschitz_flat = np.repeat(L, d): the raveled rows are scaled in
-    # place, one flat pass instead of a broadcast over rows of d entries.
-    z = r.ravel()
-    z *= lipschitz_flat
-    return math.sqrt(np.dot(z, z))
-
-
 def _row_lipschitz(problem: Problem, Q: EdgeIncidence, config: SolverConfig,
                    rng: np.random.Generator | None = None) -> np.ndarray:
     """Per-row Lipschitz constants L of the dual-row gradient: diag(L)
@@ -254,38 +225,21 @@ def _row_lipschitz(problem: Problem, Q: EdgeIncidence, config: SolverConfig,
     return (sigma ** 2 * (problem.curvature_bound() + config.rho)) * J
 
 
-def _gradient_mapping_norm(problem: Problem, Q: EdgeIncidence, state: DualState,
-                           config: SolverConfig, lipschitz: np.ndarray) -> float:
-    """``||diag(L) (lam - project_rows(lam - diag(1/L) grad))||_F`` at the
-    state's dual rows, which must be feasible: what the first stop test
-    of :func:`lambda_step` measures when it starts from these rows."""
-    P = Q.with_coef(Q.coef / lipschitz)
-    step = _scaled_gradient(problem, Q, P, state.lam, _fixed_term(problem, state, config),
-                            config.rho)
-    np.subtract(state.lam, step, out=step)
-    return _weighted_norm(np.repeat(lipschitz, state.lam.shape[1]),
-                          state.lam - project_rows(step, config.q))
-
-
 def lambda_step(problem: Problem, Q: EdgeIncidence, state: DualState, config: SolverConfig,
-                lipschitz: float | np.ndarray | None = None,
-                rng: np.random.Generator | None = None,
-                tol: float | None = None) -> np.ndarray:
+                lipschitz: np.ndarray, tol: float | None = None) -> np.ndarray:
     """One dual-row update: accelerated projected gradient on the smooth
     subproblem (conjugate + multiplier coupling + quadratic penalty) over
     the per-row q-ball constraints, in the metric diag(L) of one Lipschitz
     constant per dual row.
 
-    ``lipschitz`` holds the constants L, one per row or one scalar for
-    all; by default they are the diagonally preconditioned ones of
-    :func:`_row_lipschitz` (Pock & Chambolle 2011, "Diagonal
-    preconditioning for first order primal-dual algorithms"). Row k steps
-    by 1/L_k. Each row's metric weight is a scalar and its constraint a
-    ball, so the diag(L)-projection is the plain row projection and the
-    method is exact. The steps are folded into the operator diag(1/L) Q,
-    built once per call, so scaling the gradient costs no pass over the
-    m-by-d rows. A nonpositive constant returns the projected rows
-    unchanged.
+    ``lipschitz`` holds the constants L, one positive entry per dual row:
+    the diagonally preconditioned ones of :func:`_row_lipschitz` (Pock &
+    Chambolle 2011, "Diagonal preconditioning for first order primal-dual
+    algorithms"). Row k steps by 1/L_k. Each row's metric weight is a
+    scalar and its constraint a ball, so the diag(L)-projection is the
+    plain row projection and the method is exact. The steps are folded
+    into the operator diag(1/L) Q, built once per call, so scaling the
+    gradient costs no pass over the m-by-d rows.
 
     One iteration makes no m-by-d block beyond those ``apply_t``,
     ``apply`` and ``project_rows`` return. The step y - G is written over
@@ -298,34 +252,47 @@ def lambda_step(problem: Problem, Q: EdgeIncidence, state: DualState, config: So
     ``state.lam``, ``state.u`` and ``state.mu`` are only read.
 
     Stops when the L-weighted gradient-mapping norm
-    ``||diag(L) (y - lam+)||_F`` falls to ``tol`` or after
-    ``inner_max_iters`` iterations; the returned rows are feasible.
-    ``tol`` defaults to ``config.inner_tol``; :func:`solve_dual` passes the
-    relative-error tolerance of the sweep, which is never below that floor.
+    ``||diag(L) (y - lam+)||_F`` falls to ``max(config.inner_tol, tol)`` or
+    after ``inner_max_iters`` iterations; the returned rows are feasible.
+    With ``tol=None`` the target is 1% (``_INNER_REL``) of that norm at the
+    first iteration, measured at the projected starting rows: the rule of
+    a solve's first sweep. ``tol=0.0`` runs to the ``inner_tol`` floor.
 
     Adds the number of iterations run to ``state.inner``.
     """
-    if tol is None:
-        tol = config.inner_tol
-    if lipschitz is None:
-        lipschitz = _row_lipschitz(problem, Q, config, rng)
-    lipschitz = np.broadcast_to(np.asarray(lipschitz, dtype=float), (Q.row_count,))
     q = config.q
-    if np.any(lipschitz <= 0):
-        return project_rows(state.lam, q)
-    fixed = _fixed_term(problem, state, config)
+    # the part of the gradient's inner argument that the sweep holds fixed
+    fixed = problem.conjugate_linear_term() + state.mu - config.rho * state.u
     P = Q.with_coef(Q.coef / lipschitz)
     lipschitz_flat = np.repeat(lipschitz, state.lam.shape[1])
+    target = None if tol is None else max(config.inner_tol, tol)
 
     lam = project_rows(state.lam, q)
     y = lam
     t_k = 1.0
     for performed in range(1, config.inner_max_iters + 1):
-        G = _scaled_gradient(problem, Q, P, y, fixed, config.rho)
+        # diag(1/L) times the gradient, with P = diag(1/L) Q: one transpose
+        # map through Q and one forward map through P, both fresh. The inner
+        # argument (fixed + curvature) + rho V is summed in place; V is
+        # scaled only after the curvature, which may return V itself, has
+        # been added into a new array.
+        V = Q.apply_t(y)
+        Z = fixed + problem.conjugate_curvature(V)
+        np.multiply(config.rho, V, out=V)
+        Z += V
+        G = P.apply(Z)
         np.subtract(y, G, out=G)
         lam_next = project_rows(G, q)
         np.subtract(y, lam_next, out=G)
-        if _weighted_norm(lipschitz_flat, G) <= tol:
+        # ||diag(L) (y - lam+)||_F: the C-contiguous residual's raveled rows
+        # are scaled in place by np.repeat(L, d), one flat pass instead of a
+        # broadcast over rows of d entries
+        z = G.ravel()
+        z *= lipschitz_flat
+        residual = math.sqrt(np.dot(z, z))
+        if target is None:
+            target = max(config.inner_tol, _INNER_REL * residual)
+        if residual <= target:
             lam = lam_next
             break
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_k * t_k))
@@ -338,42 +305,35 @@ def lambda_step(problem: Problem, Q: EdgeIncidence, state: DualState, config: So
 
 
 def parallel_lambda_step(problem: Problem, Q: EdgeIncidence, state: DualState,
-                         config: SolverConfig, lipschitz: float | None = None,
-                         rng: np.random.Generator | None = None,
+                         config: SolverConfig, lipschitz: np.ndarray,
                          tol: float | None = None) -> np.ndarray:
     """Dual-row update for box constraints, kept for compatibility.
 
     With q = inf the subproblem splits into one independent block per
     feature column, but all blocks share the row steps, the momentum
     sequence and the whole-block stopping test, so this is
-    :func:`lambda_step` and returns the same bits. Raises ParameterError
-    unless q = inf.
+    :func:`lambda_step`, with the same arguments, and returns the same
+    bits. Raises ParameterError unless q = inf.
     """
     if config.q != np.inf:
         raise ParameterError("parallel dual updates need box constraints (p = 1, q = inf)")
-    return lambda_step(problem, Q, state, config, lipschitz=lipschitz, rng=rng, tol=tol)
+    return lambda_step(problem, Q, state, config, lipschitz=lipschitz, tol=tol)
 
 
-def u_step(state: DualState, Q: EdgeIncidence, config: SolverConfig,
-           image: np.ndarray | None = None) -> np.ndarray:
+def u_step(state: DualState, config: SolverConfig, image: np.ndarray) -> np.ndarray:
     """Closed-form consensus update: norm prox at threshold beta/rho of
-    mu/rho plus the image Q^T lam of the fresh dual rows, or ``image`` when
-    given (:func:`solve_dual` passes the over-relaxed image). With
-    beta = 0 the prox is the identity."""
-    if image is None:
-        image = Q.apply_t(state.lam)
+    mu/rho plus ``image``, which stands for Q^T lam of the fresh dual rows
+    (:func:`solve_dual` passes the over-relaxed image). With beta = 0 the
+    prox is the identity."""
     omega = state.mu / config.rho + image
     if config.beta == 0.0:
         return omega
     return prox_norm(omega, config.beta / config.rho, config.s)
 
 
-def mu_step(state: DualState, Q: EdgeIncidence, config: SolverConfig,
-            image: np.ndarray | None = None) -> np.ndarray:
-    """Multiplier update: mu plus rho times the consensus residual
-    Q^T lam - u, with ``image`` in place of Q^T lam when given."""
-    if image is None:
-        image = Q.apply_t(state.lam)
+def mu_step(state: DualState, config: SolverConfig, image: np.ndarray) -> np.ndarray:
+    """Multiplier update: mu plus rho times the consensus residual, with
+    ``image`` standing for Q^T lam: mu + rho (image - u)."""
     return state.mu + config.rho * (image - state.u)
 
 
@@ -389,8 +349,9 @@ def solve_dual(problem: Problem, Q: EdgeIncidence, config: SolverConfig,
     Each sweep's dual-row solve runs to ``max(inner_tol, 0.01 * r)``,
     where r is ``max(primal_res, dual_res)`` of the sweep before or, for
     the first sweep, the L-weighted gradient-mapping norm at the starting
-    dual rows. The per-row Lipschitz constants L of the dual-row steps are
-    computed once per solve.
+    dual rows, which :func:`lambda_step` measures at its first iteration.
+    The per-row Lipschitz constants L of the dual-row steps are computed
+    once per solve.
     The u- and mu-steps both take the over-relaxed image
     ``r * Q^T lam + (1 - r) * u_prev`` with r = 1.4; the primal residual
     stays ``||Q^T lam - u||_F``, on the unrelaxed image.
@@ -418,7 +379,7 @@ def solve_dual(problem: Problem, Q: EdgeIncidence, config: SolverConfig,
     m = Q.row_count
 
     # No coupling: the regulariser vanishes and the loss minimiser is exact.
-    if m == 0 or Q.alpha == 0.0 or (m > 0 and float(np.abs(Q.coef).max()) == 0.0):
+    if m == 0 or Q.alpha == 0.0 or float(np.abs(Q.coef).max()) == 0.0:
         state = zero_state(m, n, d)
         x_star = problem.recover_primal(Q, state.lam)
         return SolveResult(
@@ -442,12 +403,10 @@ def solve_dual(problem: Problem, Q: EdgeIncidence, config: SolverConfig,
     trace = ConvergenceTrace()
     sqrt_nd = np.sqrt(n * d)
     converged = False
-    performed = 0
     inner_start = state.inner
-    sweep_tol = max(config.inner_tol,
-                    _INNER_REL * _gradient_mapping_norm(problem, Q, state, config, lipschitz))
+    sweep_tol = None  # the first sweep's target is relative to its own start
 
-    for _ in range(config.outer_max_iters):
+    for performed in range(1, config.outer_max_iters + 1):
         if config.parallel:
             state.lam = parallel_lambda_step(problem, Q, state, config, lipschitz=lipschitz,
                                              tol=sweep_tol)
@@ -457,17 +416,15 @@ def solve_dual(problem: Problem, Q: EdgeIncidence, config: SolverConfig,
         image = Q.apply_t(state.lam)
         u_prev, mu_prev = state.u, state.mu
         relaxed = _OVER_RELAX * image + (1.0 - _OVER_RELAX) * u_prev
-        state.u = u_step(state, Q, config, image=relaxed)
-        state.mu = mu_step(state, Q, config, image=relaxed)
-        state.t += 1
-        performed += 1
+        state.u = u_step(state, config, image=relaxed)
+        state.mu = mu_step(state, config, image=relaxed)
 
         primal_res = float(np.linalg.norm(image - state.u))
         dual_res = config.rho * float(np.linalg.norm(Q.apply(state.u - u_prev)))
         trace.append(primal_res, dual_res,
                      h_norm_step(u_prev, state.u, mu_prev, state.mu, config.rho))
         if not (np.isfinite(primal_res) and np.isfinite(dual_res)):
-            raise NumericFailure(f"non-finite residuals at iteration {state.t}")
+            raise NumericFailure(f"non-finite residuals at sweep {performed} of this solve")
 
         eps_pri = config.eps_abs * sqrt_nd + config.eps_rel * max(
             float(np.linalg.norm(image)), float(np.linalg.norm(state.u)))
@@ -476,7 +433,7 @@ def solve_dual(problem: Problem, Q: EdgeIncidence, config: SolverConfig,
         if primal_res <= eps_pri and dual_res <= eps_dua:
             converged = True
             break
-        sweep_tol = max(config.inner_tol, _INNER_REL * max(primal_res, dual_res))
+        sweep_tol = _INNER_REL * max(primal_res, dual_res)
 
     x_star = problem.recover_primal(Q, state.lam)
     if not np.all(np.isfinite(x_star)):

@@ -117,6 +117,8 @@ def sweep(data: Dataset, graph: VariableGraph, alphas, config: SolverConfig,
     alphas = [float(a) for a in alphas]
     if not alphas:
         raise ParameterError("need at least one strength value")
+    if not np.all(np.isfinite(alphas)):
+        raise ParameterError(f"strength values must be finite, got {alphas}")
     if any(a < 0 for a in alphas):
         raise ParameterError("strength values must be nonnegative")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):

@@ -33,9 +33,11 @@ def _project_l1_rows(V: np.ndarray, radius: float, a: np.ndarray | None = None) 
     into the thresholds (sum - radius)/k in place, and shrink the row by the
     threshold at the last index where the sorted magnitude exceeds it. In
     floating point that test can fail at a tie and hold again after it, so
-    the index is the last true one, not the count. A row where it never
-    holds (an infinite magnitude, or one so large that subtracting the
-    radius rounds away) takes its last threshold.
+    the index is the last true one, not the count. At the first index the
+    test holds in exact arithmetic (u_1 > u_1 - radius) but fails when the
+    largest magnitude is infinite or so large that subtracting the radius
+    rounds away; it is taken as true there, so such a finite row lands in
+    the ball (at zero, the radius lost to rounding).
 
     ``a`` is ``np.abs(V)`` when the caller has it already; it is
     overwritten with the result.
@@ -47,7 +49,9 @@ def _project_l1_rows(V: np.ndarray, radius: float, a: np.ndarray | None = None) 
     thresholds = np.cumsum(u, axis=1)
     thresholds -= radius
     thresholds /= _ranks(d)
-    from_end = np.argmax((u > thresholds)[:, ::-1], axis=1)
+    holds = u > thresholds
+    holds[:, 0] = True
+    from_end = np.argmax(holds[:, ::-1], axis=1)
     # flat index of row k's last true column: k*d + (d - 1) - from_end[k]
     theta = thresholds.take(np.arange(d - 1, m * d, d) - from_end)
     a -= theta[:, None]

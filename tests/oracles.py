@@ -30,7 +30,10 @@ dense oracles work on column-stacked vectors instead, through the
 the columns of M, so the lift of Q to stacked matrices is I_d (x) Q
 (``kron_lift``). The unit-ball projection ``project_ball`` and the
 conjugate gradient ``conjugate_gradient`` are kept here too; the library
-calls neither.
+calls neither. ``DataSymmetry`` draws a map of an instance that the
+problems are invariant under, for the equivariance tests, which check
+the library against itself on mapped data rather than against its
+history.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ import numpy as np
 from sco import (ConvexClusteringProblem, DataValidationError, Dataset, ParameterError,
                  RidgeProblem, VariableGraph, as_norm, project_l1_ball, prox_norm,
                  sum_norms, vec_norm)
+from sco.admm import _INNER_REL
 from sco.graph import DEFAULT_WEIGHT_CAP
 
 
@@ -259,10 +263,11 @@ def l1_ball_sort_reference(v: np.ndarray, radius: float) -> np.ndarray:
     u = np.sort(a)[::-1]
     css = np.cumsum(u)
     mask = u > (css - radius) / np.arange(1, v.size + 1)
-    # the test never holds when a magnitude is infinite (or so large that
-    # subtracting the radius rounds away): the whole row sets the threshold
-    hits = np.nonzero(mask)[0]
-    rho = hits[-1] if hits.size else v.size - 1
+    # the test holds at the first index in exact arithmetic; rounding loses
+    # it when a magnitude is infinite or so large that subtracting the
+    # radius rounds away
+    mask[0] = True
+    rho = np.nonzero(mask)[0][-1]
     theta = (css[rho] - radius) / (rho + 1.0)
     return np.sign(v) * np.maximum(a - theta, 0.0)
 
@@ -376,21 +381,14 @@ def reference_row_lipschitz(problem, Q, config,
     return (sigma ** 2 * (problem.curvature_bound() + config.rho)) * J
 
 
-def reference_lambda_step(problem, Q, state, config, lipschitz=None,
-                          rng: np.random.Generator | None = None,
+def reference_lambda_step(problem, Q, state, config, lipschitz,
                           tol: float | None = None) -> np.ndarray:
     """``lambda_step`` built from the reference kernels above: row k steps
     by 1/L_k through a fancy-indexed forward map with coefficients
     coef_k / L_k, and the stop test takes ``np.linalg.norm`` of
-    diag(L) (y - lam+)."""
-    if tol is None:
-        tol = config.inner_tol
+    diag(L) (y - lam+). It stops at ``max(config.inner_tol, tol)``; with
+    ``tol=None``, at ``_INNER_REL`` times the first iteration's norm."""
     q = config.q
-    if lipschitz is None:
-        lipschitz = reference_row_lipschitz(problem, Q, config, rng=rng)
-    lipschitz = np.broadcast_to(np.asarray(lipschitz, dtype=float), (Q.row_count,))
-    if np.any(lipschitz <= 0):
-        return clip_project_rows(state.lam, q)
     fixed = problem.conjugate_linear_term() + state.mu - config.rho * state.u
     step_coef = (Q.coef / lipschitz)[:, None]
     lam = clip_project_rows(state.lam, q)
@@ -402,7 +400,10 @@ def reference_lambda_step(problem, Q, state, config, lipschitz=None,
         lam_next = clip_project_rows(y - step_coef * (Z[Q.head] - Z[Q.tail]), q)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k))
         y_next = lam_next + ((t_k - 1.0) / t_next) * (lam_next - lam)
-        stop = float(np.linalg.norm(lipschitz[:, None] * (y - lam_next))) <= tol
+        residual = float(np.linalg.norm(lipschitz[:, None] * (y - lam_next)))
+        if tol is None:
+            tol = _INNER_REL * residual
+        stop = residual <= max(config.inner_tol, tol)
         y, lam, t_k = y_next, lam_next, t_next
         if stop:
             break
@@ -436,6 +437,29 @@ def fenchel_gap(problem, Q, config, result) -> float:
     dual = problem.conjugate_value_full(Q, lam) \
         + config.beta * vec_norm(Q.apply_t(lam), config.s)
     return primal + dual
+
+
+class DataSymmetry:
+    """A map of an n-by-d instance that both problems are invariant under,
+    and convex clustering also with a translation: row i of the image is
+    row ``rows[i]``, feature c is feature ``cols[c]`` times ``signs[c]``,
+    then ``shift`` is added (zero unless ``translate``). Drawn from ``rng``
+    in that order."""
+
+    def __init__(self, rng: np.random.Generator, n: int, d: int, translate: bool):
+        self.rows, self.cols = rng.permutation(n), rng.permutation(d)
+        self.signs = rng.choice([-1.0, 1.0], d)
+        self.shift = rng.uniform(-2.0, 2.0, d) if translate else np.zeros(d)
+
+    def forward(self, M: np.ndarray) -> np.ndarray:
+        return M[self.rows][:, self.cols] * self.signs + self.shift
+
+    def graph(self, graph: VariableGraph, rng: np.random.Generator) -> VariableGraph:
+        """The graph on the relabelled vertices, its edges in a random order."""
+        label = np.argsort(self.rows)  # base vertex -> its row in the image
+        edges = [(*sorted((int(label[i]), int(label[j]))), w) for i, j, w in graph.edges]
+        return VariableGraph(graph.vertex_count,
+                             tuple(edges[k] for k in rng.permutation(len(edges))))
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:

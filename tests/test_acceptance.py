@@ -150,7 +150,8 @@ def test_criterion_5_unit_threshold_closed_form():
         omega = state.mu / config.rho + Q.apply_t(state.lam)
         with np.errstate(divide="ignore"):
             plus = np.where(omega != 0.0, np.maximum(0.0, 1.0 - 1.0 / np.abs(omega)), 0.0)
-        worst = max(worst, np.abs(u_step(state, Q, config) - plus * omega).max())
+        worst = max(worst, np.abs(u_step(state, config, Q.apply_t(state.lam))
+                               - plus * omega).max())
     ok = worst <= 1e-12
     assert report(5, "consensus update reproduces the Hadamard closed form", ok,
                   f"max elementwise err {worst:.1e}")

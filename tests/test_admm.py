@@ -9,8 +9,8 @@ from sco import (ConvexClusteringProblem, Dataset, DimensionError, DualState,
                  build_knn_graph, project_rows, solve_dual, u_step, vec_norm, zero_state)
 
 import sco.admm
-from oracles import (clip_project_rows, clustering_subgradient_oracle,
-                     column_problem, dense_incidence, dual_subproblem_objective, fenchel_gap,
+from oracles import (DataSymmetry, clustering_subgradient_oracle, column_problem,
+                     dense_incidence, dual_subproblem_objective, fenchel_gap,
                      quadratic_from_values, reference_lambda_step, reference_relaxed_sweep,
                      reference_row_lipschitz, same_bits)
 
@@ -89,7 +89,9 @@ def test_lambda_step_fixed_point():
     Q = EdgeIncidence(VariableGraph(2, ((0, 1, 1.0),)), 1.0)
     config = SolverConfig(alpha=1.0, beta=0.0, p=2)
     state = zero_state(1, 2, 1)
-    np.testing.assert_array_equal(lambda_step(problem, Q, state, config), state.lam)
+    lipschitz = reference_row_lipschitz(problem, Q, config)
+    np.testing.assert_array_equal(lambda_step(problem, Q, state, config, lipschitz, tol=0.0),
+                                  state.lam)
 
 
 def test_lambda_step_matches_longrun_projected_gradient():
@@ -112,7 +114,8 @@ def test_lambda_step_matches_longrun_projected_gradient():
     lam = np.zeros(2)
     for _ in range(100_000):
         lam = np.clip(lam - step * (H @ lam + b), -1.0, 1.0)  # d=1: every q-ball is a box
-    ours = lambda_step(problem, Q, state, config)
+    ours = lambda_step(problem, Q, state, config, reference_row_lipschitz(problem, Q, config),
+                       tol=0.0)
     np.testing.assert_allclose(ours.ravel(), lam, atol=1e-4)
 
 
@@ -123,13 +126,13 @@ def test_u_step_identity_when_beta_zero():
     state.lam = project_rows(rng.standard_normal(state.lam.shape), config.q)
     state.mu = rng.standard_normal((4, 2))
     omega = state.mu / config.rho + Q.apply_t(state.lam)
-    np.testing.assert_array_equal(u_step(state, Q, config), omega)
+    np.testing.assert_array_equal(u_step(state, config, Q.apply_t(state.lam)), omega)
 
 
 def test_u_step_zero_input():
     problem, Q, config = two_point(1.0, beta=1.0)
     state = zero_state(1, 2, 1)
-    assert np.all(u_step(state, Q, config) == 0.0)
+    assert np.all(u_step(state, config, Q.apply_t(state.lam)) == 0.0)
 
 
 def test_u_step_reproduces_hadamard_form_at_unit_threshold():
@@ -142,7 +145,8 @@ def test_u_step_reproduces_hadamard_form_at_unit_threshold():
     omega = state.mu / config.rho + Q.apply_t(state.lam)
     with np.errstate(divide="ignore"):
         plus = np.where(omega != 0.0, np.maximum(0.0, 1.0 - 1.0 / np.abs(omega)), 0.0)
-    np.testing.assert_allclose(u_step(state, Q, config), plus * omega, atol=1e-12)
+    np.testing.assert_allclose(u_step(state, config, Q.apply_t(state.lam)), plus * omega,
+                               atol=1e-12)
 
 
 def test_mu_step_definition_and_consensus():
@@ -152,9 +156,9 @@ def test_mu_step_definition_and_consensus():
     state.lam = project_rows(rng.standard_normal(state.lam.shape), config.q)
     image = Q.apply_t(state.lam)
     state.u = image.copy()
-    np.testing.assert_array_equal(mu_step(state, Q, config), state.mu)  # exact consensus
+    np.testing.assert_array_equal(mu_step(state, config, image), state.mu)  # exact consensus
     state.u = image - 0.25
-    np.testing.assert_allclose(mu_step(state, Q, config), state.mu + 0.25, atol=1e-14)
+    np.testing.assert_allclose(mu_step(state, config, image), state.mu + 0.25, atol=1e-14)
 
 
 def test_mu_movement_bounded_by_primal_tolerance_after_convergence():
@@ -258,7 +262,8 @@ def test_parallel_requires_box_constraints():
     problem, graph, Q, config = random_clustering(rng, 4, 2, p=2)
     state = zero_state(Q.row_count, 4, 2)
     with pytest.raises(ParameterError):
-        parallel_lambda_step(problem, Q, state, config)
+        parallel_lambda_step(problem, Q, state, config,
+                             reference_row_lipschitz(problem, Q, config))
     with pytest.raises(ParameterError):
         SolverConfig(p=2, parallel=True)
 
@@ -282,8 +287,10 @@ def test_parallel_single_column_identical():
             state.u = rng.standard_normal((n, d))
             state.mu = rng.standard_normal((n, d))
             serial_state, parallel_state = state.copy(), state.copy()
-            serial = lambda_step(problem, Q, serial_state, config)
-            parallel = parallel_lambda_step(problem, Q, parallel_state, config)
+            lipschitz = reference_row_lipschitz(problem, Q, config)
+            serial = lambda_step(problem, Q, serial_state, config, lipschitz, tol=0.0)
+            parallel = parallel_lambda_step(problem, Q, parallel_state, config, lipschitz,
+                                            tol=0.0)
             assert same_bits(serial, parallel), (task, d)
             assert 0 < serial_state.inner == parallel_state.inner < 3000, (task, d)
 
@@ -307,7 +314,8 @@ def test_parallel_block_objectives_sum_to_full():
 
 @pytest.mark.parametrize("task", ["cc", "ridge"])
 def test_lambda_step_bit_identical_to_reference_kernels(task):
-    # serial steps at every p, and parallel steps at two tolerances
+    # serial steps at every p, and parallel steps at two tolerances, each
+    # run to the floor and at the relative first-sweep target
     rng = np.random.default_rng(14)
     n, d = 7, 3
     values = rng.standard_normal((n, d)) * np.array([0.05, 1.0, 4.0])
@@ -324,8 +332,13 @@ def test_lambda_step_bit_identical_to_reference_kernels(task):
         state.lam = rng.standard_normal(state.lam.shape) * 0.6
         state.u = rng.standard_normal((n, d))
         state.mu = rng.standard_normal((n, d))
-        assert same_bits(lambda_step(problem, Q, state, config),
-                         reference_lambda_step(problem, Q, state, config))
+        lipschitz = reference_row_lipschitz(problem, Q, config)
+        for tol in (0.0, None):
+            ours, theirs = state.copy(), state.copy()
+            assert same_bits(lambda_step(problem, Q, ours, config, lipschitz, tol=tol),
+                             reference_lambda_step(problem, Q, theirs, config, lipschitz,
+                                                   tol=tol)), (p, tol)
+            assert ours.inner == theirs.inner, (p, tol)
 
 
 def ten_d_blobs(rng):
@@ -346,7 +359,7 @@ def test_lambda_step_bit_identical_to_reference_kernels_on_blobs(task):
     problem = ConvexClusteringProblem(data) if task == "cc" else RidgeProblem(data, gamma=2.0)
     n, d = values.shape
     assert Q.row_count > 1500
-    for p, parallel, tol, cap in ((2, False, 1e-3, 200), (2, False, None, 15),
+    for p, parallel, tol, cap in ((2, False, 1e-3, 200), (2, False, 0.0, 15),
                                   ("inf", False, 1e-3, 200), (1, True, 1e-3, 200)):
         config = SolverConfig(alpha=0.7, beta=0.5, p=p, parallel=parallel,
                               inner_max_iters=cap)
@@ -355,10 +368,12 @@ def test_lambda_step_bit_identical_to_reference_kernels_on_blobs(task):
         state.u = rng.standard_normal((n, d))
         state.mu = rng.standard_normal((n, d))
         ours, theirs = state.copy(), state.copy()
-        assert same_bits(lambda_step(problem, Q, ours, config, tol=tol),
-                         reference_lambda_step(problem, Q, theirs, config, tol=tol)), p
+        lipschitz = reference_row_lipschitz(problem, Q, config)
+        assert same_bits(lambda_step(problem, Q, ours, config, lipschitz, tol=tol),
+                         reference_lambda_step(problem, Q, theirs, config, lipschitz,
+                                               tol=tol)), p
         assert ours.inner == theirs.inner
-        assert (ours.inner == cap) == (tol is None), (p, ours.inner)
+        assert (ours.inner == cap) == (tol == 0.0), (p, ours.inner)
 
 
 @pytest.mark.parametrize("p", [2, 1, "inf"])
@@ -372,9 +387,10 @@ def test_lambda_step_returns_fresh_rows_and_only_reads_the_state(p):
     state.u = rng.standard_normal((n, d))
     state.mu = rng.standard_normal((n, d))
     before = state.copy()
-    first = lambda_step(problem, Q, state, config)
+    lipschitz = reference_row_lipschitz(problem, Q, config)
+    first = lambda_step(problem, Q, state, config, lipschitz, tol=0.0)
     first_bits = first.copy()
-    second = lambda_step(problem, Q, state, config)
+    second = lambda_step(problem, Q, state, config, lipschitz, tol=0.0)
     for name in ("lam", "u", "mu"):
         assert same_bits(getattr(state, name), getattr(before, name)), name
         assert not np.shares_memory(first, getattr(state, name))
@@ -399,11 +415,13 @@ def test_sweep_tolerance_matches_reference_and_stops_earlier():
         state.lam = rng.standard_normal(state.lam.shape) * 0.6
         state.u = rng.standard_normal((n, d))
         state.mu = rng.standard_normal((n, d))
+        lipschitz = reference_row_lipschitz(problem, Q, config)
         runs = {}
-        for label, step, tol in (("floor", lambda_step, None), ("sweep", lambda_step, 1e-3),
+        for label, step, tol in (("floor", lambda_step, 0.0), ("sweep", lambda_step, 1e-3),
                                  ("reference", reference_lambda_step, 1e-3)):
             run_state = state.copy()
-            runs[label] = (step(problem, Q, run_state, config, tol=tol), run_state.inner)
+            runs[label] = (step(problem, Q, run_state, config, lipschitz, tol=tol),
+                           run_state.inner)
         assert same_bits(runs["sweep"][0], runs["reference"][0])
         assert runs["sweep"][1] == runs["reference"][1]
         assert 0 < runs["sweep"][1] < runs["floor"][1] < 3000
@@ -421,7 +439,7 @@ def test_relative_inner_tolerance_keeps_the_duality_gap(beta, p, monkeypatch):
     adaptive = solve_dual(problem, Q, config)
     floor_step = sco.admm.lambda_step
     monkeypatch.setattr("sco.admm.lambda_step",
-                        lambda *args, tol=None, **kwargs: floor_step(*args, **kwargs))
+                        lambda *args, tol=None, **kwargs: floor_step(*args, tol=0.0, **kwargs))
     fixed = solve_dual(problem, Q, config)
     assert adaptive.converged and fixed.converged
     gaps = [fenchel_gap(problem, Q, config, r) for r in (adaptive, fixed)]
@@ -447,12 +465,7 @@ def test_relaxed_sweeps_match_reference(task, p, s):
     config = SolverConfig(alpha=1.3, beta=0.5, p=p, s=s)
     lipschitz = reference_row_lipschitz(problem, Q, config)
     state = zero_state(Q.row_count, n, d)
-    V = Q.apply_t(state.lam)
-    grad = Q.apply(problem.conjugate_linear_term() + state.mu - config.rho * state.u
-                   + problem.conjugate_curvature(V) + config.rho * V)
-    start_gap = np.linalg.norm(lipschitz[:, None] * (
-        state.lam - clip_project_rows(state.lam - grad / lipschitz[:, None], config.q)))
-    tol = max(config.inner_tol, sco.admm._INNER_REL * start_gap)
+    tol = None  # the first sweep: relative to the gradient-mapping norm at the start
     for sweeps in (1, 2, 3):
         state.lam = reference_lambda_step(problem, Q, state, config, lipschitz=lipschitz,
                                           tol=tol)
@@ -466,7 +479,7 @@ def test_relaxed_sweeps_match_reference(task, p, s):
             assert same_bits(getattr(result.state, name), getattr(state, name)), (sweeps, name)
         primal = np.linalg.norm(image - state.u)
         dual = config.rho * np.linalg.norm(Q.apply(state.u - u_prev))
-        tol = max(config.inner_tol, sco.admm._INNER_REL * max(primal, dual))
+        tol = sco.admm._INNER_REL * max(primal, dual)
 
 
 @pytest.mark.parametrize("task, beta, p, rho, inner_ratio", [
@@ -534,7 +547,7 @@ def test_first_sweep_stops_at_a_relative_tolerance(p, monkeypatch):
 
         def step(problem, Q, state, config, tol=None, **kwargs):
             if label == "floor first" and not counts:
-                tol = None
+                tol = 0.0
             before = state.inner
             lam = floor_step(problem, Q, state, config, tol=tol, **kwargs)
             counts.append(state.inner - before)
@@ -545,6 +558,35 @@ def test_first_sweep_stops_at_a_relative_tolerance(p, monkeypatch):
         assert result.converged and result.inner_iterations == sum(counts)
     assert sweeps["relative"][0] < config.inner_max_iters
     assert sum(sweeps["relative"]) < sum(sweeps["floor first"])
+
+
+@pytest.mark.parametrize("task, p, rho", [("cc", 2, 1.0), ("ridge", 1, 0.1)])
+def test_solve_evaluates_one_gradient_per_inner_iteration(task, p, rho, monkeypatch):
+    # each conjugate_curvature call is one dual-row gradient, except the
+    # one in recover_primal and the one in conjugate_value: the first
+    # sweep's relative target is measured inside the loop, not by an extra
+    # gradient, for cold and warm starts alike
+    rng = np.random.default_rng(21)
+    values, targets = blob_regression(rng)
+    moved = values + 0.01 * rng.standard_normal(values.shape)
+    problem = ConvexClusteringProblem(Dataset(values)) if task == "cc" \
+        else RidgeProblem(Dataset(values, targets), gamma=5.0)
+    Q = EdgeIncidence(build_knn_graph(Dataset(values), k=5), 1.0)
+    config = SolverConfig(alpha=1.0, beta=0.5, p=p, s=1, rho=rho)
+    curvature = type(problem).conjugate_curvature
+    calls = []
+
+    def counting_curvature(self, V):
+        calls.append(V.shape)
+        return curvature(self, V)
+
+    monkeypatch.setattr(type(problem), "conjugate_curvature", counting_curvature)
+    cold = solve_dual(problem, Q, config)
+    cold_calls = len(calls)
+    warm = solve_dual(problem.with_values(moved), Q, config, warm_start=cold.state)
+    assert cold.converged and warm.converged and warm.inner_iterations > 0
+    assert cold_calls == cold.inner_iterations + 2
+    assert len(calls) - cold_calls == warm.inner_iterations + 2
 
 
 @pytest.mark.parametrize("task, p", [("cc", 2), ("cc", np.inf),
@@ -754,27 +796,21 @@ def mapped_solves(task, p, seed):
     rng = np.random.default_rng(seed)
     values = 4.0 * rng.standard_normal((4, d))[np.arange(n) % 4] + rng.standard_normal((n, d))
     targets = values @ rng.standard_normal(d) + 0.1 * rng.standard_normal(n)
-    rows, cols, signs = rng.permutation(n), rng.permutation(d), rng.choice([-1.0, 1.0], d)
-    shift = rng.uniform(-2.0, 2.0, d) if task == "cc" else np.zeros(d)
-
-    def forward(M):  # row i of the image is base row rows[i]
-        return M[rows][:, cols] * signs + shift
+    sym = DataSymmetry(rng, n, d, translate=task == "cc")
 
     def problem(A, y):
         data = Dataset(A, y)
         return ConvexClusteringProblem(data) if task == "cc" else RidgeProblem(data, gamma=2.0)
 
     graph = build_knn_graph(Dataset(values), k=5)
-    label = np.argsort(rows)  # base vertex -> its row in the image
-    edges = [(*sorted((int(label[i]), int(label[j]))), w) for i, j, w in graph.edges]
-    mapped = VariableGraph(n, tuple(edges[k] for k in rng.permutation(len(edges))))
+    mapped = sym.graph(graph, rng)
     config = SolverConfig(alpha=1.0, beta=0.5, p=p, s=1, eps_abs=1e-9, eps_rel=1e-7,
                           outer_max_iters=5000)
     base = solve_dual(problem(values, targets), EdgeIncidence(graph, 1.0), config)
-    image = solve_dual(problem(forward(values), targets[rows]), EdgeIncidence(mapped, 1.0),
-                       config)
+    image = solve_dual(problem(sym.forward(values), targets[sym.rows]),
+                       EdgeIncidence(mapped, 1.0), config)
     assert base.converged and image.converged
-    return forward(base.x_star), image.x_star, np.linalg.norm(base.x_star - values)
+    return sym.forward(base.x_star), image.x_star, np.linalg.norm(base.x_star - values)
 
 
 @pytest.mark.parametrize("p", [1, 2, "inf"])

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import sco
+import sco.cli
+import sco.clusterpath
 import sco.evolution
 from sco import (DataValidationError, Dataset, EdgeIncidence, ParameterError, RidgeProblem,
                  SolverConfig, build_knn_graph, make_problem, solve_dual)
@@ -14,7 +16,7 @@ from sco.cli import build_parser, main
 from sco.io import canonical_json, load_graph_json, read_matrix_csv
 
 from helpers import load_solution_json, write_matrix_csv
-from oracles import (add_at_norm_estimate, clip_project_rows, fancy_index_apply,
+from oracles import (DataSymmetry, add_at_norm_estimate, clip_project_rows, fancy_index_apply,
                      per_column_apply_t, per_line_read_matrix_csv, per_row_l1_projection,
                      reference_lambda_step, same_bits, stacked_ridge_curvature)
 
@@ -793,16 +795,80 @@ def test_ridge_without_targets_exits_2(random_csv, tmp_path, capsys, argv):
     ["solve", "--task", "cc", "--gamma", "inf"],
     ["solve", "--weight-cap", "inf", "--graph", "GRAPH"],
     ["graph", "--weight-cap=-inf", "--graph", "GRAPH"],
+    ["path", "--alphas", "1,nan"],
+    ["path", "--alphas", "1,inf"],
+    ["path", "--alphas", "0.5,1e400"],
+    ["path", "--alphas", "nan,1"],
 ])
-def test_non_finite_float_flag_exits_2_before_any_solve(three_points, tmp_path, capsys, argv):
+def test_non_finite_float_flag_exits_2_before_any_solve(three_points, tmp_path, capsys,
+                                                        monkeypatch, argv):
     graph = tmp_path / "graph.json"
     assert main(["graph", "--input", three_points, "--k", "1", "--out", str(graph)]) == 0
     argv = [str(graph) if arg == "GRAPH" else arg for arg in argv]
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before rejecting the flag")
+
+    for module in (sco.cli, sco.clusterpath, sco.evolution):
+        monkeypatch.setattr(module, "solve_dual", no_solve)
     code = main(argv + ["--input", three_points, "--k", "1", "--out", str(tmp_path / "out")])
     assert code == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["kind"] == "ParameterError" and "must be finite" in err["error"]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("task, translate", [("cc", False), ("cc", True), ("ridge", False)])
+def test_monitor_scores_and_bound_sides_are_equivariant(tmp_path, task, translate):
+    # sco monitor on an instance and on its image under a row permutation and
+    # a signed feature permutation (and a translation for cc): the same
+    # actions, scores and bound sides. The cc bounds read the data through
+    # <A, D>, <A, X~ - X> and ||A + D||^2, so a translation moves every cc
+    # bound side but the dual-image norm (by up to 58% over seeds 0-19); only
+    # the scores and that norm are checked then. Over seeds 0-19 of this
+    # construction the largest relative differences were 5.0e-9 for a score,
+    # and 2.3e-10 for a bound side (of the larger side of its report) or
+    # 7.5e-10 for a translated dual-image norm, so the bounds 1e-7 and 1e-8
+    # leave margins of 20x and 13x
+    n, d = 40, 3
+    rng = np.random.default_rng(0)
+    values = 4.0 * rng.standard_normal((4, d))[np.arange(n) % 4] + rng.standard_normal((n, d))
+    targets = values @ rng.standard_normal(d) + 0.1 * rng.standard_normal(n)
+    sym = DataSymmetry(rng, n, d, translate)
+    snapshots = [values + 1e-3 * rng.standard_normal((n, d))]
+    snapshots += [values + rng.standard_normal((n, d))] * 2
+    runs = {}
+    for label, forward, rows in (("base", lambda M: M, slice(None)),
+                                 ("image", sym.forward, sym.rows)):
+        data, stream, out = (str(tmp_path / f"{label}.{ext}") for ext in ("csv", "jsonl", "out"))
+        write_matrix_csv(data, forward(values), targets[rows])
+        with open(stream, "w", encoding="utf-8") as handle:
+            for snapshot in snapshots:
+                handle.write(json.dumps({"values": forward(snapshot).tolist(),
+                                         "targets": targets[rows].tolist()}) + "\n")
+        assert main(["monitor", "--input", data, "--targets", "--stream", stream,
+                     "--task", task, "--k", "5", "--beta", "0.5", "--p", "2", "--c", "0.1",
+                     "--eps-abs", "1e-9", "--eps-rel", "1e-7", "--outer-max-iters", "5000",
+                     "--out", out]) == 0
+        with open(out, encoding="utf-8") as handle:
+            decisions = [json.loads(line) for line in handle][1:]
+        with open(out + ".bounds.jsonl", encoding="utf-8") as handle:
+            runs[label] = decisions, [json.loads(line) for line in handle]
+    (base, base_bounds), (image, image_bounds) = runs["base"], runs["image"]
+    assert [x["action"] for x in base] == [x["action"] for x in image]
+    assert {x["action"] for x in base} == {"keep", "resolve"}
+    assert all(x["converged"] is not False for x in base + image)
+    for before, after in zip(base, image):
+        assert abs(after["delta_metric"] - before["delta_metric"]) \
+            <= 1e-7 * abs(before["delta_metric"])
+    assert [r["name"] for r in base_bounds] == [r["name"] for r in image_bounds]
+    for before, after in zip(base_bounds, image_bounds):
+        if not translate:
+            scale = max(abs(before["lhs"]), abs(before["rhs"]))
+            for side in ("lhs", "rhs"):
+                assert abs(after[side] - before[side]) <= 1e-8 * scale, (before["name"], side)
+        elif before["name"] == "clustering-dual-image":
+            assert abs(after["lhs"] - before["lhs"]) <= 1e-8 * abs(before["lhs"])
 
 
 @pytest.mark.parametrize("argv", [["solve"], ["monitor", "--synthetic", "1"], ["bound"]])

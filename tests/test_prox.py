@@ -92,8 +92,9 @@ def l1_cases():
                                    [-4.8, -3.8, -2.2, -1.8, 3.8, 3.2, 1.8],
                                    [0.5, 0.25, 0.0, 0.0, 0.0, 0.0, 0.0]])
     # magnitudes so large that subtracting the radius rounds away: the sorted
-    # test never holds, and the whole row sets the threshold
-    yield "huge", np.array([[1e20, 1.0, -1.0], [-3e17, 2.0, 0.5], [0.5, 0.25, 0.0]])
+    # test fails even at the first index, where it holds in exact arithmetic
+    yield "huge", np.array([[1e20, 1.0, -1.0], [-3e17, 2.0, 0.5], [0.5, 0.25, 0.0],
+                            [1e17, 3.0, -2.0], [2.0 ** 53, 1.0, 0.0]])
     yield "d1", rng.standard_normal((20, 1)) * 2.0
     yield "none-over", rng.uniform(-0.2, 0.2, size=(8, 4))
     yield "empty-rows", np.zeros((0, 3))
@@ -123,11 +124,11 @@ def test_project_rows_l1_bit_identical_to_per_row():
         with np.errstate(invalid="ignore"):  # inf - inf in the rows holding infinities
             batched, expected = project_rows(lam, 1), per_row_l1_projection(lam)
         assert same_bits(batched, expected), name
-        # a NaN row is copied, and a row with a magnitude of 2**53 or more
-        # (inf included) is left outside the ball (see "huge")
-        ordinary = (np.abs(lam) < 2.0 ** 53).all(axis=1)
-        if ordinary.any():
-            assert np.abs(batched[ordinary]).sum(axis=1).max() <= 1.0 + 1e-12, name
+        # every finite row lands in the ball, the "huge" ones included; a
+        # NaN row is copied, and a row holding an infinity has no projection
+        finite = np.isfinite(lam).all(axis=1)
+        if finite.any():
+            assert np.abs(batched[finite]).sum(axis=1).max() <= 1.0 + 1e-12, name
 
 
 def test_project_rows_box_bit_identical_to_clip():
@@ -181,6 +182,8 @@ def test_l1_ball_matches_reference_at_any_radius():
             with np.errstate(invalid="ignore"):  # inf - inf in the rows holding infinities
                 got, expected = project_l1_ball(v, radius), l1_ball_sort_reference(v, radius)
             assert same_bits(got, expected), (t, radius)
+            if np.isfinite(v).all():
+                assert np.abs(got).sum() <= radius * (1.0 + 1e-12), (t, radius)
 
 
 def row_sum_blocks(rng, d, rows=(0, 1, 7, 300)):
@@ -221,6 +224,10 @@ def test_prox_examples():
     for s in (1, 2, np.inf):
         assert np.all(prox_norm(np.zeros(3), 0.7, s) == 0.0)
     np.testing.assert_allclose(prox_norm(np.array([3.0, 4.0]), 0.5, 2), [2.7, 3.6])
+    # omega / t near 1e17, where subtracting the unit radius rounds away: the
+    # exact prox moves omega by at most t
+    omega = np.array([[3.0, 1.0], [-2.0, 0.5]])
+    np.testing.assert_allclose(prox_norm(omega, 1e-17, np.inf), omega, rtol=0, atol=1e-15)
 
 
 def test_prox_invalid_arguments():
