@@ -364,7 +364,8 @@ def solve_dual(problem: Problem, Q: EdgeIncidence, config: SolverConfig,
         Scaled incidence operator over the variable graph.
     config : SolverConfig
     warm_start : DualState, optional
-        Copied before use; shape-checked against the current sizes.
+        Copied before use; shape-checked against the current sizes. Its
+        dual rows are projected onto the q-balls by the first sweep.
     rng : numpy.random.Generator, optional
         Source for the power-iteration start vector. Defaults to a fixed
         seed, keeping repeated solves bit-identical.
@@ -395,7 +396,6 @@ def solve_dual(problem: Problem, Q: EdgeIncidence, config: SolverConfig,
                 or warm_start.mu.shape != (n, d):
             raise DimensionError("warm start shapes do not match the problem")
         state = warm_start.copy()
-        state.lam = project_rows(state.lam, config.q)
     else:
         state = zero_state(m, n, d)
 

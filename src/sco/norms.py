@@ -1,8 +1,9 @@
 """Norm selectors and the row-sum (mixed) norms used by the dual solver.
 
 Selectors are restricted to {1, 2, inf}; a selector and its dual pair up
-as 1<->inf and 2<->2. The row sums behind the mixed norms and the row
-projections go through :func:`_row_sums`.
+as 1<->inf and 2<->2. The squared row norms of the (1, 2) mixed norm come
+from one ``np.einsum`` call on the rows read in C order, as in the row
+projections of :mod:`sco.prox`.
 """
 
 from __future__ import annotations
@@ -14,30 +15,6 @@ from .errors import DimensionError, ParameterError
 SUPPORTED_NORMS = (1.0, 2.0, np.inf)
 
 _DUAL = {1.0: np.inf, 2.0: 2.0, np.inf: 1.0}
-
-
-def _row_sums(M: np.ndarray) -> np.ndarray:
-    """``M.sum(axis=1)`` of a 2-d float64 array, bit for bit, for short rows.
-
-    numpy reduces each row on its own, which on rows of a few entries costs
-    more than the additions. A row of fewer than 8 entries it sums in order
-    from 0.0, so for d < 8 passes over the columns give the same bits at a
-    fraction of the cost. Wider rows go to numpy, whose order there depends
-    on the layout (8 interleaved lanes on a C-contiguous block, column order
-    on an F-ordered one).
-
-    The order is numpy's own, not a documented promise: it was checked on
-    numpy 2.4, and ``tests/test_prox.py::test_row_sums_bit_identical_to_numpy``
-    fails on a numpy that sums short rows otherwise.
-    """
-    d = M.shape[1]
-    if d == 0 or d >= 8:
-        return M.sum(axis=1)
-    # a fresh array; adding 0.0 turns a leading -0.0 into 0.0 as numpy's start does
-    s = M[:, 0] + 0.0
-    for j in range(1, d):
-        s += M[:, j]
-    return s
 
 
 def as_norm(value) -> float:
@@ -94,5 +71,6 @@ def sum_norms(M: np.ndarray, p) -> float:
     if p == 1.0:
         return float(np.abs(M).sum())
     if p == 2.0:
-        return float(np.sqrt(_row_sums(M * M)).sum())
+        M = np.ascontiguousarray(M)
+        return float(np.sqrt(np.einsum("ij,ij->i", M, M)).sum())
     return float(np.abs(M).max(axis=1).sum())

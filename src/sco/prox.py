@@ -1,10 +1,12 @@
 """Closed-form norm proximal maps and unit-ball projections.
 
 Everything here is stateless and elementwise-deterministic. The dual rows
-are short (d entries) and many, so the row reductions avoid numpy's
-per-row reduction cost where that keeps every bit: row sums go through
-``norms._row_sums`` (column passes for rows of fewer than 8 entries), and
-the l1-ball threshold is read from the running sums in one gather.
+are short (d entries) and many, so every row sum over them is one
+``np.einsum`` call, which costs a fraction of numpy's per-row
+``sum(axis=1)``. einsum's order of additions is numpy's own, checked on
+numpy 2.4, and follows the memory layout, so the rows are read in C
+order. The l1-ball threshold is the largest of the sorted-prefix
+candidates.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ParameterError
-from .norms import _row_sums, as_norm
+from .norms import as_norm
 
 
 @lru_cache(maxsize=64)
@@ -29,32 +31,27 @@ def _project_l1_rows(V: np.ndarray, radius: float, a: np.ndarray | None = None) 
     """Project every row of V, each with l1 norm over radius, onto the l1 ball.
 
     The sort-based method of Duchi et al. (2008) in one pass for all rows:
-    sort each row's magnitudes in decreasing order, turn their running sums
-    into the thresholds (sum - radius)/k in place, and shrink the row by the
-    threshold at the last index where the sorted magnitude exceeds it. In
-    floating point that test can fail at a tie and hold again after it, so
-    the index is the last true one, not the count. At the first index the
-    test holds in exact arithmetic (u_1 > u_1 - radius) but fails when the
-    largest magnitude is infinite or so large that subtracting the radius
-    rounds away; it is taken as true there, so such a finite row lands in
-    the ball (at zero, the radius lost to rounding).
+    sort each row's magnitudes u in decreasing order, turn their running
+    sums into the candidates (css_k - radius)/k in place, and shrink the
+    row by the largest candidate. The largest is the threshold exactly
+    (Condat 2016, "Fast projection onto the simplex and the l1 ball"):
+    every candidate is at most the threshold, and the one at the index
+    Duchi's test u_k > (css_k - radius)/k finds last is equal to it. No
+    index is looked up, so a test that rounding breaks at a tie, or at
+    a magnitude so large that subtracting the radius rounds away, cannot
+    pick a wrong one: such a finite row lands in the ball (at zero, the
+    radius lost to rounding). A row holding an infinity gets NaN there.
 
     ``a`` is ``np.abs(V)`` when the caller has it already; it is
     overwritten with the result.
     """
     if a is None:
         a = np.abs(V)
-    m, d = V.shape
     u = np.sort(a, axis=1)[:, ::-1]
     thresholds = np.cumsum(u, axis=1)
     thresholds -= radius
-    thresholds /= _ranks(d)
-    holds = u > thresholds
-    holds[:, 0] = True
-    from_end = np.argmax(holds[:, ::-1], axis=1)
-    # flat index of row k's last true column: k*d + (d - 1) - from_end[k]
-    theta = thresholds.take(np.arange(d - 1, m * d, d) - from_end)
-    a -= theta[:, None]
+    thresholds /= _ranks(V.shape[1])
+    a -= thresholds.max(axis=1)[:, None]
     np.maximum(a, 0.0, out=a)
     return np.multiply(np.sign(V), a, out=a)
 
@@ -67,25 +64,26 @@ def project_l1_ball(v: np.ndarray, radius: float = 1.0) -> np.ndarray:
     """
     if radius <= 0:
         raise ParameterError(f"radius must be positive, got {radius}")
-    v = np.asarray(v, dtype=float)
-    if np.abs(v).sum() <= radius:
+    v = np.ascontiguousarray(v, dtype=float)
+    a = np.abs(v)
+    if np.einsum("i->", a) <= radius:
         return v.copy()
-    return _project_l1_rows(v[None, :], radius)[0]
+    return _project_l1_rows(v[None, :], radius, a[None, :])[0]
 
 
 def project_rows(lam: np.ndarray, q) -> np.ndarray:
     """Project every row of an m-by-d matrix onto the unit q-norm ball.
 
     q = inf clips every entry. q = 2 scales each row by 1/max(norm, 1), with
-    the squared norms summed by ``norms._row_sums``. q = 1 selects the rows
-    whose l1 norm (also by ``_row_sums``) is over 1, projects only those by
-    the sort-based method, and copies the others. The row sums have the bits
-    of ``sum(axis=1)`` on a numpy that sums short rows in the order
-    ``_row_sums`` repeats (see there). The result is a fresh array; ``lam``
-    is never written.
+    the squared norms from ``np.einsum("ij,ij->i")``. q = 1 selects the rows
+    whose l1 norm (``np.einsum("ij->i")``) is over 1, projects only those
+    by the sort-based method, and copies the others. ``lam`` is read in C
+    order: einsum's order of additions follows the memory layout, so an
+    F-ordered or strided block is copied first and gives its C copy's bits.
+    The result is a fresh array; ``lam`` is never written.
     """
     q = as_norm(q)
-    lam = np.asarray(lam, dtype=float)
+    lam = np.ascontiguousarray(lam, dtype=float)
     if lam.ndim != 2:
         lam = np.atleast_2d(lam)
     if lam.shape[0] == 0:
@@ -97,14 +95,14 @@ def project_rows(lam: np.ndarray, q) -> np.ndarray:
     if q == 2.0:
         # 1/max(nrm, 1) is 1/nrm over the ball and exactly 1 inside it; fmax
         # also maps a NaN norm to 1, so a NaN row passes through unscaled
-        scale = np.sqrt(_row_sums(lam * lam))
+        scale = np.sqrt(np.einsum("ij,ij->i", lam, lam))
         np.fmax(scale, 1.0, out=scale)
         np.divide(1.0, scale, out=scale)
         return lam * scale[:, None]
     a = np.abs(lam)
     # integer row indices: two takes and one scatter cost less than three
     # boolean-mask passes
-    over = np.flatnonzero(_row_sums(a) > 1.0)
+    over = np.flatnonzero(np.einsum("ij->i", a) > 1.0)
     out = lam.copy()
     if over.size:
         out[over] = _project_l1_rows(lam.take(over, 0), 1.0, a.take(over, 0))

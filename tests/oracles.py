@@ -18,8 +18,13 @@ The inner dual-step kernels are pinned bit for bit to plainer versions of
 the same arithmetic: a per-column transposed incidence map, a
 fancy-indexed forward map, an unbuffered-add power iteration and vertex
 sums for the per-row step constants, ``np.clip`` for the box projection,
-``sum(axis=1)`` row norms for the l2 and l1 projections (the l1 one
-row by row) and the ridge curvature on column-stacked vectors. The outer
+the l2 projection written out with a ``np.where`` scale, the l1 one row
+by row, and the ridge curvature on column-stacked vectors. The row
+projections reduce their rows with the library's ``np.einsum`` calls,
+whose order of additions is numpy's own (checked on numpy 2.4), on rows
+read in C order, and take the l1 threshold as the largest candidate;
+Duchi's last-true-index rule is kept apart as an independent reference
+that the kernel is held to within a measured tolerance. The outer
 sweep's over-relaxed u- and mu-updates are pinned the same way to their
 textbook form. The CSV reader's one finiteness check per file is held
 to a reader that checks each line as it goes.
@@ -256,7 +261,26 @@ def column_problem(problem, c: int):
 
 def l1_ball_sort_reference(v: np.ndarray, radius: float) -> np.ndarray:
     """Projection of one vector onto the l1 ball of the given radius by the
-    plain sort-based method of Duchi et al. (2008), with no batching."""
+    sort-based method of Duchi et al. (2008), with no batching: the
+    threshold is the largest candidate (css_k - radius)/k, and the
+    inside-the-ball test sums the magnitudes with ``np.einsum``."""
+    v = np.ascontiguousarray(v, dtype=float)
+    a = np.abs(v)
+    if np.einsum("i->", a) <= radius:
+        return v.copy()
+    css = np.cumsum(np.sort(a)[::-1])
+    theta = np.max((css - radius) / np.arange(1, v.size + 1))
+    return np.sign(v) * np.maximum(a - theta, 0.0)
+
+
+def duchi_l1_ball_projection(v: np.ndarray, radius: float) -> np.ndarray:
+    """Projection of one vector onto the l1 ball by the last-true-index
+    form of Duchi et al. (2008): the threshold is the candidate at the
+    last index where the sorted magnitude u_k exceeds (css_k - radius)/k,
+    the first index counted as true (it is in exact arithmetic). It
+    shares no reduction with the library, so it checks the kernel only to
+    rounding."""
+    v = np.asarray(v, dtype=float)
     a = np.abs(v)
     if a.sum() <= radius:
         return v.copy()
@@ -274,12 +298,13 @@ def l1_ball_sort_reference(v: np.ndarray, radius: float) -> np.ndarray:
 
 def per_row_l1_projection(lam: np.ndarray, q=1.0) -> np.ndarray:
     """``project_rows(lam, 1)`` one row at a time: :func:`l1_ball_sort_reference`
-    on each row whose l1 norm, summed by ``sum(axis=1)``, is over 1. A
-    drop-in for ``project_rows`` when q = 1."""
+    on each row of the C-ordered block whose l1 norm, summed by
+    ``np.einsum("ij->i")``, is over 1. A drop-in for ``project_rows``
+    when q = 1."""
     assert float(q) == 1.0
-    lam = np.atleast_2d(np.asarray(lam, dtype=float))
+    lam = np.atleast_2d(np.ascontiguousarray(lam, dtype=float))
     out = lam.copy()
-    for k in np.nonzero(np.abs(lam).sum(axis=1) > 1.0)[0]:
+    for k in np.nonzero(np.einsum("ij->i", np.abs(lam)) > 1.0)[0]:
         out[k] = l1_ball_sort_reference(lam[k], 1.0)
     return out
 
@@ -332,11 +357,12 @@ def add_at_norm_estimate(Q, iterations: int = 50, safety: float = 1.01,
 
 
 def where_project_rows_l2(lam: np.ndarray) -> np.ndarray:
-    """``project_rows(lam, 2)`` written out: the row norms, a scale of
-    1/norm where the norm is over 1 and 1 elsewhere (a NaN norm included),
-    and one broadcast multiply."""
-    lam = np.atleast_2d(np.asarray(lam, dtype=float))
-    nrm = np.sqrt((lam * lam).sum(axis=1))
+    """``project_rows(lam, 2)`` written out: the row norms of the C-ordered
+    block by ``np.einsum("ij,ij->i")``, a scale of 1/norm where the norm is
+    over 1 and 1 elsewhere (a NaN norm included), and one broadcast
+    multiply."""
+    lam = np.atleast_2d(np.ascontiguousarray(lam, dtype=float))
+    nrm = np.sqrt(np.einsum("ij,ij->i", lam, lam))
     scale = np.where(nrm > 1.0, 1.0 / np.maximum(nrm, 1e-300), 1.0)
     return lam * scale[:, None]
 

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from sco import ParameterError, project_l1_ball, project_rows, prox_norm
-from sco.norms import _row_sums
 
-from oracles import (clip_project_rows, l1_ball_sort_reference, per_row_l1_projection,
-                     project_ball, prox_argmin_oracle, same_bits, where_project_rows_l2)
+from oracles import (clip_project_rows, duchi_l1_ball_projection, l1_ball_sort_reference,
+                     per_row_l1_projection, project_ball, prox_argmin_oracle, same_bits,
+                     where_project_rows_l2)
 
 
 def sample_feasible(rng, d, q):
@@ -87,7 +87,7 @@ def l1_cases():
                                   np.zeros((1, 3))])
     yield "ties", np.array([[1.0, 1.0, 1.0], [-2.0, 2.0, 0.5], [0.7, -0.7, 0.7]])
     # rounding makes the sorted test u > (css - 1)/k false at a tie and true
-    # again after it, so the threshold index is the last true one, not the count
+    # again after it, so a count of true indices would pick a wrong threshold
     yield "broken-mask", np.array([[-0.2, 3.3, -3.3, -4.3, 0.6, 0.0, 0.0],
                                    [-4.8, -3.8, -2.2, -1.8, 3.8, 3.2, 1.8],
                                    [0.5, 0.25, 0.0, 0.0, 0.0, 0.0, 0.0]])
@@ -99,7 +99,7 @@ def l1_cases():
     yield "none-over", rng.uniform(-0.2, 0.2, size=(8, 4))
     yield "empty-rows", np.zeros((0, 3))
     yield "empty-cols", np.zeros((4, 0))
-    # 8 or more columns: numpy sums C-contiguous rows in 8 interleaved lanes
+    # 8 or more columns: einsum sums C-contiguous rows in interleaved lanes
     for d in (8, 9, 16, 17):
         lam = rng.standard_normal((25, d)) * rng.uniform(0.05, 0.6, size=(25, 1))
         yield f"wide-{d}", lam
@@ -188,7 +188,8 @@ def test_l1_ball_matches_reference_at_any_radius():
 
 def row_sum_blocks(rng, d, rows=(0, 1, 7, 300)):
     """m-by-d blocks for each m in rows, with NaN, +-inf, -0.0 and all -0.0
-    rows: in C order, in F order and as every other row of a C block."""
+    rows: in C order, in F order, as every other row of a C block and as a
+    C-contiguous view that starts one element into its buffer."""
     tall = rng.standard_normal((2 * max(rows), d)) * 10.0 ** rng.uniform(-3, 3, size=(1, d))
     picks = rng.random(tall.shape)
     tall[picks < 0.05] = np.nan
@@ -201,15 +202,43 @@ def row_sum_blocks(rng, d, rows=(0, 1, 7, 300)):
         yield m, "C", block
         yield m, "F", np.asfortranarray(block)
         yield m, "row-sliced", tall[:2 * m:2]
+        yield m, "offset", tall.ravel()[1:1 + m * d].reshape(m, d)
 
 
-def test_row_sums_bit_identical_to_numpy():
-    # pins numpy's summation order: a numpy that changes it fails here
+@pytest.mark.parametrize("d", [1, 3, 8, 10, 16])
+def test_project_rows_gives_the_c_copys_bits_in_any_layout(d):
+    # einsum's order of additions follows the memory layout, so the rows
+    # are read in C order; a wide F-ordered block used to differ
     rng = np.random.default_rng(23)
-    with np.errstate(invalid="ignore"):  # inf + -inf
-        for d in range(141):
-            for m, layout, M in row_sum_blocks(rng, d):
-                assert same_bits(_row_sums(M), M.sum(axis=1)), (d, m, layout)
+    with np.errstate(invalid="ignore"):  # inf - inf in the rows holding infinities
+        for m, layout, M in row_sum_blocks(rng, d):
+            copy = np.array(M, order="C")
+            for q in (1, 2, np.inf):
+                assert same_bits(project_rows(M, q), project_rows(copy, q)), (m, layout, q)
+
+
+def test_l1_kernel_within_rounding_of_the_last_true_index_rule():
+    # Duchi's last-true-index form shares no reduction with the kernel, so
+    # the two agree to a few rounding steps: the largest difference over
+    # these rows, scaled by the row's largest finite magnitude (at least 1),
+    # measured 1.4e-16, 6x under the tolerance of 4 float64 epsilons (8.9e-16);
+    # NaN must come out at the same entries
+    tol = 4 * np.finfo(float).eps
+    rng = np.random.default_rng(25)
+    rows = [row for _, lam in l1_cases() for row in lam if row.size]
+    for _ in range(1000):
+        # one decimal and few distinct magnitudes: ties inside most rows
+        d = int(rng.integers(1, 12))
+        rows.append(np.round(rng.choice([-1.0, 1.0], d) * rng.integers(0, 4, d)
+                             * rng.uniform(0.1, 1.5), 1))
+    for t, v in enumerate(rows):
+        with np.errstate(invalid="ignore"):  # inf - inf in the rows holding infinities
+            got, expected = project_l1_ball(v, 1.0), duchi_l1_ball_projection(v, 1.0)
+        nan = np.isnan(got)
+        assert np.array_equal(nan, np.isnan(expected)), (t, v)
+        finite = np.abs(v[np.isfinite(v)])
+        scale = max(1.0, float(finite.max()) if finite.size else 1.0)
+        assert np.abs(got[~nan] - expected[~nan]).max(initial=0.0) <= tol * scale, (t, v)
 
 
 def test_l1_ball_radius_scaling():
