@@ -58,7 +58,7 @@ import numpy as np
 
 from .errors import DimensionError, NumericFailure, ParameterError
 from .incidence import EdgeIncidence, operator_norm_estimate
-from .norms import as_norm, dual_norm, vec_norm
+from .norms import as_norm, dual_norm, sum_norms, vec_norm
 from .problems import Problem
 from .prox import project_rows, prox_norm
 
@@ -83,11 +83,14 @@ _OVER_RELAX = 1.4
 class SolverConfig:
     """Solver hyperparameters and tolerances.
 
-    ``p`` selects the regulariser row norm; its dual ``q`` (the row
-    constraint geometry) is derived, never set directly. ``s`` selects the
-    norm of the dual-image regulariser weighted by ``beta``. ``parallel``
-    selects :func:`parallel_lambda_step`, which runs the same loop as the
-    serial update; it is kept for compatibility and still needs q = inf.
+    ``alpha`` is the coupling strength that :func:`sco.run_session` and
+    the CLI build the incidence operator with; :func:`solve_dual` reads
+    only that operator, never ``alpha``. ``p`` selects the regulariser row
+    norm; its dual ``q`` (the row constraint geometry) is derived, never
+    set directly. ``s`` selects the norm of the dual-image regulariser
+    weighted by ``beta``. ``parallel`` selects :func:`parallel_lambda_step`,
+    which runs the same loop as the serial update; it is kept for
+    compatibility and still needs q = inf.
     """
 
     alpha: float = 1.0
@@ -157,9 +160,6 @@ class ConvergenceTrace:
         self.primal_res.append(float(primal))
         self.dual_res.append(float(dual))
         self.h_step.append(float(h))
-
-    def __len__(self) -> int:
-        return len(self.primal_res)
 
     def rows(self):
         """(iter, primal_res, dual_res, h_step) tuples, 1-based iterations."""
@@ -354,7 +354,9 @@ def solve_dual(problem: Problem, Q: EdgeIncidence, config: SolverConfig,
     once per solve.
     The u- and mu-steps both take the over-relaxed image
     ``r * Q^T lam + (1 - r) * u_prev`` with r = 1.4; the primal residual
-    stays ``||Q^T lam - u||_F``, on the unrelaxed image.
+    stays ``||Q^T lam - u||_F``, on the unrelaxed image. The primal
+    optimum and the dual objective are read from the last sweep's image.
+    The coupling strength comes from ``Q`` alone; ``config.alpha`` is not read.
 
     Parameters
     ----------
@@ -365,7 +367,9 @@ def solve_dual(problem: Problem, Q: EdgeIncidence, config: SolverConfig,
     config : SolverConfig
     warm_start : DualState, optional
         Copied before use; shape-checked against the current sizes. Its
-        dual rows are projected onto the q-balls by the first sweep.
+        dual rows are projected onto the q-balls by the first sweep. It
+        is ignored when ``Q`` has no coupling (no edges or all-zero
+        coefficients): that solve runs no sweep and returns the zero state.
     rng : numpy.random.Generator, optional
         Source for the power-iteration start vector. Defaults to a fixed
         seed, keeping repeated solves bit-identical.
@@ -378,20 +382,11 @@ def solve_dual(problem: Problem, Q: EdgeIncidence, config: SolverConfig,
     if Q.col_count != n:
         raise DimensionError(f"operator columns {Q.col_count} != instance count {n}")
     m = Q.row_count
+    # Without coupling the regulariser vanishes and the loss minimiser at the
+    # zero image is exact: no sweep runs and a warm start is ignored.
+    coupled = bool(Q.coef.any())
 
-    # No coupling: the regulariser vanishes and the loss minimiser is exact.
-    if m == 0 or Q.alpha == 0.0 or float(np.abs(Q.coef).max()) == 0.0:
-        state = zero_state(m, n, d)
-        x_star = problem.recover_primal(Q, state.lam)
-        return SolveResult(
-            state=state, x_star=x_star, trace=ConvergenceTrace(), converged=True,
-            stop_reason="converged", iterations=0,
-            dual_objective=problem.conjugate_value(Q, state.lam),
-            primal_objective=problem.primal_objective(Q, x_star, config.p),
-            inner_iterations=0,
-        )
-
-    if warm_start is not None:
+    if warm_start is not None and coupled:
         if warm_start.lam.shape != (m, d) or warm_start.u.shape != (n, d) \
                 or warm_start.mu.shape != (n, d):
             raise DimensionError("warm start shapes do not match the problem")
@@ -399,20 +394,19 @@ def solve_dual(problem: Problem, Q: EdgeIncidence, config: SolverConfig,
     else:
         state = zero_state(m, n, d)
 
-    lipschitz = _row_lipschitz(problem, Q, config, rng)
+    sweeps = config.outer_max_iters if coupled else 0
+    lipschitz = _row_lipschitz(problem, Q, config, rng) if coupled else None
+    step = parallel_lambda_step if config.parallel else lambda_step
     trace = ConvergenceTrace()
     sqrt_nd = np.sqrt(n * d)
-    converged = False
+    image = np.zeros((n, d))
+    converged = not coupled
+    performed = 0
     inner_start = state.inner
     sweep_tol = None  # the first sweep's target is relative to its own start
 
-    for performed in range(1, config.outer_max_iters + 1):
-        if config.parallel:
-            state.lam = parallel_lambda_step(problem, Q, state, config, lipschitz=lipschitz,
-                                             tol=sweep_tol)
-        else:
-            state.lam = lambda_step(problem, Q, state, config, lipschitz=lipschitz,
-                                    tol=sweep_tol)
+    for performed in range(1, sweeps + 1):
+        state.lam = step(problem, Q, state, config, lipschitz=lipschitz, tol=sweep_tol)
         image = Q.apply_t(state.lam)
         u_prev, mu_prev = state.u, state.mu
         relaxed = _OVER_RELAX * image + (1.0 - _OVER_RELAX) * u_prev
@@ -435,18 +429,15 @@ def solve_dual(problem: Problem, Q: EdgeIncidence, config: SolverConfig,
             break
         sweep_tol = _INNER_REL * max(primal_res, dual_res)
 
-    x_star = problem.recover_primal(Q, state.lam)
+    # the last sweep's image is Q^T of the final dual rows
+    x_star = problem.recover_primal(image)
     if not np.all(np.isfinite(x_star)):
         raise NumericFailure("recovered primal solution is not finite")
-    # the last sweep's image is Q^T of the final dual rows
-    dual_objective = problem.conjugate_value(Q, state.lam) \
-        + config.beta * vec_norm(image, config.s)
     return SolveResult(
         state=state, x_star=x_star, trace=trace, converged=converged,
         stop_reason="converged" if converged else "max-iterations",
         iterations=performed,
-        dual_objective=dual_objective,
-        primal_objective=problem.primal_objective(Q, x_star, config.p),
+        dual_objective=problem.conjugate_value(image) + config.beta * vec_norm(image, config.s),
+        primal_objective=problem.primal_value(x_star) + sum_norms(Q.apply(x_star), config.p),
         inner_iterations=state.inner - inner_start,
     )
-

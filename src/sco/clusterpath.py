@@ -13,7 +13,7 @@ Cluster nesting along the sweep is reported, never asserted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,25 +33,21 @@ def default_fuse_tolerance(values: np.ndarray) -> float:
     return 1e-3 * spread
 
 
-def extract_clusters(X: np.ndarray, graph: VariableGraph, eps_fuse: float, *,
-                     ends: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+def extract_clusters(X: np.ndarray, graph: VariableGraph, eps_fuse: float) -> np.ndarray:
     """Connected components of the subgraph of edges whose endpoint rows
     lie within ``eps_fuse`` of each other.
 
     Returns one label per vertex, the smallest member index of its
-    component. The distance test runs on all edges at once; only the
-    fused edges enter the union-find. ``ends`` holds the edges' first and
-    second endpoints as index arrays in the graph's edge order (an
-    :class:`EdgeIncidence`'s ``head`` and ``tail``); when None they are
-    built from ``graph.edges``.
+    component. The edge ends are read from ``graph.edges``; the distance
+    test runs on all edges at once and only the fused edges enter the
+    union-find.
     """
     if not eps_fuse > 0:
         raise ParameterError(f"eps_fuse must be positive, got {eps_fuse}")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = graph.vertex_count
-    if ends is None:
-        ends = np.array([e[:2] for e in graph.edges], dtype=np.intp).reshape(-1, 2).T
-    head, tail = ends
+    head = np.array([e[0] for e in graph.edges], dtype=np.intp)
+    tail = np.array([e[1] for e in graph.edges], dtype=np.intp)
     diff = X[head] - X[tail]
     close = np.sqrt(np.einsum("ij,ij->i", diff, diff)) <= eps_fuse
     # Each root is the smallest member of its set: a union hangs the larger
@@ -109,10 +105,11 @@ def sweep(data: Dataset, graph: VariableGraph, alphas, config: SolverConfig,
 
     The incidence operator is built once, at unit strength, and each
     strength rescales its coefficients (alpha * w, the bits a fresh
-    operator at that strength has); its edge ends also serve the cluster
-    extraction at every strength. Solves are warm-started from the
-    previous strength unless disabled. A solver failure truncates the
-    path and records the failing position instead of raising.
+    operator at that strength has); the solver reads the strength from
+    that operator alone, so ``config.alpha`` plays no part. Solves are
+    warm-started from the previous strength unless disabled. A solver
+    failure truncates the path and records the failing position instead
+    of raising.
     """
     alphas = [float(a) for a in alphas]
     if not alphas:
@@ -132,10 +129,9 @@ def sweep(data: Dataset, graph: VariableGraph, alphas, config: SolverConfig,
     previous_state = None
     base = EdgeIncidence(graph, 1.0)
     for idx, alpha in enumerate(alphas):
-        Q = base.with_coef(alpha * base.coef, alpha)
-        cfg = replace(config, alpha=alpha)
+        Q = base.with_coef(alpha * base.coef)
         try:
-            result = solve_dual(problem, Q, cfg,
+            result = solve_dual(problem, Q, config,
                                 warm_start=previous_state if warm_start else None,
                                 rng=rng)
         except SCOError as exc:
@@ -144,8 +140,7 @@ def sweep(data: Dataset, graph: VariableGraph, alphas, config: SolverConfig,
             break
         if warm_start:
             previous_state = result.state
-        labels = canonical_labels(extract_clusters(result.x_star, graph, eps_fuse,
-                                                   ends=(base.head, base.tail)))
+        labels = canonical_labels(extract_clusters(result.x_star, graph, eps_fuse))
         path.alphas.append(alpha)
         path.solutions.append(result.x_star)
         path.memberships.append(labels)

@@ -56,14 +56,15 @@ class EvolutionDecision:
 def delta_metric(problem: Problem, Q: EdgeIncidence, lam_star: np.ndarray,
                  new_values: np.ndarray, new_targets: np.ndarray | None = None) -> float:
     """Absolute conjugate-value change at a fixed dual point when the data
-    evolves, with all data-dependent terms included."""
+    evolves, with all data-dependent terms included. Both conjugates are
+    taken at the one dual image ``Q^T lam_star``."""
     new_values = np.asarray(new_values, dtype=float)
     if new_values.shape != problem.values.shape:
         raise DimensionError(
             f"evolved data shape {new_values.shape} != current shape {problem.values.shape}")
+    V = Q.apply_t(lam_star)
     evolved = problem.with_values(new_values, new_targets)
-    return abs(evolved.conjugate_value_full(Q, lam_star)
-               - problem.conjugate_value_full(Q, lam_star))
+    return abs(evolved.conjugate_value_full(V) - problem.conjugate_value_full(V))
 
 
 @dataclass
@@ -107,8 +108,10 @@ def run_session(initial_problem: Problem, graph: VariableGraph, stream,
     changed snapshot is scored; at or above ``threshold`` the snapshot is
     accepted and the dual is re-solved, warm-started from the previous
     state. Graph topology stays frozen across the session unless
-    ``rebuild_graph`` asks for reconstruction on every accepted change
-    (which invalidates warm starts when the edge count moves).
+    ``rebuild_graph`` asks for reconstruction on every accepted change.
+    Dual row k is the multiplier of edge k, so a rebuilt graph warm-starts
+    only when its edge ends equal the old ones, in order; otherwise its
+    solve starts cold.
 
     ``on_decision(decision, session, snapshot)`` is invoked after each
     snapshot, letting callers attach per-decision reporting.
@@ -156,8 +159,9 @@ def _accept_and_resolve(session: SessionState, snapshot: Snapshot, score: float,
                 raise ParameterError("graph rebuild requested but no neighbour count given")
             new_graph = build_knn_graph(Dataset(snapshot.values), knn_k, weight_cap)
             new_Q = EdgeIncidence(new_graph, config.alpha)
-            if new_Q.row_count != session.Q.row_count:
-                warm = None  # edge count moved: the old dual no longer fits
+            if not (np.array_equal(new_Q.head, session.Q.head)
+                    and np.array_equal(new_Q.tail, session.Q.tail)):
+                warm = None  # other edges: the old rows are other edges' multipliers
         started = time.perf_counter()
         result = solve_dual(new_problem, new_Q, config, warm_start=warm, rng=rng)
         wall_ms = (time.perf_counter() - started) * 1000.0

@@ -48,26 +48,24 @@ def _strength(alpha: float) -> float:
 
 
 class EdgeIncidence:
-    """Edge-difference operator with entries +/- alpha * w per edge row."""
+    """Edge-difference operator with entries +/- alpha * w per edge row;
+    the strength alpha is kept only as a factor of the coefficients ``coef``."""
 
     def __init__(self, graph: VariableGraph, alpha: float):
-        self.alpha = _strength(alpha)
         self.col_count = graph.vertex_count
         self.head = np.array([e[0] for e in graph.edges], dtype=np.intp)
         self.tail = np.array([e[1] for e in graph.edges], dtype=np.intp)
-        self.coef = self.alpha * np.array([e[2] for e in graph.edges], dtype=float)
+        self.coef = _strength(alpha) * np.array([e[2] for e in graph.edges], dtype=float)
         self.row_count = len(graph.edges)
         self._flat_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._flat_coef: dict[int, np.ndarray] = {}
 
-    def with_coef(self, coef: np.ndarray, alpha: float | None = None) -> "EdgeIncidence":
+    def with_coef(self, coef: np.ndarray) -> "EdgeIncidence":
         """The operator on the same edges with row coefficients ``coef``
-        (one per edge) and coupling strength ``alpha`` (this one's when
-        None). It shares the edge arrays and the scatter-index cache."""
+        (one per edge). It shares the edge arrays and the scatter-index
+        cache."""
         other = copy.copy(self)
         other.coef = np.asarray(coef, dtype=float)
-        if alpha is not None:
-            other.alpha = _strength(alpha)
         other._flat_coef = {}
         return other
 

@@ -3,8 +3,9 @@ incidence directions, and primal recovery.
 
 A task supplies two ingredients: the linear term of the conjugate (an
 n-by-d matrix) and the curvature action (a positive self-adjoint map on
-n-by-d matrices). With V denoting the transposed incidence map applied to
-the dual rows, everything else follows:
+n-by-d matrices). The methods take V, the n-by-d dual image (the
+transposed incidence map applied to the dual rows), never the operator
+or the rows, and everything else follows:
 
 * conjugate value   <linear, V> + 0.5 * <V, curvature(V)>
 * conjugate gradient   incidence(linear + curvature(V))
@@ -32,8 +33,6 @@ import numpy as np
 
 from .errors import DataValidationError, DimensionError, ParameterError
 from .graph import Dataset
-from .incidence import EdgeIncidence
-from .norms import sum_norms
 
 
 class Problem(ABC):
@@ -79,25 +78,20 @@ class Problem(ABC):
             raise DimensionError(f"expected shape {self.values.shape}, got {X.shape}")
         return X
 
-    def conjugate_value(self, Q: EdgeIncidence, lam: np.ndarray) -> float:
-        """Conjugate of the loss evaluated along the negated transposed
+    def conjugate_value(self, V: np.ndarray) -> float:
+        """Conjugate of the loss at the dual image V, the transposed
         incidence image of the dual rows (constant terms dropped)."""
-        V = Q.apply_t(lam)
         return float((self.conjugate_linear_term() * V).sum()
                      + 0.5 * (V * self.conjugate_curvature(V)).sum())
 
-    def conjugate_value_full(self, Q: EdgeIncidence, lam: np.ndarray) -> float:
-        """Conjugate value with the dropped data-dependent constant restored."""
-        return self.conjugate_value(Q, lam) + self.conjugate_constant()
+    def conjugate_value_full(self, V: np.ndarray) -> float:
+        """Conjugate value at the dual image V with the dropped
+        data-dependent constant restored."""
+        return self.conjugate_value(V) + self.conjugate_constant()
 
-    def recover_primal(self, Q: EdgeIncidence, lam: np.ndarray) -> np.ndarray:
-        """Primal optimum implied by a dual point via stationarity."""
-        V = Q.apply_t(lam)
+    def recover_primal(self, V: np.ndarray) -> np.ndarray:
+        """Primal optimum implied by the dual image V via stationarity."""
         return -(self.conjugate_linear_term() + self.conjugate_curvature(V))
-
-    def primal_objective(self, Q: EdgeIncidence, X: np.ndarray, p) -> float:
-        """Loss plus the sum-of-norms regularisation term."""
-        return self.primal_value(X) + sum_norms(Q.apply(X), p)
 
 
 class ConvexClusteringProblem(Problem):

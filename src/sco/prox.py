@@ -27,7 +27,7 @@ def _ranks(d: int) -> np.ndarray:
     return ranks
 
 
-def _project_l1_rows(V: np.ndarray, radius: float, a: np.ndarray | None = None) -> np.ndarray:
+def _project_l1_rows(V: np.ndarray, radius: float, a: np.ndarray) -> np.ndarray:
     """Project every row of V, each with l1 norm over radius, onto the l1 ball.
 
     The sort-based method of Duchi et al. (2008) in one pass for all rows:
@@ -42,11 +42,9 @@ def _project_l1_rows(V: np.ndarray, radius: float, a: np.ndarray | None = None) 
     pick a wrong one: such a finite row lands in the ball (at zero, the
     radius lost to rounding). A row holding an infinity gets NaN there.
 
-    ``a`` is ``np.abs(V)`` when the caller has it already; it is
+    ``a`` is ``np.abs(V)``, which the caller has already; it is
     overwritten with the result.
     """
-    if a is None:
-        a = np.abs(V)
     u = np.sort(a, axis=1)[:, ::-1]
     thresholds = np.cumsum(u, axis=1)
     thresholds -= radius

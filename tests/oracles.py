@@ -77,7 +77,7 @@ def project_ball(v: np.ndarray, q) -> np.ndarray:
 
 
 def conjugate_gradient(problem, Q, lam: np.ndarray) -> np.ndarray:
-    """Gradient of ``problem.conjugate_value(Q, .)`` at the dual rows lam."""
+    """Gradient of ``problem.conjugate_value(Q.apply_t(.))`` at the dual rows lam."""
     V = Q.apply_t(lam)
     return Q.apply(problem.conjugate_linear_term() + problem.conjugate_curvature(V))
 
@@ -248,7 +248,7 @@ def dual_subproblem_objective(problem, Q, lam: np.ndarray, u: np.ndarray,
     coupling + quadratic penalty, with u and mu n-by-d matrices."""
     coupling = float((lam * Q.apply(mu)).sum())
     penalty = 0.5 * rho * float(np.sum((Q.apply_t(lam) - u) ** 2))
-    return problem.conjugate_value(Q, lam) + coupling + penalty
+    return problem.conjugate_value(Q.apply_t(lam)) + coupling + penalty
 
 
 def column_problem(problem, c: int):
@@ -451,7 +451,7 @@ def reference_relaxed_sweep(image: np.ndarray, u_prev: np.ndarray, mu_prev: np.n
 
 def fenchel_gap(problem, Q, config, result) -> float:
     """Duality gap P + D of a solve, with D the full dual objective
-    ``conjugate_value_full(lam) + beta * ||Q^T lam||_s`` and P the primal
+    ``conjugate_value_full(Q^T lam) + beta * ||Q^T lam||_s`` and P the primal
     value ``f(x_star) + sum_e ||(Q X)_e||_p`` at the fused point
     X = x_star - mu. The loss of that primal is the infimal
     convolution of f with the indicator of the beta-ball of the dual norm
@@ -460,8 +460,8 @@ def fenchel_gap(problem, Q, config, result) -> float:
     lam = result.state.lam
     X = result.x_star - result.state.mu
     primal = problem.primal_value(result.x_star) + sum_norms(Q.apply(X), config.p)
-    dual = problem.conjugate_value_full(Q, lam) \
-        + config.beta * vec_norm(Q.apply_t(lam), config.s)
+    V = Q.apply_t(lam)
+    dual = problem.conjugate_value_full(V) + config.beta * vec_norm(V, config.s)
     return primal + dual
 
 

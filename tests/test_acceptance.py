@@ -79,7 +79,7 @@ def test_criterion_2_strong_duality():
     worst = 0.0
     for problem, graph, Q, config, alpha, result in solved_instances():
         primal = result.primal_objective
-        dual = problem.conjugate_value_full(Q, result.state.lam)
+        dual = problem.conjugate_value_full(Q.apply_t(result.state.lam))
         gap = abs(primal + dual) / (1.0 + abs(primal))
         worst = max(worst, gap)
     ok = worst <= 1e-4

@@ -225,7 +225,7 @@ def test_strong_duality_small_instances():
             result = solve_dual(problem, Q, config)
             assert result.converged
             full_primal = result.primal_objective
-            dual_value = problem.conjugate_value_full(Q, result.state.lam)
+            dual_value = problem.conjugate_value_full(Q.apply_t(result.state.lam))
             gap = abs(full_primal + dual_value)
             assert gap <= 1e-4 * (1.0 + abs(full_primal))
 
@@ -565,7 +565,10 @@ def test_solve_evaluates_one_gradient_per_inner_iteration(task, p, rho, monkeypa
     # each conjugate_curvature call is one dual-row gradient, except the
     # one in recover_primal and the one in conjugate_value: the first
     # sweep's relative target is measured inside the loop, not by an extra
-    # gradient, for cold and warm starts alike
+    # gradient, for cold and warm starts alike. The dual rows are mapped by
+    # apply_t once per inner iteration and once per sweep: recovery and the
+    # dual objective read the last sweep's image, and a solve without
+    # coupling maps nothing and ignores its warm start
     rng = np.random.default_rng(21)
     values, targets = blob_regression(rng)
     moved = values + 0.01 * rng.standard_normal(values.shape)
@@ -574,19 +577,35 @@ def test_solve_evaluates_one_gradient_per_inner_iteration(task, p, rho, monkeypa
     Q = EdgeIncidence(build_knn_graph(Dataset(values), k=5), 1.0)
     config = SolverConfig(alpha=1.0, beta=0.5, p=p, s=1, rho=rho)
     curvature = type(problem).conjugate_curvature
-    calls = []
+    apply_t = EdgeIncidence.apply_t
+    calls, maps = [], []
 
     def counting_curvature(self, V):
         calls.append(V.shape)
         return curvature(self, V)
 
+    def counting_apply_t(self, lam):
+        maps.append(lam.shape)
+        return apply_t(self, lam)
+
     monkeypatch.setattr(type(problem), "conjugate_curvature", counting_curvature)
+    monkeypatch.setattr(EdgeIncidence, "apply_t", counting_apply_t)
     cold = solve_dual(problem, Q, config)
-    cold_calls = len(calls)
+    cold_calls, cold_maps = len(calls), len(maps)
     warm = solve_dual(problem.with_values(moved), Q, config, warm_start=cold.state)
     assert cold.converged and warm.converged and warm.inner_iterations > 0
     assert cold_calls == cold.inner_iterations + 2
     assert len(calls) - cold_calls == warm.inner_iterations + 2
+    assert cold_maps == cold.inner_iterations + cold.iterations
+    assert len(maps) - cold_maps == warm.inner_iterations + warm.iterations
+    for uncoupled in (Q.with_coef(np.zeros(Q.row_count)),
+                      EdgeIncidence(VariableGraph(Q.col_count, ()), 1.0)):
+        del calls[:], maps[:]
+        result = solve_dual(problem, uncoupled, config, warm_start=cold.state)
+        assert (len(calls), maps) == (2, [])
+        assert result.converged and (result.iterations, result.inner_iterations) == (0, 0)
+        assert not (result.state.lam.any() or result.state.u.any() or result.state.mu.any())
+        assert same_bits(result.x_star, problem.recover_primal(np.zeros_like(values)))
 
 
 @pytest.mark.parametrize("task, p", [("cc", 2), ("cc", np.inf),

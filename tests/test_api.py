@@ -60,3 +60,20 @@ def test_every_public_function_and_class_is_used_by_the_library():
               if (inspect.isfunction(getattr(sco, name)) or inspect.isclass(getattr(sco, name)))
               and name not in used]
     assert unused == []
+
+
+def test_problems_import_neither_the_operator_nor_the_norms():
+    # a task sees only the dual image Q^T lam, never the operator that maps
+    # to it or the regulariser's norms
+    source = (Path(sco.__file__).parent / "problems.py").read_text(encoding="utf-8")
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            prefix = "sco." if node.level else ""
+            if node.module:
+                imported.add(prefix + node.module)
+            else:
+                imported.update(prefix + alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not imported & {"sco.incidence", "sco.norms"}

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -56,19 +54,16 @@ def test_extract_matches_per_edge_oracle():
                                       per_edge_extract_clusters(X, graph, eps))
 
 
-def test_sweep_labels_and_operator_ends_match_per_edge_oracle():
-    # the sweep hands its operator's edge ends to the extraction; the
-    # labels are those of the per-edge oracle on the graph's edge tuples
+def test_sweep_labels_match_per_edge_oracle():
+    # the sweep's labels are those of the per-edge oracle on the graph's
+    # edge tuples
     rng = np.random.default_rng(9)
     data = Dataset(np.vstack([rng.standard_normal((12, 2)) + shift for shift in (0.0, 6.0)]))
     graph = build_knn_graph(data, k=4)
     path = sweep(data, graph, [0.1, 1.0, 4.0], SolverConfig(beta=0.0, p=2))
-    Q = EdgeIncidence(graph, 1.0)
     for X, labels in zip(path.solutions, path.memberships):
         expected = per_edge_extract_clusters(X, graph, path.fuse_tolerance)
         np.testing.assert_array_equal(labels, canonical_labels(expected))
-        np.testing.assert_array_equal(
-            extract_clusters(X, graph, path.fuse_tolerance, ends=(Q.head, Q.tail)), expected)
 
 
 def test_extract_requires_positive_tolerance():
@@ -198,11 +193,9 @@ def test_sweep_rescales_one_operator_to_the_bits_of_fresh_ones(monkeypatch):
     previous = None
     for alpha, Q, X in zip(alphas, seen, path.solutions):
         fresh = EdgeIncidence(graph, alpha)
-        assert Q.alpha == alpha
         assert same_bits(Q.coef, fresh.coef)
         assert np.array_equal(Q.head, fresh.head) and np.array_equal(Q.tail, fresh.tail)
-        result = solve(ConvexClusteringProblem(data), fresh, replace(config, alpha=alpha),
-                       warm_start=previous)
+        result = solve(ConvexClusteringProblem(data), fresh, config, warm_start=previous)
         previous = result.state
         assert same_bits(result.x_star, X)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import sco.evolution
 from sco import (ConvexClusteringProblem, Dataset, DimensionError, EdgeIncidence,
                  ParameterError, RidgeProblem, Snapshot, SolverConfig,
                  build_knn_graph, delta_metric, run_session)
@@ -74,6 +75,27 @@ def test_delta_metric_ridge_includes_constant_term():
     expected = abs(changed.conjugate_constant() - problem.conjugate_constant())
     assert abs(got - expected) <= 1e-12
     assert got > 0
+
+
+@pytest.mark.parametrize("task", ["cc", "ridge"])
+def test_delta_metric_maps_the_dual_rows_once(task, monkeypatch):
+    # both conjugates are taken at one image Q^T lam
+    rng = np.random.default_rng(6)
+    values = rng.standard_normal((8, 2))
+    data = Dataset(values, targets=rng.standard_normal(8))
+    problem = ConvexClusteringProblem(data) if task == "cc" else RidgeProblem(data, gamma=2.0)
+    Q = EdgeIncidence(build_knn_graph(data, k=2), 1.0)
+    lam = np.clip(rng.standard_normal((Q.row_count, 2)), -1, 1)
+    apply_t = EdgeIncidence.apply_t
+    maps = []
+
+    def counting_apply_t(self, lam):
+        maps.append(lam.shape)
+        return apply_t(self, lam)
+
+    monkeypatch.setattr(EdgeIncidence, "apply_t", counting_apply_t)
+    assert delta_metric(problem, Q, lam, values + 0.1) > 0
+    assert maps == [lam.shape]
 
 
 def test_delta_metric_shape_mismatch():
@@ -166,6 +188,37 @@ def test_rebuild_graph_on_resolve():
     assert decisions[0].action == "resolve"
     rebuilt = build_knn_graph(Dataset(moved), 2)
     assert session.graph.edges == rebuilt.edges
+
+
+@pytest.mark.parametrize("seed, shift, warm", [(6, 0.0, False), (8, 0.0, False),
+                                               (6, 1.0, True)])
+def test_rebuild_warm_starts_only_on_the_same_edges(seed, shift, warm, monkeypatch):
+    # dual row k is edge k's multiplier: a rebuilt graph with as many edges
+    # as the old one but other ends starts cold (30 points, d=2, k=3, noise
+    # 0.3 at seeds 6 and 8), and a translated snapshot, whose kNN edges are
+    # the old ones, warm-starts from the kept state
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((30, 2))
+    moved = values + shift if shift else values + 0.3 * rng.standard_normal(values.shape)
+    graph = build_knn_graph(Dataset(values), 3)
+    rebuilt = build_knn_graph(Dataset(moved), 3)
+    assert rebuilt.edge_count == graph.edge_count
+    assert ([e[:2] for e in rebuilt.edges] == [e[:2] for e in graph.edges]) == warm
+    solve = sco.evolution.solve_dual
+    seen = []
+
+    def recording(problem, Q, config, warm_start=None, **kwargs):
+        result = solve(problem, Q, config, warm_start=warm_start, **kwargs)
+        seen.append((warm_start, result.state))
+        return result
+
+    monkeypatch.setattr("sco.evolution.solve_dual", recording)
+    run_session(ConvexClusteringProblem(Dataset(values)), graph,
+                [Snapshot(index=0, values=moved)], SolverConfig(beta=1.0, p=2, s=1),
+                threshold=0.0, rebuild_graph=True, knn_k=3)
+    (first_warm, kept), (resolve_warm, _) = seen
+    assert first_warm is None
+    assert resolve_warm is (kept if warm else None)
 
 
 def test_solver_failure_carries_snapshot_index():

@@ -235,14 +235,11 @@ def test_with_coef_shares_the_edges_but_not_the_coefficients():
     X = wide_block(rng, 9, 3)
     Q.apply_t(lam)
     R = Q.with_coef(rng.uniform(0.1, 5.0, Q.row_count))
-    assert R.alpha == Q.alpha and R.head is Q.head and R.tail is Q.tail
+    assert R.head is Q.head and R.tail is Q.tail
     assert R._flat_cache is Q._flat_cache
     for op in (R, Q):
         assert same_bits(op.apply_t(lam), per_column_apply_t(op, lam))
         assert same_bits(op.apply(X), fancy_index_apply(op, X))
-    assert Q.with_coef(Q.coef, 2.5).alpha == 2.5
-    with pytest.raises(ParameterError):
-        Q.with_coef(Q.coef, np.inf)
 
 
 def test_maps_bit_identical_on_fortran_ordered_and_sliced_inputs():

@@ -47,8 +47,8 @@ def test_ridge_needs_targets_and_positive_gamma():
 
 def test_conjugate_hand_value():
     problem, Q = two_point_instance()
-    assert problem.conjugate_value(Q, np.array([[1.0]])) == 2.5
-    assert problem.conjugate_value(Q, np.zeros((1, 1))) == 0.0
+    assert problem.conjugate_value(Q.apply_t(np.array([[1.0]]))) == 2.5
+    assert problem.conjugate_value(np.zeros((2, 1))) == 0.0
 
 
 def test_conjugate_matches_sup_oracle():
@@ -64,7 +64,7 @@ def test_conjugate_matches_sup_oracle():
                 return problem.primal_value(unstack_columns(x, n, d))
 
             expected = conjugate_sup_oracle(primal_flat, n * d, v)
-            assert abs(problem.conjugate_value_full(Q, lam) - expected) <= 1e-8 * (1 + abs(expected))
+            assert abs(problem.conjugate_value_full(Q.apply_t(lam)) - expected) <= 1e-8 * (1 + abs(expected))
 
 
 def test_conjugate_gradient_zero_dual():
@@ -98,23 +98,23 @@ def test_conjugate_gradient_finite_differences():
                 for b in range(lam.shape[1]):
                     bump = np.zeros_like(lam)
                     bump[a, b] = h
-                    numeric[a, b] = (problem.conjugate_value(Q, lam + bump)
-                                     - problem.conjugate_value(Q, lam - bump)) / (2 * h)
+                    numeric[a, b] = (problem.conjugate_value(Q.apply_t(lam + bump))
+                                     - problem.conjugate_value(Q.apply_t(lam - bump))) / (2 * h)
             scale = max(1.0, float(np.abs(numeric).max()))
             assert np.abs(grad - numeric).max() <= 1e-5 * scale
 
 
 def test_recover_primal_examples():
     problem, Q = two_point_instance()
-    np.testing.assert_allclose(problem.recover_primal(Q, np.zeros((1, 1))), problem.values)
-    np.testing.assert_allclose(problem.recover_primal(Q, np.array([[1.0]])),
+    np.testing.assert_allclose(problem.recover_primal(np.zeros((2, 1))), problem.values)
+    np.testing.assert_allclose(problem.recover_primal(Q.apply_t(np.array([[1.0]]))),
                                [[-0.5], [2.5]])
 
 
 def test_ridge_recovery_zero_dual_is_diagonal_solve():
     rng = np.random.default_rng(4)
     problem, Q, _ = random_setup(rng, 5, 2, "ridge")
-    x = problem.recover_primal(Q, np.zeros((Q.row_count, 2)))
+    x = problem.recover_primal(np.zeros((5, 2)))
     b = problem.target_adjoint
     np.testing.assert_allclose(x, b / problem.omega_diagonal, atol=1e-12)
 
@@ -127,9 +127,10 @@ def test_fenchel_equality_at_recovered_point():
             n, d = int(rng.integers(2, 6)), int(rng.integers(1, 3))
             problem, Q, _ = random_setup(rng, n, d, task)
             lam = rng.standard_normal((Q.row_count, d))
-            x = problem.recover_primal(Q, lam)
-            lhs = problem.primal_value(x) + float((Q.apply_t(lam) * x).sum())
-            rhs = -problem.conjugate_value_full(Q, lam)
+            V = Q.apply_t(lam)
+            x = problem.recover_primal(V)
+            lhs = problem.primal_value(x) + float((V * x).sum())
+            rhs = -problem.conjugate_value_full(V)
             assert abs(lhs - rhs) <= 1e-8 * (1 + abs(rhs))
 
 
