@@ -7,8 +7,7 @@ keeping a stale model.
 """
 
 from .admm import (ConvergenceTrace, DualState, SolveResult, SolverConfig,
-                   h_norm_step, lambda_step, mu_step, parallel_lambda_step,
-                   solve_dual, u_step, zero_state)
+                   solve_dual)
 from .bounds import (BoundReport, clustering_dual_image_bound,
                      clustering_dual_image_check, clustering_model_check,
                      regression_dual_image_check, regression_model_check)
@@ -19,7 +18,7 @@ from .errors import (DataValidationError, DimensionError, NumericFailure,
 from .evolution import (EvolutionDecision, SessionState, Snapshot, delta_metric,
                         run_session)
 from .graph import Dataset, VariableGraph, build_knn_graph, validate_graph
-from .incidence import EdgeIncidence, operator_norm_estimate
+from .incidence import EdgeIncidence
 from .norms import as_norm, dual_norm, sum_norms, vec_norm
 from .problems import (ConvexClusteringProblem, Problem, RidgeProblem,
                        make_problem)

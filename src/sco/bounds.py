@@ -14,21 +14,24 @@ Clustering task:
   at most <A, D> + c/2 + ||D|| * ||A + D||^2 / (2 beta).
   The left side is an inner product, not a norm, and may be negative.
 
-Regression task (diagonal quadratic loss):
+Regression task (diagonal quadratic loss; the bounds are stated for
+fixed targets and one gamma, so a pair of tasks that differ in either is
+rejected):
 
 * dual-image bound: the s-norm is at most the omega-inverse quadratic
   form <b, b / omega> of the target image b divided by 4 beta. The
-  target image can be taken from the original or the perturbed data;
-  both variants are computed and the larger is reported as the operative
+  target image can be taken from the base or the evolved task; both
+  variants are computed and the larger is reported as the operative
   right-hand side.
 * model bound: the difference of omega-weighted model energies
   <X, omega * X> is at most the two squared quadratic forms weighted by
   spectral norms of the sandwiched cross operator, plus 4c.
 
-``reports`` is the one place that chooses the checks by task: given the
-problem a kept model was solved on, the evolved data and both solutions,
-it runs the task's model and dual-image checks, reading gamma and the
-targets from the problem.
+Every check compares two tasks: the base task, on the data A a kept
+model was solved on, and the evolved task, the same task on the new data
+A + D (``Problem.with_values`` builds it); A, D, the targets, gamma,
+omega and b all come from those two. ``reports`` is the one place that
+chooses the checks by task.
 
 Bare operator norms are read as spectral norms. The sandwiched cross
 operator is block diagonal over instances with rank-one blocks, so its
@@ -45,7 +48,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .graph import Dataset
 from .incidence import EdgeIncidence
 from .norms import as_norm, vec_norm
 from .problems import ConvexClusteringProblem, Problem, RidgeProblem
@@ -101,32 +103,33 @@ def clustering_dual_image_bound(new_values: np.ndarray, beta: float) -> float:
     return float((v * v).sum()) / beta
 
 
-def clustering_dual_image_check(Q: EdgeIncidence, lam_tilde: np.ndarray,
-                                new_values: np.ndarray, beta: float, s) -> BoundReport:
-    """Dual-image norm bound for the clustering task."""
+def clustering_dual_image_check(Q: EdgeIncidence, lam_tilde: np.ndarray, moved: Problem,
+                                beta: float, s) -> BoundReport:
+    """Dual-image norm bound for the clustering task; lam_tilde is the dual
+    optimum on the evolved task ``moved``."""
     lhs = dual_image_norm(Q, lam_tilde, s)
-    rhs = clustering_dual_image_bound(new_values, beta)
+    rhs = clustering_dual_image_bound(moved.values, beta)
     inputs = {"beta": float(beta), "s": _norm_tag(s),
-              "new_values_fro": float(np.linalg.norm(new_values))}
+              "new_values_fro": float(np.linalg.norm(moved.values))}
     return BoundReport.build("clustering-dual-image", lhs, rhs, inputs)
 
 
-def clustering_model_check(values: np.ndarray, delta: np.ndarray, beta: float, c: float,
+def clustering_model_check(base: Problem, moved: Problem, beta: float, c: float,
                            x_star: np.ndarray, x_tilde_star: np.ndarray) -> BoundReport:
     """Model-difference bound for the clustering task.
 
+    x_star is solved on ``base`` and x_tilde_star on ``moved``:
     lhs = <A, X~ - X>;
     rhs = <A, D> + c/2 + ||D|| * ||A + D||^2 / (2 beta).
     """
     beta = _require_positive("beta", beta)
-    a = np.asarray(values, dtype=float)
-    dv = np.asarray(delta, dtype=float)
+    a, evolved = base.values, moved.values
     x = np.asarray(x_star, dtype=float)
     xt = np.asarray(x_tilde_star, dtype=float)
-    if not (a.shape == dv.shape == x.shape == xt.shape):
+    if not (a.shape == evolved.shape == x.shape == xt.shape):
         raise ParameterError("all matrices must share one shape")
+    dv = evolved - a
     lhs = float((a * (xt - x)).sum())
-    evolved = a + dv
     rhs = float((a * dv).sum()) + 0.5 * float(c) \
         + float(np.linalg.norm(dv)) * float((evolved * evolved).sum()) / (2.0 * beta)
     inputs = {"beta": beta, "c": float(c),
@@ -155,53 +158,53 @@ def _sandwich_spectral_norm(values: np.ndarray, delta: np.ndarray, omega: np.nda
     return 2.0 * float(per_row.max()) * _NORM_INFLATION
 
 
-def regression_dual_image_check(Q: EdgeIncidence, lam_tilde: np.ndarray,
-                                values: np.ndarray, delta: np.ndarray, y: np.ndarray,
-                                gamma: float, beta: float, s) -> BoundReport:
-    """Dual-image norm bound for the regression task.
+def _ridge_perturbation(base: RidgeProblem, moved: RidgeProblem) -> np.ndarray:
+    """D = A~ - A of two ridge tasks. The regression bounds are stated for
+    one shape, one gamma and fixed targets; any other pair is rejected."""
+    if moved.values.shape != base.values.shape or moved.gamma != base.gamma \
+            or not np.array_equal(moved.dataset.targets, base.dataset.targets):
+        raise ParameterError("the regression bounds need the base task's shape, gamma and targets")
+    return moved.values - base.values
 
-    The right side is the perturbed-omega-inverse quadratic form of the
-    target image over 4 beta. The target image built from the original
-    data and the one built from the perturbed data are both evaluated;
-    the larger is the operative bound and both appear in the report
-    inputs.
+
+def regression_dual_image_check(Q: EdgeIncidence, lam_tilde: np.ndarray, base: RidgeProblem,
+                                moved: RidgeProblem, beta: float, s) -> BoundReport:
+    """Dual-image norm bound for the regression task; lam_tilde is the dual
+    optimum on the evolved task ``moved``. The right side is the
+    perturbed-omega-inverse quadratic form of the target image over
+    4 beta. The target images of the base and the evolved task are both
+    evaluated; the larger is the operative bound and both appear in the
+    report inputs.
     """
     beta = _require_positive("beta", beta)
-    values = np.asarray(values, dtype=float)
-    delta = np.asarray(delta, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    base = RidgeProblem(Dataset(values, y), gamma)
-    moved = RidgeProblem(Dataset(values + delta, y), gamma)
+    _ridge_perturbation(base, moved)
     # Target quadratic forms <b, b / omega>; conjugate_constant() is the
-    # form of one problem's own b and omega.
+    # form of one task's own b and omega.
     b = base.target_adjoint
     rhs_plain = float((b * (b / moved.omega_diagonal)).sum()) / (4.0 * beta)
     rhs_tilde = moved.conjugate_constant() / (4.0 * beta)
     lhs = dual_image_norm(Q, lam_tilde, s)
-    inputs = {"beta": beta, "gamma": float(gamma), "s": _norm_tag(s),
+    inputs = {"beta": beta, "gamma": base.gamma, "s": _norm_tag(s),
               "rhs_plain": float(rhs_plain), "rhs_perturbed": float(rhs_tilde),
-              "targets_norm": float(np.linalg.norm(y))}
+              "targets_norm": float(np.linalg.norm(base.dataset.targets))}
     return BoundReport.build("regression-dual-image", lhs, max(rhs_plain, rhs_tilde), inputs)
 
 
-def regression_model_check(values: np.ndarray, delta: np.ndarray, y: np.ndarray,
-                           gamma: float, beta: float, c: float,
+def regression_model_check(base: RidgeProblem, moved: RidgeProblem, beta: float, c: float,
                            x_star: np.ndarray, x_tilde_star: np.ndarray) -> BoundReport:
     """Model-energy bound for the regression task.
 
-    lhs is the omega-weighted energy difference of the two models; rhs
-    combines the squared target quadratic forms (perturbed and original),
-    each weighted by the spectral norm of the cross operator sandwiched
-    between the matching inverse diagonal, plus 4c. Those norms are
-    computed in closed form (``_sandwich_spectral_norm``), so the report
-    depends on its arguments only.
+    x_star is solved on ``base`` and x_tilde_star on ``moved``. lhs is
+    their omega-weighted energy difference; rhs combines the squared
+    target quadratic forms (evolved and base), each weighted by the
+    spectral norm of the cross operator sandwiched between the matching
+    inverse diagonal, plus 4c. Those norms are computed in closed form
+    (``_sandwich_spectral_norm``), so the report depends on its
+    arguments only.
     """
     beta = _require_positive("beta", beta)
-    values = np.asarray(values, dtype=float)
-    delta = np.asarray(delta, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    base = RidgeProblem(Dataset(values, y), gamma)
-    moved = RidgeProblem(Dataset(values + delta, y), gamma)
+    delta = _ridge_perturbation(base, moved)
+    values = base.values
 
     x = np.asarray(x_star, dtype=float)
     xt = np.asarray(x_tilde_star, dtype=float)
@@ -211,33 +214,31 @@ def regression_model_check(values: np.ndarray, delta: np.ndarray, y: np.ndarray,
     form_tilde = moved.conjugate_constant()  # <b, b / omega>
     form_plain = base.conjugate_constant()
     norm_tilde = _sandwich_spectral_norm(values, delta, moved.omega_diagonal)
-    norm_plain = _sandwich_spectral_norm(values, delta, base.omega_diagonal)
+    norm_plain = _sandwich_spectral_norm(values, delta, omega)
     scale = 1.0 / (16.0 * beta * beta)
     rhs = scale * form_tilde ** 2 * norm_tilde + scale * form_plain ** 2 * norm_plain \
         + 4.0 * float(c)
-    inputs = {"beta": beta, "c": float(c), "gamma": float(gamma),
+    inputs = {"beta": beta, "c": float(c), "gamma": base.gamma,
               "values_fro": float(np.linalg.norm(values)),
               "delta_fro": float(np.linalg.norm(delta)),
-              "targets_norm": float(np.linalg.norm(y))}
+              "targets_norm": float(np.linalg.norm(base.dataset.targets))}
     return BoundReport.build("regression-model-energy", lhs, rhs, inputs)
 
 
-def reports(Q: EdgeIncidence, base_problem: Problem, new_values: np.ndarray,
+def reports(Q: EdgeIncidence, base: Problem, moved: Problem,
             x_star: np.ndarray, x_tilde_star: np.ndarray, lam_tilde: np.ndarray,
             beta: float, s, c: float) -> list[BoundReport]:
-    """Model and dual-image reports for the task of ``base_problem``.
+    """Model and dual-image reports for the task of ``base``.
 
-    x_star is the model solved on ``base_problem``; x_tilde_star and
-    lam_tilde are the solution on ``new_values``. Both checks see the
-    perturbation D = new_values - A and the evolved data as A + D.
+    x_star is the model solved on ``base``; x_tilde_star and lam_tilde are
+    the solution on the evolved task ``moved``, the same task on the new
+    data (``base.with_values`` builds it). A ridge pair whose targets
+    differ raises ParameterError.
     """
-    values = base_problem.values
-    delta = np.asarray(new_values, dtype=float) - values
-    if isinstance(base_problem, RidgeProblem):
-        y, gamma = base_problem.dataset.targets, base_problem.gamma
-        return [regression_model_check(values, delta, y, gamma, beta, c, x_star, x_tilde_star),
-                regression_dual_image_check(Q, lam_tilde, values, delta, y, gamma, beta, s)]
-    if isinstance(base_problem, ConvexClusteringProblem):
-        return [clustering_model_check(values, delta, beta, c, x_star, x_tilde_star),
-                clustering_dual_image_check(Q, lam_tilde, values + delta, beta, s)]
-    raise ParameterError(f"no bound checks for {type(base_problem).__name__}")
+    if isinstance(base, RidgeProblem):
+        return [regression_model_check(base, moved, beta, c, x_star, x_tilde_star),
+                regression_dual_image_check(Q, lam_tilde, base, moved, beta, s)]
+    if isinstance(base, ConvexClusteringProblem):
+        return [clustering_model_check(base, moved, beta, c, x_star, x_tilde_star),
+                clustering_dual_image_check(Q, lam_tilde, moved, beta, s)]
+    raise ParameterError(f"no bound checks for {type(base).__name__}")

@@ -20,7 +20,7 @@ from . import bounds as bounds_mod
 from .admm import SolverConfig, solve_dual
 from .clusterpath import sweep
 from .errors import ParameterError, SCOError
-from .evolution import Snapshot, _snapshot_changed, run_session
+from .evolution import Snapshot, run_session
 # Not called here; the benchmark's tracer wraps it under this module's name.
 from .evolution import delta_metric  # noqa: F401
 from .graph import Dataset, build_knn_graph, validate_graph
@@ -282,22 +282,18 @@ def _read_stream(args, data: Dataset) -> list[Snapshot]:
     return snapshots
 
 
-def _decision_bounds(decision, session, snapshot, config, c, rng):
-    """Bound reports for one decision. A keep on a changed snapshot (values
-    or targets) needs one extra solve on it to obtain the true perturbed
-    model."""
-    if decision.action == "resolve":
-        base_problem, x_star = session.previous_problem, session.previous_x_star
-        new_values, x_tilde, lam_tilde = session.problem.values, session.x_star, session.dual.lam
-    else:
-        base_problem, x_star, new_values = session.problem, session.x_star, snapshot.values
-        x_tilde, lam_tilde = x_star, session.dual.lam
-        if _snapshot_changed(base_problem, snapshot):
-            shadow = base_problem.with_values(snapshot.values, snapshot.targets)
-            result = solve_dual(shadow, session.Q, config, warm_start=session.dual, rng=rng)
-            x_tilde, lam_tilde = result.x_star, result.state.lam
-    reports = bounds_mod.reports(session.Q, base_problem, new_values, x_star, x_tilde,
-                                 lam_tilde, config.beta, config.s, c)
+def _decision_bounds(decision, before, after, evolved, config, c, rng):
+    """Bound reports for one decision: the model of ``before`` against the
+    true model on the snapshot's task ``evolved`` (``before.problem`` when
+    the snapshot is unchanged). A re-solve left that model in ``after``; a
+    keep on a changed snapshot (values or targets) needs one extra solve
+    on ``evolved`` to obtain it."""
+    x_tilde, lam_tilde = after.x_star, after.dual.lam
+    if decision.action == "keep" and evolved is not None:
+        result = solve_dual(evolved, before.Q, config, warm_start=before.dual, rng=rng)
+        x_tilde, lam_tilde = result.x_star, result.state.lam
+    reports = bounds_mod.reports(after.Q, before.problem, evolved or before.problem,
+                                 before.x_star, x_tilde, lam_tilde, config.beta, config.s, c)
     return [report.as_dict() for report in reports]
 
 
@@ -313,7 +309,7 @@ def cmd_monitor(args) -> int:
     records = []
     metric_records = []
 
-    def on_decision(decision, session, snapshot):
+    def on_decision(decision, before, after, evolved):
         records.append({
             "idx": decision.index,
             "delta_metric": decision.delta_metric,
@@ -326,7 +322,7 @@ def cmd_monitor(args) -> int:
         })
         metric_records.append({"idx": decision.index, "wall_ms": decision.wall_ms})
         if not args.no_bounds:
-            for report in _decision_bounds(decision, session, snapshot, config, args.c, rng):
+            for report in _decision_bounds(decision, before, after, evolved, config, args.c, rng):
                 report["idx"] = decision.index
                 bound_records.append(report)
 
@@ -362,8 +358,8 @@ def cmd_bound(args) -> int:
 
     reports = []
 
-    def on_decision(decision, session, snapshot):
-        reports.extend(_decision_bounds(decision, session, snapshot, config, args.c, rng))
+    def on_decision(decision, before, after, evolved):
+        reports.extend(_decision_bounds(decision, before, after, evolved, config, args.c, rng))
 
     decisions, _ = run_session(problem, graph, stream, config, np.inf, rng=rng,
                                on_decision=on_decision)

@@ -1,13 +1,13 @@
 """Refresh loop for evolving data: detect a change, score it, re-solve
 only when the score crosses the threshold.
 
+Each changed snapshot becomes one evolved task, the accepted task on its
+data, which the score, the re-solve and the per-decision hook all take.
 The score is the absolute change of the full conjugate value at the last
-accepted dual optimum when the data matrix is swapped for the new
-snapshot. Every data-dependent term participates, including constants
-dropped during optimisation, since the score is defined on the conjugate
-itself.
+accepted dual optimum between the two tasks. Every data-dependent term
+participates, including constants dropped during optimisation.
 
-Session state (accepted data, dual state, primal model) is owned by a
+Session state (accepted task, dual state, primal model) is owned by a
 single sequential loop; independent sessions may run concurrently.
 """
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from .admm import DualState, SolverConfig, solve_dual
 from .errors import DimensionError, ParameterError, SCOError
-from .graph import Dataset, VariableGraph, build_knn_graph
+from .graph import VariableGraph, build_knn_graph
 from .incidence import EdgeIncidence
 from .problems import Problem
 
@@ -54,45 +54,43 @@ class EvolutionDecision:
 
 
 def delta_metric(problem: Problem, Q: EdgeIncidence, lam_star: np.ndarray,
-                 new_values: np.ndarray, new_targets: np.ndarray | None = None) -> float:
-    """Absolute conjugate-value change at a fixed dual point when the data
-    evolves, with all data-dependent terms included. Both conjugates are
-    taken at the one dual image ``Q^T lam_star``."""
-    new_values = np.asarray(new_values, dtype=float)
-    if new_values.shape != problem.values.shape:
+                 evolved: Problem) -> float:
+    """Absolute conjugate-value change at a fixed dual point between the
+    accepted task ``problem`` and the ``evolved`` task, the same task on
+    the new data (``problem.with_values`` builds it), with all
+    data-dependent terms included. Both conjugates are taken at the one
+    dual image ``Q^T lam_star``."""
+    if evolved.values.shape != problem.values.shape:
         raise DimensionError(
-            f"evolved data shape {new_values.shape} != current shape {problem.values.shape}")
+            f"evolved data shape {evolved.values.shape} != current shape {problem.values.shape}")
     V = Q.apply_t(lam_star)
-    evolved = problem.with_values(new_values, new_targets)
     return abs(evolved.conjugate_value_full(V) - problem.conjugate_value_full(V))
 
 
 @dataclass
 class SessionState:
-    """Accepted model after the last solve.
-
-    ``previous_problem`` / ``previous_x_star`` hold the model that was
-    replaced by the most recent re-solve (None until one happens), which
-    is what the accuracy bounds compare against.
-    """
+    """Accepted model after the last solve. ``run_session`` makes a new
+    state on every re-solve and never changes one it has handed out."""
 
     problem: Problem
-    graph: VariableGraph
     Q: EdgeIncidence
     dual: DualState
     x_star: np.ndarray
-    previous_problem: Problem | None = None
-    previous_x_star: np.ndarray | None = None
 
 
-def _snapshot_changed(problem: Problem, snapshot: Snapshot) -> bool:
-    if not np.array_equal(problem.values, snapshot.values):
-        return True
-    if snapshot.targets is not None:
-        current = problem.dataset.targets
-        if current is None or not np.array_equal(current, np.asarray(snapshot.targets, dtype=float)):
-            return True
-    return False
+def _evolved_task(problem: Problem, snapshot: Snapshot) -> Problem | None:
+    """The accepted task on the snapshot's data, or None when the snapshot
+    equals the accepted data (and targets, where it carries them)."""
+    values = np.asarray(snapshot.values, dtype=float)
+    if values.shape != problem.values.shape:
+        # before with_values, which would fail on kept targets of another length
+        raise DimensionError(f"snapshot {snapshot.index}: evolved data shape {values.shape} "
+                             f"!= current shape {problem.values.shape}")
+    if np.array_equal(problem.values, values) and (
+            snapshot.targets is None
+            or np.array_equal(problem.dataset.targets, snapshot.targets)):
+        return None
+    return problem.with_values(values, snapshot.targets)
 
 
 def run_session(initial_problem: Problem, graph: VariableGraph, stream,
@@ -104,78 +102,73 @@ def run_session(initial_problem: Problem, graph: VariableGraph, stream,
     """Solve once on the initial data, then process snapshots in order.
 
     A snapshot identical to the accepted data is a "keep" with a zero
-    score (no change is detected, so the score is never evaluated). A
-    changed snapshot is scored; at or above ``threshold`` the snapshot is
-    accepted and the dual is re-solved, warm-started from the previous
-    state. Graph topology stays frozen across the session unless
-    ``rebuild_graph`` asks for reconstruction on every accepted change.
-    Dual row k is the multiplier of edge k, so a rebuilt graph warm-starts
-    only when its edge ends equal the old ones, in order; otherwise its
-    solve starts cold.
+    score, and no task is built for it. A changed snapshot's task is built
+    once, with ``with_values`` of the accepted task, and scored; at or
+    above ``threshold`` the snapshot is accepted and its task re-solved,
+    warm-started from the previous state. A snapshot of another shape
+    raises DimensionError. Graph topology stays frozen across the session
+    unless ``rebuild_graph`` (which needs ``knn_k``) asks for
+    reconstruction on every accepted change. Dual row k is the multiplier
+    of edge k, so a rebuilt graph warm-starts only when its edge ends
+    equal the old ones, in order; otherwise its solve starts cold.
 
-    ``on_decision(decision, session, snapshot)`` is invoked after each
-    snapshot, letting callers attach per-decision reporting.
+    ``on_decision(decision, before, after, evolved)`` is invoked after
+    each snapshot: ``before`` is the state the snapshot met, ``after``
+    the state it left (``before`` itself on a keep) and ``evolved`` its
+    task, or None when it equals the accepted data.
 
     Returns the decision log and the final accepted state. Solver errors
     propagate with the snapshot index attached.
     """
     if not threshold >= 0:  # NaN too: no score is ever >= NaN
         raise ParameterError(f"threshold must be nonnegative, got {threshold}")
+    if rebuild_graph and knn_k is None:
+        raise ParameterError("graph rebuild requested but no neighbour count given")
     Q = EdgeIncidence(graph, config.alpha)
     result = solve_dual(initial_problem, Q, config, rng=rng)
-    session = SessionState(problem=initial_problem, graph=graph, Q=Q,
-                           dual=result.state, x_star=result.x_star)
+    session = SessionState(problem=initial_problem, Q=Q, dual=result.state,
+                           x_star=result.x_star)
 
     decisions: list[EvolutionDecision] = []
     for snapshot in stream:
-        if not _snapshot_changed(session.problem, snapshot):
-            decision = EvolutionDecision(index=snapshot.index, delta_metric=0.0,
-                                         threshold=threshold, action="keep")
+        before = session
+        evolved = _evolved_task(before.problem, snapshot)
+        score = 0.0 if evolved is None else \
+            delta_metric(before.problem, before.Q, before.dual.lam, evolved)
+        if evolved is not None and score >= threshold:
+            decision, session = _accept_and_resolve(before, snapshot.index, evolved, score,
+                                                    threshold, config, rebuild_graph, knn_k,
+                                                    weight_cap, rng)
         else:
-            score = delta_metric(session.problem, session.Q, session.dual.lam,
-                                 snapshot.values, snapshot.targets)
-            if score >= threshold:
-                decision = _accept_and_resolve(session, snapshot, score, threshold, config,
-                                               rebuild_graph, knn_k, weight_cap, rng)
-            else:
-                decision = EvolutionDecision(index=snapshot.index, delta_metric=score,
-                                             threshold=threshold, action="keep")
+            decision = EvolutionDecision(index=snapshot.index, delta_metric=score,
+                                         threshold=threshold, action="keep")
         decisions.append(decision)
         if on_decision is not None:
-            on_decision(decision, session, snapshot)
+            on_decision(decision, before, session, evolved)
     return decisions, session
 
 
-def _accept_and_resolve(session: SessionState, snapshot: Snapshot, score: float,
+def _accept_and_resolve(session: SessionState, index: int, evolved: Problem, score: float,
                         threshold: float, config: SolverConfig, rebuild_graph: bool,
                         knn_k: int | None, weight_cap: float,
-                        rng: np.random.Generator | None) -> EvolutionDecision:
+                        rng: np.random.Generator | None
+                        ) -> tuple[EvolutionDecision, SessionState]:
     try:
-        new_problem = session.problem.with_values(snapshot.values, snapshot.targets)
-        new_graph, new_Q = session.graph, session.Q
-        warm = session.dual
+        Q, warm = session.Q, session.dual
         if rebuild_graph:
-            if knn_k is None:
-                raise ParameterError("graph rebuild requested but no neighbour count given")
-            new_graph = build_knn_graph(Dataset(snapshot.values), knn_k, weight_cap)
-            new_Q = EdgeIncidence(new_graph, config.alpha)
-            if not (np.array_equal(new_Q.head, session.Q.head)
-                    and np.array_equal(new_Q.tail, session.Q.tail)):
+            Q = EdgeIncidence(build_knn_graph(evolved.dataset, knn_k, weight_cap), config.alpha)
+            if not (np.array_equal(Q.head, session.Q.head)
+                    and np.array_equal(Q.tail, session.Q.tail)):
                 warm = None  # other edges: the old rows are other edges' multipliers
         started = time.perf_counter()
-        result = solve_dual(new_problem, new_Q, config, warm_start=warm, rng=rng)
+        result = solve_dual(evolved, Q, config, warm_start=warm, rng=rng)
         wall_ms = (time.perf_counter() - started) * 1000.0
     except SCOError as exc:
-        raise type(exc)(f"snapshot {snapshot.index}: {exc}") from exc
-    session.previous_problem = session.problem
-    session.previous_x_star = session.x_star
-    session.graph = new_graph
-    session.Q = new_Q
-    session.problem = new_problem
-    session.dual = result.state
-    session.x_star = result.x_star
-    return EvolutionDecision(index=snapshot.index, delta_metric=score, threshold=threshold,
-                             action="resolve", solve_iters=result.iterations,
-                             solve_inner_iters=result.inner_iterations,
-                             wall_ms=wall_ms, converged=result.converged,
-                             stop_reason=result.stop_reason)
+        raise type(exc)(f"snapshot {index}: {exc}") from exc
+    decision = EvolutionDecision(index=index, delta_metric=score, threshold=threshold,
+                                 action="resolve", solve_iters=result.iterations,
+                                 solve_inner_iters=result.inner_iterations,
+                                 wall_ms=wall_ms, converged=result.converged,
+                                 stop_reason=result.stop_reason)
+    return decision, SessionState(problem=evolved, Q=Q, dual=result.state,
+                                  x_star=result.x_star)

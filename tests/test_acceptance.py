@@ -16,7 +16,8 @@ from sco import (ConvexClusteringProblem, Dataset, EdgeIncidence, RidgeProblem,
                  clustering_dual_image_check, clustering_model_check,
                  delta_metric, prox_norm,
                  regression_dual_image_check, regression_model_check,
-                 run_session, solve_dual, sweep, u_step, zero_state)
+                 run_session, solve_dual, sweep)
+from sco.admm import u_step, zero_state
 from sco.prox import project_rows
 
 from oracles import clustering_subgradient_oracle, project_ball, prox_argmin_oracle
@@ -169,13 +170,13 @@ def _clustering_bound_trial(trial: int):
     config = SolverConfig(alpha=alpha, beta=beta, p=2, s=1)
     Q = EdgeIncidence(graph, alpha)
     problem = ConvexClusteringProblem(data)
+    evolved = problem.with_values(values + delta)
     base = solve_dual(problem, Q, config)
-    moved = solve_dual(problem.with_values(values + delta), Q, config,
-                       warm_start=base.state)
-    score = delta_metric(problem, Q, base.state.lam, values + delta)
+    moved = solve_dual(evolved, Q, config, warm_start=base.state)
+    score = delta_metric(problem, Q, base.state.lam, evolved)
     c = score * float(rng.uniform(1.0, 2.0)) + 1e-9  # a kept-model scenario
-    t3 = clustering_model_check(values, delta, beta, c, base.x_star, moved.x_star)
-    l1 = clustering_dual_image_check(Q, moved.state.lam, values + delta, beta, config.s)
+    t3 = clustering_model_check(problem, evolved, beta, c, base.x_star, moved.x_star)
+    l1 = clustering_dual_image_check(Q, moved.state.lam, evolved, beta, config.s)
     return t3.satisfied and l1.satisfied
 
 
@@ -193,13 +194,13 @@ def _regression_bound_trial(trial: int):
     config = SolverConfig(alpha=alpha, beta=beta, p=2, s=1)
     Q = EdgeIncidence(graph, alpha)
     problem = RidgeProblem(data, gamma=gamma)
+    evolved = problem.with_values(values + delta)
     base = solve_dual(problem, Q, config)
-    moved = solve_dual(problem.with_values(values + delta), Q, config,
-                       warm_start=base.state)
-    score = delta_metric(problem, Q, base.state.lam, values + delta)
+    moved = solve_dual(evolved, Q, config, warm_start=base.state)
+    score = delta_metric(problem, Q, base.state.lam, evolved)
     c = score * float(rng.uniform(1.0, 2.0)) + 1e-9
-    t4 = regression_model_check(values, delta, y, gamma, beta, c, base.x_star, moved.x_star)
-    l2 = regression_dual_image_check(Q, moved.state.lam, values, delta, y, gamma, beta, config.s)
+    t4 = regression_model_check(problem, evolved, beta, c, base.x_star, moved.x_star)
+    l2 = regression_dual_image_check(Q, moved.state.lam, problem, evolved, beta, config.s)
     return t4.satisfied and l2.satisfied
 
 
@@ -282,7 +283,7 @@ def test_criterion_9_refresh_loop_behaviour():
 
     Q = EdgeIncidence(graph, config.alpha)
     lam = np.clip(rng.standard_normal((Q.row_count, 2)), -1, 1)
-    exact_zero = delta_metric(problem, Q, lam, values.copy()) == 0.0
+    exact_zero = delta_metric(problem, Q, lam, problem.with_values(values.copy())) == 0.0
 
     ok = one_solve and always_resolve and exact_zero
     assert report(9, "refresh loop: keep on identical, resolve at zero threshold", ok,

@@ -5,8 +5,9 @@ import pytest
 
 from sco import (ConvexClusteringProblem, Dataset, DimensionError, DualState,
                  EdgeIncidence, ParameterError, RidgeProblem, SolverConfig, VariableGraph,
-                 dual_norm, h_norm_step, lambda_step, mu_step, parallel_lambda_step,
-                 build_knn_graph, project_rows, solve_dual, u_step, vec_norm, zero_state)
+                 build_knn_graph, dual_norm, project_rows, solve_dual, vec_norm)
+from sco.admm import (h_norm_step, lambda_step, mu_step, parallel_lambda_step, u_step,
+                      zero_state)
 
 import sco.admm
 from oracles import (DataSymmetry, clustering_subgradient_oracle, column_problem,

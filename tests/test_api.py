@@ -15,11 +15,10 @@ PUBLIC_NAMES = [
     "VariableGraph", "admm", "as_norm", "bounds", "build_knn_graph", "canonical_labels",
     "clustering_dual_image_bound", "clustering_dual_image_check", "clustering_model_check",
     "clusterpath", "default_fuse_tolerance", "delta_metric", "dual_norm", "errors",
-    "evolution", "extract_clusters", "graph", "h_norm_step", "incidence", "lambda_step",
-    "make_problem", "mu_step", "norms", "operator_norm_estimate", "parallel_lambda_step",
+    "evolution", "extract_clusters", "graph", "incidence", "make_problem", "norms",
     "problems", "project_l1_ball", "project_rows", "prox", "prox_norm",
     "regression_dual_image_check", "regression_model_check", "run_session", "solve_dual",
-    "sum_norms", "sweep", "u_step", "validate_graph", "vec_norm", "zero_state",
+    "sum_norms", "sweep", "validate_graph", "vec_norm",
 ]
 
 
@@ -62,18 +61,41 @@ def test_every_public_function_and_class_is_used_by_the_library():
     assert unused == []
 
 
+def package_imports(name: str) -> list[tuple[str, str]]:
+    """(module, name) for every ``from ... import name`` in one ``sco``
+    module, with the package's own modules written as ``sco.<module>``."""
+    source = (Path(sco.__file__).parent / f"{name}.py").read_text(encoding="utf-8")
+    imported = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = ("sco" + ("." + node.module if node.module else "")) if node.level \
+                else node.module
+            imported += [(module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [(alias.name, "") for alias in node.names]
+    return imported
+
+
+def imported_modules(name: str) -> set[str]:
+    return {module if module != "sco" else f"sco.{alias}"
+            for module, alias in package_imports(name)}
+
+
 def test_problems_import_neither_the_operator_nor_the_norms():
     # a task sees only the dual image Q^T lam, never the operator that maps
     # to it or the regulariser's norms
-    source = (Path(sco.__file__).parent / "problems.py").read_text(encoding="utf-8")
-    imported = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ImportFrom):
-            prefix = "sco." if node.level else ""
-            if node.module:
-                imported.add(prefix + node.module)
-            else:
-                imported.update(prefix + alias.name for alias in node.names)
-        elif isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
-    assert not imported & {"sco.incidence", "sco.norms"}
+    assert not imported_modules("problems") & {"sco.incidence", "sco.norms"}
+
+
+def test_bounds_import_nothing_from_the_graph_module():
+    # the checks read every array from the two tasks they are given, so they
+    # build no dataset of their own
+    assert "sco.graph" not in imported_modules("bounds")
+
+
+def test_no_module_imports_a_private_name_of_another():
+    modules = [path.stem for path in Path(sco.__file__).parent.glob("*.py")]
+    private = [(name, module, alias) for name in modules
+               for module, alias in package_imports(name)
+               if module.startswith("sco") and alias.startswith("_")]
+    assert private == []

@@ -636,10 +636,11 @@ def test_monitor_keep_decisions_verify_bounds(random_csv, tmp_path):
     assert all(b["satisfied"] for b in bounds)
 
 
-def test_monitor_keep_on_changed_targets_runs_the_shadow_solve(tmp_path):
+def test_monitor_keep_on_changed_targets_exits_2_with_bounds(tmp_path, capsys):
     # same values, targets moved by 5 and a threshold far above the score:
-    # the kept model is compared with the model of the new targets, not with
-    # itself, so the energy difference matches two independent solves
+    # the regression bounds are stated for fixed targets, so with bounds on
+    # the monitor exits 2 before writing any file; with --no-bounds the
+    # snapshot is scored and kept
     rng = np.random.default_rng(12)
     values, targets = rng.standard_normal((12, 2)), rng.standard_normal(12)
     data = tmp_path / "ridge.csv"
@@ -648,24 +649,49 @@ def test_monitor_keep_on_changed_targets_runs_the_shadow_solve(tmp_path):
     stream.write_text(json.dumps({"values": values.tolist(),
                                   "targets": (targets + 5.0).tolist()}) + "\n")
     out = tmp_path / "dec.jsonl"
-    assert main(["monitor", "--input", str(data), "--targets", "--task", "ridge",
-                 "--stream", str(stream), "--k", "3", "--c", "1e12", "--out", str(out)]) == 0
+    argv = ["monitor", "--input", str(data), "--targets", "--task", "ridge",
+            "--stream", str(stream), "--k", "3", "--c", "1e12", "--out", str(out)]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["kind"] == "ParameterError" and "targets" in err["error"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["ridge.csv", "stream.jsonl"]
+
+    assert main(argv + ["--no-bounds"]) == 0
     decisions = [json.loads(line) for line in out.read_text().strip().splitlines()][1:]
     assert [d["action"] for d in decisions] == ["keep"] and decisions[0]["delta_metric"] > 0
-    bounds = [json.loads(line) for line in
-              (tmp_path / "dec.jsonl.bounds.jsonl").read_text().strip().splitlines()]
-    energy = [b for b in bounds if b["name"] == "regression-model-energy"][0]
+    assert not (tmp_path / "dec.jsonl.bounds.jsonl").exists()
 
-    graph = build_knn_graph(Dataset(values), 3)
-    Q = EdgeIncidence(graph, 1.0)
-    base = RidgeProblem(Dataset(values, targets), gamma=5.0)
-    x = solve_dual(base, Q, SolverConfig()).x_star
-    x_new = solve_dual(base.with_values(values, targets + 5.0), Q, SolverConfig()).x_star
-    omega = base.omega_diagonal
-    expected = float((x_new * (omega * x_new)).sum() - (x * (omega * x)).sum())
-    assert abs(expected) > 1.0
-    assert abs(energy["lhs"] - expected) <= 1e-3 * abs(expected)
-    assert energy["satisfied"]
+
+def test_ridge_monitor_builds_each_snapshot_task_once(tmp_path, monkeypatch):
+    # one RidgeProblem for the input and one per changed snapshot: the
+    # score, the re-solve, the shadow solve and the bound checks all take
+    # the snapshot's task (resolve, repeat, kept change: 3, not 17)
+    rng = np.random.default_rng(15)
+    values, targets = rng.standard_normal((20, 2)), rng.standard_normal(20)
+    moved = values + 2.0 * rng.standard_normal(values.shape)
+    kept = moved + 0.02 * rng.standard_normal(values.shape)
+    data, stream = tmp_path / "ridge.csv", tmp_path / "stream.jsonl"
+    write_matrix_csv(str(data), values, targets=targets)
+    stream.write_text("".join(json.dumps({"values": v.tolist(), "targets": targets.tolist()})
+                              + "\n" for v in (moved, moved, kept)))
+    init = RidgeProblem.__init__
+    built = []
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RidgeProblem, "__init__", counting_init)
+    out = tmp_path / "dec.jsonl"
+    assert main(["monitor", "--input", str(data), "--targets", "--task", "ridge",
+                 "--stream", str(stream), "--k", "3", "--beta", "0.5", "--c", "1",
+                 "--out", str(out)]) == 0
+    decisions = [json.loads(line) for line in out.read_text().strip().splitlines()][1:]
+    assert [d["action"] for d in decisions] == ["resolve", "keep", "keep"]
+    assert decisions[1]["delta_metric"] == 0.0 < decisions[2]["delta_metric"]
+    bounds = (tmp_path / "dec.jsonl.bounds.jsonl").read_text().strip().splitlines()
+    assert len(bounds) == 6
+    assert len(built) == 1 + 2
 
 
 def test_thread_env_var_caps_workers(random_csv, tmp_path, monkeypatch):

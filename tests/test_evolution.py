@@ -3,7 +3,7 @@ import pytest
 
 import sco.evolution
 from sco import (ConvexClusteringProblem, Dataset, DimensionError, EdgeIncidence,
-                 ParameterError, RidgeProblem, Snapshot, SolverConfig,
+                 NumericFailure, ParameterError, RidgeProblem, Snapshot, SolverConfig,
                  build_knn_graph, delta_metric, run_session)
 
 
@@ -22,7 +22,7 @@ def test_delta_metric_zero_for_identical_data():
     problem, graph, config = clustering_setup(rng)
     Q = EdgeIncidence(graph, config.alpha)
     lam = np.clip(rng.standard_normal((Q.row_count, 2)), -1, 1)
-    assert delta_metric(problem, Q, lam, problem.values.copy()) == 0.0
+    assert delta_metric(problem, Q, lam, problem.with_values(problem.values.copy())) == 0.0
 
 
 def test_delta_metric_clustering_reduces_to_linear_term():
@@ -32,7 +32,7 @@ def test_delta_metric_clustering_reduces_to_linear_term():
     lam = np.clip(rng.standard_normal((Q.row_count, 2)), -1, 1)
     delta = 0.1 * rng.standard_normal(problem.values.shape)
     expected = abs(float((delta * Q.apply_t(lam)).sum()))
-    got = delta_metric(problem, Q, lam, problem.values + delta)
+    got = delta_metric(problem, Q, lam, problem.with_values(problem.values + delta))
     assert abs(got - expected) <= 1e-10 * (1 + expected)
 
 
@@ -44,7 +44,7 @@ def test_delta_metric_orthogonal_perturbation_is_invisible():
     image = Q.apply_t(lam)
     delta = rng.standard_normal(image.shape)
     delta -= image * float((delta * image).sum()) / float((image * image).sum())
-    got = delta_metric(problem, Q, lam, problem.values + delta)
+    got = delta_metric(problem, Q, lam, problem.with_values(problem.values + delta))
     assert got <= 1e-10
 
 
@@ -54,8 +54,8 @@ def test_delta_metric_is_one_homogeneous_for_clustering():
     Q = EdgeIncidence(graph, config.alpha)
     lam = np.clip(rng.standard_normal((Q.row_count, 2)), -1, 1)
     delta = 0.05 * rng.standard_normal(problem.values.shape)
-    one = delta_metric(problem, Q, lam, problem.values + delta)
-    two = delta_metric(problem, Q, lam, problem.values + 2.0 * delta)
+    one = delta_metric(problem, Q, lam, problem.with_values(problem.values + delta))
+    two = delta_metric(problem, Q, lam, problem.with_values(problem.values + 2.0 * delta))
     assert abs(two - 2.0 * one) <= 1e-10 * (1 + two)
 
 
@@ -70,8 +70,8 @@ def test_delta_metric_ridge_includes_constant_term():
     Q = EdgeIncidence(graph, 1.0)
     lam = np.zeros((Q.row_count, 1))  # kill every dual-dependent term
     delta = 0.3 * rng.standard_normal(values.shape)
-    got = delta_metric(problem, Q, lam, values + delta)
     changed = problem.with_values(values + delta)
+    got = delta_metric(problem, Q, lam, changed)
     expected = abs(changed.conjugate_constant() - problem.conjugate_constant())
     assert abs(got - expected) <= 1e-12
     assert got > 0
@@ -86,6 +86,7 @@ def test_delta_metric_maps_the_dual_rows_once(task, monkeypatch):
     problem = ConvexClusteringProblem(data) if task == "cc" else RidgeProblem(data, gamma=2.0)
     Q = EdgeIncidence(build_knn_graph(data, k=2), 1.0)
     lam = np.clip(rng.standard_normal((Q.row_count, 2)), -1, 1)
+    evolved = problem.with_values(values + 0.1)
     apply_t = EdgeIncidence.apply_t
     maps = []
 
@@ -94,7 +95,7 @@ def test_delta_metric_maps_the_dual_rows_once(task, monkeypatch):
         return apply_t(self, lam)
 
     monkeypatch.setattr(EdgeIncidence, "apply_t", counting_apply_t)
-    assert delta_metric(problem, Q, lam, values + 0.1) > 0
+    assert delta_metric(problem, Q, lam, evolved) > 0
     assert maps == [lam.shape]
 
 
@@ -103,17 +104,21 @@ def test_delta_metric_shape_mismatch():
     problem, graph, config = clustering_setup(rng)
     Q = EdgeIncidence(graph, config.alpha)
     with pytest.raises(DimensionError):
-        delta_metric(problem, Q, np.zeros((Q.row_count, 2)), np.zeros((2, 2)))
+        delta_metric(problem, Q, np.zeros((Q.row_count, 2)), problem.with_values(np.zeros((2, 2))))
 
 
 def test_identical_stream_one_solve_all_keep():
     rng = np.random.default_rng(6)
     problem, graph, config = clustering_setup(rng)
     stream = [Snapshot(index=i, values=problem.values.copy()) for i in range(4)]
-    decisions, session = run_session(problem, graph, stream, config, threshold=10.0)
+    calls = []
+    decisions, session = run_session(problem, graph, stream, config, threshold=10.0,
+                                     on_decision=lambda *args: calls.append(args))
     assert [d.action for d in decisions] == ["keep"] * 4
     assert all(d.solve_iters is None for d in decisions)
-    assert session.previous_x_star is None  # never re-solved
+    # no task is built and the first state is kept throughout
+    assert all(evolved is None and before is after is session
+               for _, before, after, evolved in calls)
 
 
 def test_zero_threshold_resolves_every_changed_snapshot():
@@ -140,8 +145,9 @@ def test_two_phase_stream_keeps_then_resolves():
     from sco import solve_dual
 
     base = solve_dual(problem, Q, config)
-    tiny_scores = [delta_metric(problem, Q, base.state.lam, problem.values + t) for t in tiny]
-    big_score = delta_metric(problem, Q, base.state.lam, problem.values + big)
+    tiny_scores = [delta_metric(problem, Q, base.state.lam, problem.with_values(problem.values + t))
+                   for t in tiny]
+    big_score = delta_metric(problem, Q, base.state.lam, problem.with_values(problem.values + big))
     assert max(tiny_scores) < big_score
     threshold = 0.5 * (max(tiny_scores) + big_score)
 
@@ -186,8 +192,9 @@ def test_rebuild_graph_on_resolve():
     decisions, session = run_session(problem, graph, stream, config, threshold=0.0,
                                      rebuild_graph=True, knn_k=2)
     assert decisions[0].action == "resolve"
-    rebuilt = build_knn_graph(Dataset(moved), 2)
-    assert session.graph.edges == rebuilt.edges
+    rebuilt = EdgeIncidence(build_knn_graph(Dataset(moved), 2), config.alpha)
+    for name in ("head", "tail", "coef"):
+        np.testing.assert_array_equal(getattr(session.Q, name), getattr(rebuilt, name))
 
 
 @pytest.mark.parametrize("seed, shift, warm", [(6, 0.0, False), (8, 0.0, False),
@@ -221,12 +228,80 @@ def test_rebuild_warm_starts_only_on_the_same_edges(seed, shift, warm, monkeypat
     assert resolve_warm is (kept if warm else None)
 
 
-def test_solver_failure_carries_snapshot_index():
+def test_solver_failure_carries_snapshot_index(monkeypatch):
     rng = np.random.default_rng(12)
     problem, graph, config = clustering_setup(rng)
     moved = problem.values + 2.0 * rng.standard_normal(problem.values.shape)
-    stream = [Snapshot(index=7, values=moved)]
-    with pytest.raises(ParameterError, match="snapshot 7"):
-        # rebuild requested without a neighbour count: fails inside the resolve
-        run_session(problem, graph, stream, config, threshold=0.0,
-                    rebuild_graph=True, knn_k=None)
+    solve = sco.evolution.solve_dual
+
+    def failing_resolve(problem, Q, config, warm_start=None, **kwargs):
+        if warm_start is not None:
+            raise NumericFailure("non-finite dual rows")
+        return solve(problem, Q, config, **kwargs)
+
+    monkeypatch.setattr("sco.evolution.solve_dual", failing_resolve)
+    with pytest.raises(NumericFailure, match="snapshot 7: non-finite dual rows"):
+        run_session(problem, graph, [Snapshot(index=7, values=moved)], config, threshold=0.0)
+
+
+def test_graph_rebuild_without_neighbour_count_fails_before_any_solve(monkeypatch):
+    rng = np.random.default_rng(12)
+    problem, graph, config = clustering_setup(rng)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the arguments were checked")
+
+    monkeypatch.setattr("sco.evolution.solve_dual", no_solve)
+    with pytest.raises(ParameterError, match="neighbour count"):
+        run_session(problem, graph, [Snapshot(index=0, values=problem.values + 1.0)], config,
+                    threshold=0.0, rebuild_graph=True, knn_k=None)
+
+
+@pytest.mark.parametrize("task", ["cc", "ridge"])
+@pytest.mark.parametrize("shape", [(4, 2), (6, 3)])
+def test_snapshot_of_another_shape_raises_dimension_error(task, shape):
+    # a ridge snapshot without targets keeps the accepted targets, which do
+    # not fit 4 rows: the shape is checked before the snapshot's task is built
+    rng = np.random.default_rng(13)
+    problem, graph, config = clustering_setup(rng)
+    if task == "ridge":
+        problem = RidgeProblem(Dataset(problem.values, rng.standard_normal(6)), gamma=2.0)
+    stream = [Snapshot(index=3, values=np.ones(shape))]
+    with pytest.raises(DimensionError, match="snapshot 3"):
+        run_session(problem, graph, stream, config, threshold=0.0)
+
+
+def test_hook_sees_the_state_each_snapshot_met_and_its_task(monkeypatch):
+    # resolve, repeat of the accepted data, small change kept: the hook gets
+    # the state before and after each snapshot and the task that the score
+    # and the re-solve took
+    rng = np.random.default_rng(14)
+    problem, graph, config = clustering_setup(rng)
+    moved = problem.values + 0.5 * rng.standard_normal(problem.values.shape)
+    stream = [Snapshot(index=0, values=moved), Snapshot(index=1, values=moved.copy()),
+              Snapshot(index=2, values=moved + 1e-3)]
+    scored, solved = [], []
+    score, solve = sco.evolution.delta_metric, sco.evolution.solve_dual
+
+    def recording_score(problem, Q, lam, evolved):
+        scored.append(evolved)
+        return score(problem, Q, lam, evolved)
+
+    def recording_solve(problem, *args, **kwargs):
+        solved.append(problem)
+        return solve(problem, *args, **kwargs)
+
+    monkeypatch.setattr("sco.evolution.delta_metric", recording_score)
+    monkeypatch.setattr("sco.evolution.solve_dual", recording_solve)
+    calls = []
+    decisions, session = run_session(problem, graph, stream, config, threshold=1e-2,
+                                     on_decision=lambda *args: calls.append(args))
+    assert [d.action for d in decisions] == ["resolve", "keep", "keep"]
+    (d0, before0, after0, evolved0), (d1, before1, after1, evolved1), \
+        (d2, before2, after2, evolved2) = calls
+    assert before0.problem is problem and after0 is not before0
+    assert scored == [evolved0, evolved2] and solved == [problem, evolved0]
+    assert after0.problem is evolved0 and after0.x_star is not before0.x_star
+    np.testing.assert_array_equal(evolved0.values, moved)
+    assert evolved1 is None and before1 is after1 is after0
+    assert evolved2 is not None and before2 is after2 is session is after0

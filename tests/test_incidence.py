@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from sco import (DimensionError, EdgeIncidence, ParameterError, VariableGraph,
-                 operator_norm_estimate, sum_norms, vec_norm)
+from sco import DimensionError, EdgeIncidence, ParameterError, VariableGraph, sum_norms, vec_norm
+from sco.incidence import operator_norm_estimate
 
 from oracles import (add_at_norm_estimate, dense_incidence, fancy_index_apply, kron_lift,
                      per_column_apply_t, same_bits, stack_columns, unstack_columns)
