@@ -207,7 +207,8 @@ def _row_lipschitz(problem: Problem, Q: EdgeIncidence, config: SolverConfig,
     vertices, edge k = (i, j) has w_k = |c_k| (s_i + s_j), and its factor
     |c_k| cancels: J_k = (t_i + t_j) / (s_i + s_j). Then QQ^T <= lt J with
     lt the squared norm of J^{-1/2} Q, at most 1, which the power
-    iteration estimates; so L_k = (kappa + rho) lt J_k. Two scatters over
+    iteration estimates; the estimate, inflated for safety, is clamped at
+    that exact bound. So L_k = (kappa + rho) lt J_k. Two scatters over
     the edge ends and one norm estimate, no pass over an m-by-d block.
 
     A zero-weight edge is a zero row of Q, which any positive L_k bounds;
@@ -222,7 +223,7 @@ def _row_lipschitz(problem: Problem, Q: EdgeIncidence, config: SolverConfig,
     t = np.bincount(ends, weights=np.concatenate([cw, cw]), minlength=Q.col_count)
     J = np.divide(t[Q.head] + t[Q.tail], s_row, out=np.ones(Q.row_count), where=s_row > 0)
     sigma = operator_norm_estimate(Q.with_coef(Q.coef / np.sqrt(J)), rng=rng)
-    return (sigma ** 2 * (problem.curvature_bound() + config.rho)) * J
+    return (min(sigma ** 2, 1.0) * (problem.curvature_bound() + config.rho)) * J
 
 
 def lambda_step(problem: Problem, Q: EdgeIncidence, state: DualState, config: SolverConfig,
@@ -371,8 +372,8 @@ def solve_dual(problem: Problem, Q: EdgeIncidence, config: SolverConfig,
         is ignored when ``Q`` has no coupling (no edges or all-zero
         coefficients): that solve runs no sweep and returns the zero state.
     rng : numpy.random.Generator, optional
-        Source for the power-iteration start vector. Defaults to a fixed
-        seed, keeping repeated solves bit-identical.
+        Source of the power-iteration start vector, kept for the benchmark
+        harness. The package passes none, so every solve takes one fixed start.
 
     Returns
     -------

@@ -4,7 +4,9 @@ Subcommands: graph, solve, path, monitor, bound. Errors print a
 machine-readable JSON object on stderr; exit codes are 0 (ok), 2
 (configuration or input problem), 3 (numeric failure). Output files are
 written atomically and serialised canonically, so repeated runs with the
-same seed and configuration produce identical bytes.
+same flags produce identical bytes. Every solve takes the solver's one
+fixed power-iteration start; ``--seed`` seeds only the synthetic
+snapshots of ``monitor --synthetic`` and the ``--sigma`` draw of ``bound``.
 """
 
 from __future__ import annotations
@@ -84,7 +86,9 @@ def _add_solver_flags(sub):
                           "gradient-mapping norm), never below it")
     sub.add_argument("--parallel", action="store_true",
                      help="kept for compatibility: runs the same dual update (needs --p 1)")
-    sub.add_argument("--seed", type=nonnegative_int, default=0, help="seed for all randomness")
+    sub.add_argument("--seed", type=nonnegative_int, default=0,
+                     help="seed of monitor's --synthetic snapshots and bound's --sigma draw; "
+                          "solve and path accept it and read it nowhere")
 
 
 def _add_data_flags(sub):
@@ -209,9 +213,7 @@ def cmd_solve(args) -> int:
     config = _solver_config(args)
     problem = make_problem(args.task, data, gamma=args.gamma)
     graph = _load_or_build_graph(args, data)
-    Q = EdgeIncidence(graph, config.alpha)
-    rng = np.random.default_rng(args.seed)
-    result = solve_dual(problem, Q, config, rng=rng)
+    result = solve_dual(problem, EdgeIncidence(graph, config.alpha), config)
     payload = {
         "X": matrix_to_lists(result.x_star),
         "dual_objective": float(result.dual_objective),
@@ -236,9 +238,8 @@ def cmd_path(args) -> int:
         alphas = [float(a) for a in args.alphas.split(",") if a.strip() != ""]
     except ValueError:
         raise ParameterError(f"cannot parse --alphas {args.alphas!r}") from None
-    rng = np.random.default_rng(args.seed)
     path = sweep(data, graph, alphas, config, warm_start=not args.no_warm_start,
-                 eps_fuse=args.fuse_tol, rng=rng)
+                 eps_fuse=args.fuse_tol)
     write_path_csv(args.out, path)
     summary = {
         "alphas": [float(a) for a in path.alphas],
@@ -253,16 +254,16 @@ def cmd_path(args) -> int:
     return 0 if path.failure_index is None else 3
 
 
-def _synthetic_stream(data: Dataset, count: int, sigma: float, rng) -> list[Snapshot]:
+def _synthetic_stream(data: Dataset, count: int, sigma: float, seed: int) -> list[Snapshot]:
+    draw = np.random.default_rng(seed).standard_normal
     shape = data.values.shape
-    return [Snapshot(index=idx, values=data.values + sigma * rng.standard_normal(shape),
+    return [Snapshot(index=idx, values=data.values + sigma * draw(shape),
                      targets=data.targets) for idx in range(count)]
 
 
 def _read_stream(args, data: Dataset) -> list[Snapshot]:
     if args.synthetic > 0:
-        rng = np.random.default_rng(args.seed)
-        return _synthetic_stream(data, args.synthetic, args.sigma, rng)
+        return _synthetic_stream(data, args.synthetic, args.sigma, args.seed)
     if args.stream is None:
         raise ParameterError("monitor needs --stream or --synthetic N")
     _require_file(args.stream)
@@ -282,15 +283,15 @@ def _read_stream(args, data: Dataset) -> list[Snapshot]:
     return snapshots
 
 
-def _decision_bounds(decision, before, after, evolved, config, c, rng):
+def _decision_bounds(decision, before, after, evolved, config, c):
     """Bound reports for one decision: the model of ``before`` against the
     true model on the snapshot's task ``evolved`` (``before.problem`` when
     the snapshot is unchanged). A re-solve left that model in ``after``; a
-    keep on a changed snapshot (values or targets) needs one extra solve
-    on ``evolved`` to obtain it."""
+    keep on a changed snapshot needs one extra solve on ``evolved`` to
+    obtain it, which leaves the later decisions as they are without bounds."""
     x_tilde, lam_tilde = after.x_star, after.dual.lam
     if decision.action == "keep" and evolved is not None:
-        result = solve_dual(evolved, before.Q, config, warm_start=before.dual, rng=rng)
+        result = solve_dual(evolved, before.Q, config, warm_start=before.dual)
         x_tilde, lam_tilde = result.x_star, result.state.lam
     reports = bounds_mod.reports(after.Q, before.problem, evolved or before.problem,
                                  before.x_star, x_tilde, lam_tilde, config.beta, config.s, c)
@@ -303,7 +304,6 @@ def cmd_monitor(args) -> int:
     config = _solver_config(args)
     graph = _load_or_build_graph(args, data)
     stream = _read_stream(args, data)
-    rng = np.random.default_rng(args.seed)
 
     bound_records = []
     records = []
@@ -322,13 +322,13 @@ def cmd_monitor(args) -> int:
         })
         metric_records.append({"idx": decision.index, "wall_ms": decision.wall_ms})
         if not args.no_bounds:
-            for report in _decision_bounds(decision, before, after, evolved, config, args.c, rng):
+            for report in _decision_bounds(decision, before, after, evolved, config, args.c):
                 report["idx"] = decision.index
                 bound_records.append(report)
 
     run_session(problem, graph, stream, config, args.c,
                 rebuild_graph=args.rebuild_graph, knn_k=args.k,
-                weight_cap=args.weight_cap, rng=rng, on_decision=on_decision)
+                weight_cap=args.weight_cap, on_decision=on_decision)
 
     write_jsonl_atomic(args.out, [{"config": _config_echo(args)}] + records)
     if not args.no_bounds:
@@ -345,10 +345,9 @@ def cmd_bound(args) -> int:
     problem = make_problem(args.task, data, gamma=args.gamma)
     config = _solver_config(args)
     graph = _load_or_build_graph(args, data)
-    rng = np.random.default_rng(args.seed)
 
     if args.delta is None:
-        stream = _synthetic_stream(data, 1, args.sigma, rng)
+        stream = _synthetic_stream(data, 1, args.sigma, args.seed)
     else:
         delta, _ = read_matrix_csv(_require_file(args.delta))
         if delta.shape != data.values.shape:
@@ -359,10 +358,9 @@ def cmd_bound(args) -> int:
     reports = []
 
     def on_decision(decision, before, after, evolved):
-        reports.extend(_decision_bounds(decision, before, after, evolved, config, args.c, rng))
+        reports.extend(_decision_bounds(decision, before, after, evolved, config, args.c))
 
-    decisions, _ = run_session(problem, graph, stream, config, np.inf, rng=rng,
-                               on_decision=on_decision)
+    decisions, _ = run_session(problem, graph, stream, config, np.inf, on_decision=on_decision)
     write_json_atomic(args.out, {"reports": reports, "delta_metric": decisions[0].delta_metric,
                                  "config": _config_echo(args)})
     return 0

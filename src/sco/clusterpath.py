@@ -99,15 +99,15 @@ class ClusterPath:
 
 
 def sweep(data: Dataset, graph: VariableGraph, alphas, config: SolverConfig,
-          warm_start: bool = True, eps_fuse: float | None = None,
-          rng: np.random.Generator | None = None) -> ClusterPath:
+          warm_start: bool = True, eps_fuse: float | None = None) -> ClusterPath:
     """Solve along an increasing grid of coupling strengths.
 
     The incidence operator is built once, at unit strength, and each
     strength rescales its coefficients (alpha * w, the bits a fresh
     operator at that strength has); the solver reads the strength from
     that operator alone, so ``config.alpha`` plays no part. Solves are
-    warm-started from the previous strength unless disabled. A solver
+    warm-started from the previous strength unless disabled; a cold one
+    gives the same bits whatever strengths come before it. A solver
     failure truncates the path and records the failing position instead
     of raising.
     """
@@ -132,8 +132,7 @@ def sweep(data: Dataset, graph: VariableGraph, alphas, config: SolverConfig,
         Q = base.with_coef(alpha * base.coef)
         try:
             result = solve_dual(problem, Q, config,
-                                warm_start=previous_state if warm_start else None,
-                                rng=rng)
+                                warm_start=previous_state if warm_start else None)
         except SCOError as exc:
             path.failure_index = idx
             path.failure_message = f"alpha={alpha}: {exc}"

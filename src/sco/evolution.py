@@ -80,14 +80,15 @@ class SessionState:
 
 def _evolved_task(problem: Problem, snapshot: Snapshot) -> Problem | None:
     """The accepted task on the snapshot's data, or None when the snapshot
-    equals the accepted data (and targets, where it carries them)."""
+    equals the accepted data. Targets count only where both the snapshot
+    and the task carry them: a task that reads none (cc) carries none."""
     values = np.asarray(snapshot.values, dtype=float)
     if values.shape != problem.values.shape:
         # before with_values, which would fail on kept targets of another length
         raise DimensionError(f"snapshot {snapshot.index}: evolved data shape {values.shape} "
                              f"!= current shape {problem.values.shape}")
     if np.array_equal(problem.values, values) and (
-            snapshot.targets is None
+            snapshot.targets is None or problem.dataset.targets is None
             or np.array_equal(problem.dataset.targets, snapshot.targets)):
         return None
     return problem.with_values(values, snapshot.targets)
@@ -97,7 +98,6 @@ def run_session(initial_problem: Problem, graph: VariableGraph, stream,
                 config: SolverConfig, threshold: float,
                 rebuild_graph: bool = False, knn_k: int | None = None,
                 weight_cap: float = 1e6,
-                rng: np.random.Generator | None = None,
                 on_decision=None) -> tuple[list[EvolutionDecision], SessionState]:
     """Solve once on the initial data, then process snapshots in order.
 
@@ -110,7 +110,8 @@ def run_session(initial_problem: Problem, graph: VariableGraph, stream,
     unless ``rebuild_graph`` (which needs ``knn_k``) asks for
     reconstruction on every accepted change. Dual row k is the multiplier
     of edge k, so a rebuilt graph warm-starts only when its edge ends
-    equal the old ones, in order; otherwise its solve starts cold.
+    equal the old ones, in order; otherwise its solve starts cold. No
+    solve depends on a solve run before it, in the session or by a hook.
 
     ``on_decision(decision, before, after, evolved)`` is invoked after
     each snapshot: ``before`` is the state the snapshot met, ``after``
@@ -125,7 +126,7 @@ def run_session(initial_problem: Problem, graph: VariableGraph, stream,
     if rebuild_graph and knn_k is None:
         raise ParameterError("graph rebuild requested but no neighbour count given")
     Q = EdgeIncidence(graph, config.alpha)
-    result = solve_dual(initial_problem, Q, config, rng=rng)
+    result = solve_dual(initial_problem, Q, config)
     session = SessionState(problem=initial_problem, Q=Q, dual=result.state,
                            x_star=result.x_star)
 
@@ -138,7 +139,7 @@ def run_session(initial_problem: Problem, graph: VariableGraph, stream,
         if evolved is not None and score >= threshold:
             decision, session = _accept_and_resolve(before, snapshot.index, evolved, score,
                                                     threshold, config, rebuild_graph, knn_k,
-                                                    weight_cap, rng)
+                                                    weight_cap)
         else:
             decision = EvolutionDecision(index=snapshot.index, delta_metric=score,
                                          threshold=threshold, action="keep")
@@ -150,8 +151,7 @@ def run_session(initial_problem: Problem, graph: VariableGraph, stream,
 
 def _accept_and_resolve(session: SessionState, index: int, evolved: Problem, score: float,
                         threshold: float, config: SolverConfig, rebuild_graph: bool,
-                        knn_k: int | None, weight_cap: float,
-                        rng: np.random.Generator | None
+                        knn_k: int | None, weight_cap: float
                         ) -> tuple[EvolutionDecision, SessionState]:
     try:
         Q, warm = session.Q, session.dual
@@ -161,7 +161,7 @@ def _accept_and_resolve(session: SessionState, index: int, evolved: Problem, sco
                     and np.array_equal(Q.tail, session.Q.tail)):
                 warm = None  # other edges: the old rows are other edges' multipliers
         started = time.perf_counter()
-        result = solve_dual(evolved, Q, config, warm_start=warm, rng=rng)
+        result = solve_dual(evolved, Q, config, warm_start=warm)
         wall_ms = (time.perf_counter() - started) * 1000.0
     except SCOError as exc:
         raise type(exc)(f"snapshot {index}: {exc}") from exc

@@ -68,7 +68,8 @@ class Problem(ABC):
 
     @abstractmethod
     def with_values(self, values: np.ndarray, targets: np.ndarray | None = None) -> "Problem":
-        """Same task rebuilt on new data of identical shape."""
+        """Same task rebuilt on new data of identical shape; ``targets``
+        None keeps the task's own, and a task that reads none ignores them."""
 
     # --- shared derived operations -------------------------------------
 
@@ -95,10 +96,11 @@ class Problem(ABC):
 
 
 class ConvexClusteringProblem(Problem):
-    """Squared Frobenius distance to the data matrix."""
+    """Squared Frobenius distance to the data matrix. The loss reads no
+    targets, so the task keeps none: its dataset holds the values only."""
 
     def __init__(self, dataset: Dataset):
-        self.dataset = dataset
+        self.dataset = dataset if dataset.targets is None else Dataset(dataset.values)
 
     def primal_value(self, X: np.ndarray) -> float:
         X = self._check_shape(X)
@@ -118,9 +120,7 @@ class ConvexClusteringProblem(Problem):
         return 0.0
 
     def with_values(self, values, targets=None) -> "ConvexClusteringProblem":
-        if targets is None:
-            targets = self.dataset.targets
-        return ConvexClusteringProblem(Dataset(values, targets))
+        return ConvexClusteringProblem(Dataset(values))
 
 
 class RidgeProblem(Problem):

@@ -389,7 +389,8 @@ def reference_row_lipschitz(problem, Q, config,
                             rng: np.random.Generator | None = None) -> np.ndarray:
     """``admm._row_lipschitz``: the vertex sums s = |Q|^T 1 and t = |Q|^T w
     accumulated by unbuffered ``np.add.at`` calls, heads first, and the
-    norm of J^{-1/2} Q by ``add_at_norm_estimate``."""
+    norm of J^{-1/2} Q by ``add_at_norm_estimate``, its square clamped at
+    the exact bound 1."""
     c = np.abs(Q.coef)
     s = np.zeros(Q.col_count)
     np.add.at(s, Q.head, c)
@@ -404,7 +405,7 @@ def reference_row_lipschitz(problem, Q, config,
     rescaled = SimpleNamespace(head=Q.head, tail=Q.tail, coef=Q.coef / np.sqrt(J),
                                col_count=Q.col_count)
     sigma = add_at_norm_estimate(rescaled, rng=rng)
-    return (sigma ** 2 * (problem.curvature_bound() + config.rho)) * J
+    return (min(sigma ** 2, 1.0) * (problem.curvature_bound() + config.rho)) * J
 
 
 def reference_lambda_step(problem, Q, state, config, lipschitz,

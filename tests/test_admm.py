@@ -753,6 +753,24 @@ def test_row_lipschitz_dominates_the_hessian(task, name):
     assert np.linalg.eigvalsh(slack).min() >= -1e-9 * L.max()
 
 
+@pytest.mark.parametrize("task", ["cc", "ridge"])
+def test_row_lipschitz_clamps_the_norm_estimate_at_its_exact_bound(task):
+    # on a 4-cycle of unit weights J_k = 4 and J^{-1/2} Q = Q / 2 has norm
+    # exactly 1, which the inflated power iteration reads as more: the
+    # clamp leaves L = (kappa + rho) J, bit for bit, here and in the oracle
+    graph = VariableGraph(4, ((0, 1, 1.0), (0, 3, 1.0), (1, 2, 1.0), (2, 3, 1.0)))
+    Q = EdgeIncidence(graph, 1.0)
+    assert sco.admm.operator_norm_estimate(Q.with_coef(Q.coef / 2.0)) > 1.0
+    rng = np.random.default_rng(32)
+    values = rng.standard_normal((4, 2))
+    problem = ConvexClusteringProblem(Dataset(values)) if task == "cc" else \
+        RidgeProblem(Dataset(values, rng.standard_normal(4)), gamma=0.5)
+    config = SolverConfig(rho=0.3)
+    expected = (problem.curvature_bound() + config.rho) * np.full(4, 4.0)
+    assert same_bits(sco.admm._row_lipschitz(problem, Q, config), expected)
+    assert same_bits(reference_row_lipschitz(problem, Q, config), expected)
+
+
 def test_zero_weight_edges_leave_the_solve_unchanged():
     # a zero-weight edge is a zero row of Q: finite constants, and x_star
     # as without it, whether its ends have other edges or not

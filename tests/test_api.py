@@ -99,3 +99,31 @@ def test_no_module_imports_a_private_name_of_another():
                for module, alias in package_imports(name)
                if module.startswith("sco") and alias.startswith("_")]
     assert private == []
+
+
+def enclosing_definitions(name: str):
+    """(top-level definition name, node) for every node of one ``sco``
+    module; nodes outside any top-level definition get None."""
+    tree = ast.parse((Path(sco.__file__).parent / f"{name}.py").read_text(encoding="utf-8"))
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            yield owner, node
+
+
+def test_only_the_solver_takes_a_generator():
+    # one fixed power-iteration start: a random generator is a parameter of
+    # the solver and the norm estimate only, never threaded through the
+    # sweep, the refresh loop or the command line
+    modules = [path.stem for path in Path(sco.__file__).parent.glob("*.py")]
+    takers = {name for name in modules for _, node in enclosing_definitions(name)
+              if isinstance(node, ast.arg) and node.arg == "rng"}
+    assert takers == {"admm", "incidence"}
+
+
+def test_np_random_is_called_only_for_the_fixed_start_and_the_synthetic_snapshots():
+    # annotations may name np.random.Generator; only these two build one
+    modules = [path.stem for path in Path(sco.__file__).parent.glob("*.py")]
+    callers = {(name, owner) for name in modules for owner, node in enclosing_definitions(name)
+               if isinstance(node, ast.Call) and ast.unparse(node.func).startswith("np.random.")}
+    assert callers == {("incidence", "operator_norm_estimate"), ("cli", "_synthetic_stream")}

@@ -127,13 +127,32 @@ def test_solve_file_matches_a_library_solve(tmp_path, task, flags):
     problem = make_problem(task, Dataset(values, targets), gamma=float(flags.get("--gamma", 5.0)))
     config = SolverConfig(alpha=1.5, beta=0.5, p=flags["--p"], s=flags["--s"])
     result = solve_dual(problem, EdgeIncidence(load_graph_json(str(graph)), config.alpha),
-                        config, rng=np.random.default_rng(4))
+                        config)
     assert same_bits(np.array(payload["X"]), result.x_star)
     assert payload["dual_objective"] == result.dual_objective
     assert payload["primal_objective"] == result.primal_objective
     assert (payload["iters"], payload["inner_iters"]) == \
         (result.iterations, result.inner_iterations)
     assert (payload["converged"], payload["stop_reason"]) == (True, result.stop_reason)
+
+
+def test_solve_seed_changes_no_result(tmp_path):
+    # every solve takes the solver's one fixed start: --seed is echoed in
+    # config and changes nothing else
+    rng = np.random.default_rng(6)
+    data = tmp_path / "data.csv"
+    write_matrix_csv(str(data), np.vstack([rng.standard_normal((8, 3)) + shift
+                                           for shift in (0.0, 4.0)]))
+    payloads = []
+    for seed in ("0", "9"):
+        out = tmp_path / f"seed{seed}.json"
+        assert main(["solve", "--input", str(data), "--k", "3", "--beta", "0.5",
+                     "--seed", seed, "--out", str(out)]) == 0
+        payloads.append(read_json(out))
+    assert [p["config"]["seed"] for p in payloads] == [0, 9]
+    for payload in payloads:
+        del payload["config"]
+    assert payloads[0] == payloads[1]
 
 
 def test_solve_trace_output(random_csv, tmp_path):
@@ -170,6 +189,23 @@ def test_path_command_alpha_zero(random_csv, tmp_path):
     summary = read_json(str(out) + ".summary.json")
     assert summary["cluster_counts"] == [6]
     assert "config" in summary
+
+
+def test_path_cold_point_does_not_depend_on_the_points_before_it(tmp_path):
+    # without warm starts each strength's solve stands alone: the alpha=2
+    # rows of a 1,2 sweep are those of a sweep of 2 alone, bit for bit
+    rng = np.random.default_rng(3)
+    data = tmp_path / "data.csv"
+    write_matrix_csv(str(data), np.vstack([rng.standard_normal((10, 3)) + centre
+                                           for centre in (0.0, 5.0, -5.0)]))
+    rows = {}
+    for alphas in ("1,2", "2"):
+        out = tmp_path / f"path{alphas}.csv"
+        assert main(["path", "--input", str(data), "--k", "5", "--beta", "0.5",
+                     "--alphas", alphas, "--no-warm-start", "--out", str(out)]) == 0
+        rows[alphas] = [line for line in out.read_text().splitlines()[1:]
+                        if line.startswith("2.0,")]
+    assert len(rows["2"]) == 30 and rows["1,2"] == rows["2"]
 
 
 def test_pinf_outputs_match_per_row_projection(tmp_path, monkeypatch):
@@ -757,8 +793,8 @@ def test_monitor_jsonl_non_finite_snapshot_names_its_line(random_csv, tmp_path, 
 @pytest.mark.parametrize("with_targets", [True, False])
 def test_monitor_cc_keeps_a_repeated_snapshot_that_carries_targets(tmp_path, with_targets):
     # cc reads no targets: a snapshot equal to the accepted data is a keep
-    # with score 0, whether the targets come in through --targets and
-    # survive the re-solve, or ride along unread in the JSONL stream
+    # with score 0, whether the targets come in through --targets, before
+    # and after a re-solve, or ride along unread in the JSONL stream
     rng = np.random.default_rng(13)
     values, targets = rng.standard_normal((10, 2)), rng.standard_normal(10)
     data = tmp_path / "cc.csv"
@@ -774,6 +810,60 @@ def test_monitor_cc_keeps_a_repeated_snapshot_that_carries_targets(tmp_path, wit
     decisions = [json.loads(line) for line in out.read_text().strip().splitlines()][1:]
     assert decisions[0]["action"] == ("resolve" if with_targets else "keep")
     assert [(d["action"], d["delta_metric"]) for d in decisions[1:]] == [("keep", 0.0)] * 2
+
+
+def test_monitor_decisions_do_not_depend_on_the_bound_reports(tmp_path):
+    # a small change kept, a large one re-solved, a small one scored: the
+    # keep's shadow solve for its bound reports leaves the later re-solve,
+    # and so the last score, as they are with --no-bounds
+    rng = np.random.default_rng(3)
+    values = np.vstack([rng.standard_normal((20, 3)) + centre for centre in (0.0, 5.0, -5.0)])
+    data, stream = tmp_path / "data.csv", tmp_path / "stream.jsonl"
+    write_matrix_csv(str(data), values)
+    snapshots = []
+    for sigma in (0.01, 1.0, 0.01):
+        values = values + sigma * rng.standard_normal(values.shape)
+        snapshots.append(json.dumps({"values": values.tolist()}) + "\n")
+    stream.write_text("".join(snapshots))
+    logs = []
+    for extra in ([], ["--no-bounds"]):
+        out = tmp_path / f"dec{len(extra)}.jsonl"
+        assert main(["monitor", "--input", str(data), "--stream", str(stream), "--k", "5",
+                     "--beta", "0.5", "--c", "1", "--out", str(out)] + extra) == 0
+        logs.append([json.loads(line) for line in out.read_text().splitlines()])
+    assert [d["action"] for d in logs[0][1:]] == ["keep", "resolve", "keep"]
+    assert [log[0]["config"].pop("no_bounds") for log in logs] == [False, True]
+    assert logs[0] == logs[1]
+
+
+def test_monitor_cc_ignores_a_snapshot_that_moves_only_the_targets(tmp_path, monkeypatch):
+    # cc reads no targets: the snapshot is unchanged, scores 0 and costs no
+    # solve beyond the initial one, neither a re-solve at --c 0 nor a
+    # shadow solve for its bound reports at --c 10
+    rng = np.random.default_rng(16)
+    values, targets = rng.standard_normal((12, 2)), rng.standard_normal(12)
+    data, stream = tmp_path / "cc.csv", tmp_path / "stream.jsonl"
+    write_matrix_csv(str(data), values, targets=targets)
+    stream.write_text(json.dumps({"values": values.tolist(),
+                                  "targets": (targets + 1.0).tolist()}) + "\n")
+    solves = []
+
+    def counting_solve(*args, **kwargs):
+        solves.append(args[0])
+        return solve_dual(*args, **kwargs)
+
+    monkeypatch.setattr("sco.evolution.solve_dual", counting_solve)
+    monkeypatch.setattr("sco.cli.solve_dual", counting_solve)
+    for c in ("0", "10"):
+        solves.clear()
+        out = tmp_path / f"dec{c}.jsonl"
+        assert main(["monitor", "--input", str(data), "--targets", "--task", "cc",
+                     "--stream", str(stream), "--k", "3", "--c", c, "--out", str(out)]) == 0
+        decisions = [json.loads(line) for line in out.read_text().splitlines()][1:]
+        assert [(d["action"], d["delta_metric"]) for d in decisions] == [("keep", 0.0)]
+        assert len(solves) == 1
+        bounds = (tmp_path / f"dec{c}.jsonl.bounds.jsonl").read_text().splitlines()
+        assert len(bounds) == 2 and all(json.loads(b)["satisfied"] for b in bounds)
 
 
 @pytest.mark.parametrize("task", ["cc", "ridge"])
