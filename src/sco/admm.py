@@ -52,6 +52,7 @@ the ``parallel`` update is the same loop under another name.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,6 +78,12 @@ _INNER_REL = 0.01
 # relative-error inner rule's duality gap on the 4-blob test instance rose
 # past 1.25x the fixed rule's; at 1.6 it reached 17x.
 _OVER_RELAX = 1.4
+
+# Q's own factor (lt, J) of the per-row constants, one per operator object:
+# an operator's edges and coefficients are fixed at construction, and
+# monitor and bound solve several times on one. Weak keys, so an entry
+# goes with its operator.
+_ROW_FACTORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass
@@ -214,16 +221,27 @@ def _row_lipschitz(problem: Problem, Q: EdgeIncidence, config: SolverConfig,
     A zero-weight edge is a zero row of Q, which any positive L_k bounds;
     its J_k is that formula when an end has another edge and 1 when not,
     finite either way.
+
+    lt and J depend on Q alone, so they are computed once per operator
+    object and kept; only kappa + rho is taken per call. A call with an
+    ``rng`` computes them afresh and keeps nothing.
     """
-    c = np.abs(Q.coef)
-    ends = np.concatenate([Q.head, Q.tail])
-    s = np.bincount(ends, weights=np.concatenate([c, c]), minlength=Q.col_count)
-    s_row = s[Q.head] + s[Q.tail]
-    cw = c * (c * s_row)
-    t = np.bincount(ends, weights=np.concatenate([cw, cw]), minlength=Q.col_count)
-    J = np.divide(t[Q.head] + t[Q.tail], s_row, out=np.ones(Q.row_count), where=s_row > 0)
-    sigma = operator_norm_estimate(Q.with_coef(Q.coef / np.sqrt(J)), rng=rng)
-    return (min(sigma ** 2, 1.0) * (problem.curvature_bound() + config.rho)) * J
+    factor = _ROW_FACTORS.get(Q) if rng is None else None
+    if factor is None:
+        c = np.abs(Q.coef)
+        ends = np.concatenate([Q.head, Q.tail])
+        s = np.bincount(ends, weights=np.concatenate([c, c]), minlength=Q.col_count)
+        s_row = s[Q.head] + s[Q.tail]
+        cw = c * (c * s_row)
+        t = np.bincount(ends, weights=np.concatenate([cw, cw]), minlength=Q.col_count)
+        J = np.divide(t[Q.head] + t[Q.tail], s_row, out=np.ones(Q.row_count), where=s_row > 0)
+        J.flags.writeable = False
+        sigma = operator_norm_estimate(Q.with_coef(Q.coef / np.sqrt(J)), rng=rng)
+        factor = (min(sigma ** 2, 1.0), J)
+        if rng is None:
+            _ROW_FACTORS[Q] = factor
+    lt, J = factor
+    return (lt * (problem.curvature_bound() + config.rho)) * J
 
 
 def lambda_step(problem: Problem, Q: EdgeIncidence, state: DualState, config: SolverConfig,
@@ -352,7 +370,8 @@ def solve_dual(problem: Problem, Q: EdgeIncidence, config: SolverConfig,
     the first sweep, the L-weighted gradient-mapping norm at the starting
     dual rows, which :func:`lambda_step` measures at its first iteration.
     The per-row Lipschitz constants L of the dual-row steps are computed
-    once per solve.
+    once per solve, from a factor that depends on ``Q`` alone and is
+    computed once per operator object (see :func:`_row_lipschitz`).
     The u- and mu-steps both take the over-relaxed image
     ``r * Q^T lam + (1 - r) * u_prev`` with r = 1.4; the primal residual
     stays ``||Q^T lam - u||_F``, on the unrelaxed image. The primal
@@ -373,7 +392,9 @@ def solve_dual(problem: Problem, Q: EdgeIncidence, config: SolverConfig,
         coefficients): that solve runs no sweep and returns the zero state.
     rng : numpy.random.Generator, optional
         Source of the power-iteration start vector, kept for the benchmark
-        harness. The package passes none, so every solve takes one fixed start.
+        harness. The package passes none, so every solve takes one fixed start
+        and reuses the operator's kept estimate; with a generator the estimate
+        is made afresh for this solve.
 
     Returns
     -------

@@ -142,7 +142,7 @@ def build_parser(command: str | None = None) -> _Parser:
         m.add_argument("--c", type=nonnegative_float, default=10.0, help="refresh threshold")
         m.add_argument("--stream", default=None,
                        help="directory of CSV snapshots (lexicographic) or a JSONL file")
-        m.add_argument("--synthetic", type=int, default=0,
+        m.add_argument("--synthetic", type=nonnegative_int, default=0,
                        help="generate this many perturbed snapshots instead of reading a stream")
         m.add_argument("--sigma", type=finite_float, default=0.1,
                        help="noise scale for synthetic snapshots")

@@ -1,12 +1,14 @@
 """Closed-form norm proximal maps and unit-ball projections.
 
 Everything here is stateless and elementwise-deterministic. The dual rows
-are short (d entries) and many, so every row sum over them is one
-``np.einsum`` call, which costs a fraction of numpy's per-row
-``sum(axis=1)``. einsum's order of additions is numpy's own, checked on
-numpy 2.4, and follows the memory layout, so the rows are read in C
-order. The l1-ball threshold is the largest of the sorted-prefix
-candidates.
+are short (d entries) and many, so no row sum over them is numpy's
+per-row ``sum(axis=1)``. The squared l2 norms are one ``np.einsum``
+call; einsum's order of additions is numpy's own, checked on numpy 2.4,
+and follows the memory layout, so the rows are read in C order. The l1
+norms of the q = 1 row test are one BLAS matrix-vector product
+``|lam| @ 1``, whose order of additions, and so its last bits, follows
+the BLAS build; repeated runs on one machine give the same bits. The
+l1-ball threshold is the largest of the sorted-prefix candidates.
 """
 
 from __future__ import annotations
@@ -27,6 +29,14 @@ def _ranks(d: int) -> np.ndarray:
     return ranks
 
 
+@lru_cache(maxsize=64)
+def _ones(d: int) -> np.ndarray:
+    """The read-only vector of d ones: ``a @ _ones(d)`` sums the rows of a."""
+    ones = np.ones(d)
+    ones.flags.writeable = False
+    return ones
+
+
 def _project_l1_rows(V: np.ndarray, radius: float, a: np.ndarray) -> np.ndarray:
     """Project every row of V, each with l1 norm over radius, onto the l1 ball.
 
@@ -45,11 +55,10 @@ def _project_l1_rows(V: np.ndarray, radius: float, a: np.ndarray) -> np.ndarray:
     ``a`` is ``np.abs(V)``, which the caller has already; it is
     overwritten with the result.
     """
-    u = np.sort(a, axis=1)[:, ::-1]
-    thresholds = np.cumsum(u, axis=1)
+    thresholds = np.sort(a, axis=1)[:, ::-1].cumsum(axis=1)
     thresholds -= radius
     thresholds /= _ranks(V.shape[1])
-    a -= thresholds.max(axis=1)[:, None]
+    a -= thresholds.max(axis=1, keepdims=True)
     np.maximum(a, 0.0, out=a)
     return np.multiply(np.sign(V), a, out=a)
 
@@ -74,11 +83,14 @@ def project_rows(lam: np.ndarray, q) -> np.ndarray:
 
     q = inf clips every entry. q = 2 scales each row by 1/max(norm, 1), with
     the squared norms from ``np.einsum("ij,ij->i")``. q = 1 selects the rows
-    whose l1 norm (``np.einsum("ij->i")``) is over 1, projects only those
-    by the sort-based method, and copies the others. ``lam`` is read in C
-    order: einsum's order of additions follows the memory layout, so an
-    F-ordered or strided block is copied first and gives its C copy's bits.
-    The result is a fresh array; ``lam`` is never written.
+    whose l1 norm, one BLAS product ``|lam| @ 1`` for the whole block, is
+    over 1, projects exactly those by the sort-based method, and copies the
+    others bit for bit. A row whose l1 norm is within rounding of 1 may be
+    selected or not depending on the BLAS build's order of additions; on
+    one machine the choice repeats. ``lam`` is read in C order: einsum's
+    order of additions follows the memory layout, so an F-ordered or
+    strided block is copied first and gives its C copy's bits. The result
+    is a fresh array; ``lam`` is never written.
     """
     q = as_norm(q)
     lam = np.ascontiguousarray(lam, dtype=float)
@@ -100,7 +112,7 @@ def project_rows(lam: np.ndarray, q) -> np.ndarray:
     a = np.abs(lam)
     # integer row indices: two takes and one scatter cost less than three
     # boolean-mask passes
-    over = np.flatnonzero(np.einsum("ij->i", a) > 1.0)
+    over = (a @ _ones(lam.shape[1]) > 1.0).nonzero()[0]
     out = lam.copy()
     if over.size:
         out[over] = _project_l1_rows(lam.take(over, 0), 1.0, a.take(over, 0))

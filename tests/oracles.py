@@ -265,9 +265,15 @@ def l1_ball_sort_reference(v: np.ndarray, radius: float) -> np.ndarray:
     threshold is the largest candidate (css_k - radius)/k, and the
     inside-the-ball test sums the magnitudes with ``np.einsum``."""
     v = np.ascontiguousarray(v, dtype=float)
-    a = np.abs(v)
-    if np.einsum("i->", a) <= radius:
+    if np.einsum("i->", np.abs(v)) <= radius:
         return v.copy()
+    return l1_sort_shrink(v, radius)
+
+
+def l1_sort_shrink(v: np.ndarray, radius: float) -> np.ndarray:
+    """:func:`l1_ball_sort_reference` without its inside-the-ball test:
+    ``v`` shrunk by the largest candidate (css_k - radius)/k."""
+    a = np.abs(v)
     css = np.cumsum(np.sort(a)[::-1])
     theta = np.max((css - radius) / np.arange(1, v.size + 1))
     return np.sign(v) * np.maximum(a - theta, 0.0)
@@ -297,15 +303,17 @@ def duchi_l1_ball_projection(v: np.ndarray, radius: float) -> np.ndarray:
 
 
 def per_row_l1_projection(lam: np.ndarray, q=1.0) -> np.ndarray:
-    """``project_rows(lam, 1)`` one row at a time: :func:`l1_ball_sort_reference`
-    on each row of the C-ordered block whose l1 norm, summed by
-    ``np.einsum("ij->i")``, is over 1. A drop-in for ``project_rows``
-    when q = 1."""
+    """``project_rows(lam, 1)`` one row at a time: :func:`l1_sort_shrink`
+    on each row of the C-ordered block whose l1 norm is over 1. The norms
+    are the same BLAS product ``|lam| @ 1`` over the whole block that
+    ``project_rows`` takes, so a row within rounding of the boundary is
+    chosen alike; the BLAS build sets their last bits. A drop-in for
+    ``project_rows`` when q = 1."""
     assert float(q) == 1.0
     lam = np.atleast_2d(np.ascontiguousarray(lam, dtype=float))
     out = lam.copy()
-    for k in np.nonzero(np.einsum("ij->i", np.abs(lam)) > 1.0)[0]:
-        out[k] = l1_ball_sort_reference(lam[k], 1.0)
+    for k in np.nonzero(np.abs(lam) @ np.ones(lam.shape[1]) > 1.0)[0]:
+        out[k] = l1_sort_shrink(lam[k], 1.0)
     return out
 
 

@@ -1011,3 +1011,21 @@ def test_negative_threshold_exits_2_before_any_solve(three_points, tmp_path, cap
     err = json.loads(capsys.readouterr().err.strip())
     assert err["kind"] == "ParameterError" and "nonnegative" in err["error"]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("with_stream", [False, True])
+def test_negative_synthetic_count_exits_2_naming_the_flag(three_points, tmp_path, capsys,
+                                                          with_stream):
+    # the count is parsed as nonnegative: a negative one used to fail as a
+    # missing stream when alone, and to be ignored next to --stream
+    stream = tmp_path / "stream"
+    stream.mkdir()
+    write_matrix_csv(str(stream / "000.csv"), np.array([[0.0], [1.0], [3.0]]))
+    argv = ["monitor", "--input", three_points, "--synthetic", "-1", "--k", "1",
+            "--out", str(tmp_path / "out")]
+    code = main(argv + (["--stream", str(stream)] if with_stream else []))
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["kind"] == "ParameterError" and "--synthetic" in err["error"] \
+        and "nonnegative" in err["error"]
+    assert not (tmp_path / "out").exists()

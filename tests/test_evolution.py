@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+import sco.admm
 import sco.evolution
 from sco import (ConvexClusteringProblem, Dataset, DimensionError, EdgeIncidence,
                  NumericFailure, ParameterError, RidgeProblem, Snapshot, SolverConfig,
                  build_knn_graph, delta_metric, run_session)
+
+from oracles import same_bits
 
 
 def clustering_setup(rng, n=6, d=2, alpha=1.0, beta=1.0, **kwargs):
@@ -129,6 +132,33 @@ def test_zero_threshold_resolves_every_changed_snapshot():
     decisions, _ = run_session(problem, graph, stream, config, threshold=0.0)
     assert [d.action for d in decisions] == ["resolve"] * 3
     assert all(d.solve_iters is not None for d in decisions)
+
+
+def test_solves_on_one_operator_share_one_norm_estimate(monkeypatch):
+    # the power iteration depends on Q alone: a session of three solves on
+    # one operator runs it once, and the kept factor gives the bits of a
+    # fresh estimate; an operator with other coefficients gets its own
+    rng = np.random.default_rng(7)
+    problem, graph, config = clustering_setup(rng)
+    stream = [Snapshot(index=i, values=problem.values + 0.01 * rng.standard_normal(problem.values.shape))
+              for i in range(2)]
+    estimates = []
+    estimate = sco.admm.operator_norm_estimate
+
+    def counted(*args, **kwargs):
+        estimates.append(args)
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr("sco.admm.operator_norm_estimate", counted)
+    decisions, session = run_session(problem, graph, stream, config, threshold=0.0)
+    assert [d.action for d in decisions] == ["resolve"] * 2
+    assert len(estimates) == 1
+    Q = session.Q
+    kept = sco.admm._row_lipschitz(session.problem, Q, config)
+    fresh = sco.admm._row_lipschitz(session.problem, Q, config, rng=np.random.default_rng(0))
+    assert len(estimates) == 2 and same_bits(kept, fresh)
+    sco.admm._row_lipschitz(session.problem, Q.with_coef(2.0 * Q.coef), config)
+    assert len(estimates) == 3
 
 
 def test_two_phase_stream_keeps_then_resolves():

@@ -4,8 +4,8 @@ import pytest
 from sco import ParameterError, project_l1_ball, project_rows, prox_norm
 
 from oracles import (clip_project_rows, duchi_l1_ball_projection, l1_ball_sort_reference,
-                     per_row_l1_projection, project_ball, prox_argmin_oracle, same_bits,
-                     where_project_rows_l2)
+                     l1_sort_shrink, per_row_l1_projection, project_ball, prox_argmin_oracle,
+                     same_bits, where_project_rows_l2)
 
 
 def sample_feasible(rng, d, q):
@@ -129,6 +129,28 @@ def test_project_rows_l1_bit_identical_to_per_row():
         finite = np.isfinite(lam).all(axis=1)
         if finite.any():
             assert np.abs(batched[finite]).sum(axis=1).max() <= 1.0 + 1e-12, name
+
+
+@pytest.mark.parametrize("d", [3, 5, 10])
+def test_project_rows_l1_projects_exactly_the_rows_the_blas_product_puts_over(d):
+    # rows scaled to an einsum l1 norm of 1: the BLAS product |lam| @ 1 adds
+    # in another order, so it puts some of them over 1 and some under, each
+    # way round from einsum; the projected rows are exactly those the
+    # product puts over, and every other row, NaN, +-inf and -0.0 ones
+    # included, is copied bit for bit
+    rng = np.random.default_rng(26)
+    lam = rng.standard_normal((400, d))
+    lam /= np.einsum("ij->i", np.abs(lam))[:, None]
+    lam = np.vstack([lam, with_special_entries(rng, rng.standard_normal((40, d))),
+                     np.full((1, d), np.nan), np.full((1, d), -np.inf), np.full((1, d), -0.0)])
+    over = np.abs(lam) @ np.ones(d) > 1.0
+    by_einsum = np.einsum("ij->i", np.abs(lam)) > 1.0
+    assert (over & ~by_einsum).any() and (by_einsum & ~over).any()
+    with np.errstate(invalid="ignore"):  # inf - inf in the rows holding infinities
+        out = project_rows(lam, 1)
+        shrunk = np.array([l1_sort_shrink(row, 1.0) for row in lam[over]])
+    assert same_bits(out[~over], lam[~over])
+    assert same_bits(out[over], shrunk)
 
 
 def test_project_rows_box_bit_identical_to_clip():
