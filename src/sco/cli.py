@@ -141,9 +141,11 @@ def build_parser(command: str | None = None) -> _Parser:
         m.add_argument("--task", default="cc", choices=TASKS)
         m.add_argument("--c", type=nonnegative_float, default=10.0, help="refresh threshold")
         m.add_argument("--stream", default=None,
-                       help="directory of CSV snapshots (lexicographic) or a JSONL file")
+                       help="directory of CSV snapshots (lexicographic) or a JSONL file; "
+                            "not with a positive --synthetic")
         m.add_argument("--synthetic", type=nonnegative_int, default=0,
-                       help="generate this many perturbed snapshots instead of reading a stream")
+                       help="generate this many perturbed snapshots instead of reading a "
+                            "stream; a positive count cannot go with --stream")
         m.add_argument("--sigma", type=finite_float, default=0.1,
                        help="noise scale for synthetic snapshots")
         m.add_argument("--rebuild-graph", action="store_true",
@@ -263,6 +265,8 @@ def _synthetic_stream(data: Dataset, count: int, sigma: float, seed: int) -> lis
 
 def _read_stream(args, data: Dataset) -> list[Snapshot]:
     if args.synthetic > 0:
+        if args.stream is not None:
+            raise ParameterError("monitor takes --stream or a positive --synthetic N, not both")
         return _synthetic_stream(data, args.synthetic, args.sigma, args.seed)
     if args.stream is None:
         raise ParameterError("monitor needs --stream or --synthetic N")

@@ -6,10 +6,13 @@ Edge weights are inversely proportional to the distance, capped so that
 coincident points get a finite weight.
 
 The graph is built over blocks of rows, each compared with all n points
-through one matrix product, so the build needs O(block * n) memory and no
-n-by-n distance matrix. Neighbours are ranked by |v_j|^2 - 2 v_i.v_j, the
-squared distance less the row's own |v_i|^2; weights come from the direct
-row differences of the kept pairs, not from that key.
+through one matrix product, and no n-by-n distance matrix is made.
+Neighbours are ranked by |v_j|^2 - 2 v_i.v_j, the squared distance less
+the row's own |v_i|^2; weights come from the direct row differences of
+the kept pairs, not from that key, taken in chunks of the same budget.
+So the whole build holds the temporaries of one block (about
+``_BLOCK_ENTRIES`` floats) at a time, plus the m edges: the returned
+tuples and the O(m) index and weight arrays they are made from.
 
 All functions here are pure and operate on immutable inputs, so they are
 safe to call concurrently.
@@ -100,8 +103,11 @@ def build_knn_graph(data: Dataset, k: int, weight_cap: float = DEFAULT_WEIGHT_CA
     smallest key; a row keeps every point with a smaller key and, of the
     points whose computed key ties with it, the ones of smallest index, so
     ties at the rounding level are decided on the key, not on a distance.
-    A block holds about ``_BLOCK_ENTRIES`` keys, so the working memory is
-    O(block * n), not n-by-n.
+    A block holds about ``_BLOCK_ENTRIES`` keys, and the weights are
+    computed for at most ``_BLOCK_ENTRIES // d`` pairs at a time, so the
+    build's memory is the temporaries of one block plus the m edges (the
+    returned tuples and their index and weight arrays); nothing n-by-n or
+    m-by-d is made.
 
     One check before the loop raises DataValidationError when 4 max|v|^2,
     the bound on every squared distance, overflows; below it every key and
@@ -163,9 +169,17 @@ def build_knn_graph(data: Dataset, k: int, weight_cap: float = DEFAULT_WEIGHT_CA
     # same, but its first call imports numpy.ma (about 16 ms)
     heads, tails = np.divmod(keys[np.append(True, keys[1:] != keys[:-1])], n)
 
-    diff = values[heads] - values[tails]
+    # the kept pairs' distances in chunks of one block's budget; each norm is
+    # taken along its own row, so chunking keeps every bit
+    weights = np.empty(heads.size)
+    chunk = max(1, _BLOCK_ENTRIES // values.shape[1])
+    for start in range(0, heads.size, chunk):
+        diff = values[heads[start:start + chunk]]
+        diff -= values[tails[start:start + chunk]]
+        weights[start:start + chunk] = np.linalg.norm(diff, axis=1)
     with np.errstate(divide="ignore", over="ignore"):
-        weights = np.minimum(1.0 / np.linalg.norm(diff, axis=1), weight_cap)
+        np.divide(1.0, weights, out=weights)
+        np.minimum(weights, weight_cap, out=weights)
     # a list first, so the tuple is made once at its final size; growing it
     # straight from the zip left `sco graph` about 1 MB larger at its peak
     # over repeated builds in one process

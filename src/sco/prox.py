@@ -8,7 +8,7 @@ and follows the memory layout, so the rows are read in C order. The l1
 norms of the q = 1 row test are one BLAS matrix-vector product
 ``|lam| @ 1``, whose order of additions, and so its last bits, follows
 the BLAS build; repeated runs on one machine give the same bits. The
-l1-ball threshold is the largest of the sorted-prefix candidates.
+l1-ball threshold is the largest of the sorted-prefix candidates and 0.
 """
 
 from __future__ import annotations
@@ -51,6 +51,9 @@ def _project_l1_rows(V: np.ndarray, radius: float, a: np.ndarray) -> np.ndarray:
     a magnitude so large that subtracting the radius rounds away, cannot
     pick a wrong one: such a finite row lands in the ball (at zero, the
     radius lost to rounding). A row holding an infinity gets NaN there.
+    The shrink is never below 0: a row the caller's test put over the ball
+    only by rounding, whose largest candidate is at or under 0, comes out
+    as it went in instead of growing.
 
     ``a`` is ``np.abs(V)``, which the caller has already; it is
     overwritten with the result.
@@ -58,7 +61,7 @@ def _project_l1_rows(V: np.ndarray, radius: float, a: np.ndarray) -> np.ndarray:
     thresholds = np.sort(a, axis=1)[:, ::-1].cumsum(axis=1)
     thresholds -= radius
     thresholds /= _ranks(V.shape[1])
-    a -= thresholds.max(axis=1, keepdims=True)
+    a -= thresholds.max(axis=1, keepdims=True, initial=0.0)
     np.maximum(a, 0.0, out=a)
     return np.multiply(np.sign(V), a, out=a)
 

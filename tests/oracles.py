@@ -272,10 +272,11 @@ def l1_ball_sort_reference(v: np.ndarray, radius: float) -> np.ndarray:
 
 def l1_sort_shrink(v: np.ndarray, radius: float) -> np.ndarray:
     """:func:`l1_ball_sort_reference` without its inside-the-ball test:
-    ``v`` shrunk by the largest candidate (css_k - radius)/k."""
+    ``v`` shrunk by the largest candidate (css_k - radius)/k, or by 0 when
+    no candidate is positive (a row put over the ball only by rounding)."""
     a = np.abs(v)
     css = np.cumsum(np.sort(a)[::-1])
-    theta = np.max((css - radius) / np.arange(1, v.size + 1))
+    theta = np.max((css - radius) / np.arange(1, v.size + 1), initial=0.0)
     return np.sign(v) * np.maximum(a - theta, 0.0)
 
 

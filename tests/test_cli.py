@@ -1029,3 +1029,29 @@ def test_negative_synthetic_count_exits_2_naming_the_flag(three_points, tmp_path
     assert err["kind"] == "ParameterError" and "--synthetic" in err["error"] \
         and "nonnegative" in err["error"]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("stream_exists", [False, True])
+def test_positive_synthetic_next_to_stream_exits_2_naming_both(three_points, tmp_path, capsys,
+                                                               monkeypatch, stream_exists):
+    # a positive count used to win silently, even over a missing stream
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before rejecting --stream with --synthetic")
+
+    monkeypatch.setattr(sco.evolution, "solve_dual", no_solve)
+    stream = tmp_path / "stream"
+    if stream_exists:
+        stream.mkdir()
+        write_matrix_csv(str(stream / "000.csv"), np.array([[0.0], [1.0], [3.0]]))
+    code = main(["monitor", "--input", three_points, "--synthetic", "2", "--k", "1",
+                 "--stream", str(stream), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["kind"] == "ParameterError" and "--synthetic" in err["error"] \
+        and "--stream" in err["error"]
+    assert not (tmp_path / "out").exists()
+    # a zero count is the default and leaves the stream in charge
+    monkeypatch.undo()
+    assert main(["monitor", "--input", three_points, "--synthetic", "0", "--k", "1",
+                 "--stream", str(stream), "--no-bounds", "--out", str(tmp_path / "out")]) \
+        == (0 if stream_exists else 2)

@@ -178,6 +178,21 @@ def test_build_memory_is_below_a_dense_matrix():
     assert peak < 40e6, peak
 
 
+def test_build_holds_less_than_one_edge_by_feature_array():
+    # the weights are computed in chunks: beyond the graph it returns, the
+    # build never holds as much as one m-by-d float64 array (the gathered
+    # endpoint rows of every edge at once took three of them)
+    data = Dataset(np.random.default_rng(5).standard_normal((2000, 32)))
+    tracemalloc.start()
+    try:
+        graph = build_knn_graph(data, 10)
+        returned, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    edge_by_feature = graph.edge_count * 32 * 8
+    assert peak - returned < edge_by_feature, (peak - returned, edge_by_feature)
+
+
 def blobs(rng, n, d):
     """Four Gaussian blobs with unit spread around well separated centres,
     as in the benchmark's workloads."""

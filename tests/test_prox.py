@@ -153,6 +153,23 @@ def test_project_rows_l1_projects_exactly_the_rows_the_blas_product_puts_over(d)
     assert same_bits(out[over], shrunk)
 
 
+def test_l1_rows_over_the_ball_only_by_rounding_do_not_grow():
+    # rows scaled to an einsum l1 norm of 1: the BLAS row test puts some of
+    # them over 1, where the sorted running sum can end at or under 1 and no
+    # shrink candidate is positive; no magnitude may grow, and such a row
+    # comes out as it went in
+    rng = np.random.default_rng(47)
+    lam = rng.standard_normal((20000, 10))
+    lam /= np.einsum("ij->i", np.abs(lam))[:, None]
+    out = project_rows(lam, 1)
+    assert (np.abs(out) <= np.abs(lam)).all()
+    over = np.abs(lam) @ np.ones(10) > 1.0
+    css = np.cumsum(-np.sort(-np.abs(lam[over]), axis=1), axis=1)
+    unshrunk = ((css - 1.0) / np.arange(1.0, 11.0)).max(axis=1) <= 0.0
+    assert unshrunk.any()
+    assert same_bits(out[over][unshrunk], lam[over][unshrunk])
+
+
 def test_project_rows_box_bit_identical_to_clip():
     rng = np.random.default_rng(21)
     special = np.array([[0.0, -0.0, np.nan, -np.nan],
