@@ -38,16 +38,14 @@ def extract_clusters(X: np.ndarray, graph: VariableGraph, eps_fuse: float) -> np
     lie within ``eps_fuse`` of each other.
 
     Returns one label per vertex, the smallest member index of its
-    component. The edge ends are read from ``graph.edges``; the distance
-    test runs on all edges at once and only the fused edges enter the
-    union-find.
+    component. The distance test runs on all edges at once and only the
+    fused edges enter the union-find.
     """
     if not eps_fuse > 0:
         raise ParameterError(f"eps_fuse must be positive, got {eps_fuse}")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = graph.vertex_count
-    head = np.array([e[0] for e in graph.edges], dtype=np.intp)
-    tail = np.array([e[1] for e in graph.edges], dtype=np.intp)
+    head, tail = graph.head, graph.tail
     diff = X[head] - X[tail]
     close = np.sqrt(np.einsum("ij,ij->i", diff, diff)) <= eps_fuse
     # Each root is the smallest member of its set: a union hangs the larger

@@ -11,8 +11,8 @@ Neighbours are ranked by |v_j|^2 - 2 v_i.v_j, the squared distance less
 the row's own |v_i|^2; weights come from the direct row differences of
 the kept pairs, not from that key, taken in chunks of the same budget.
 So the whole build holds the temporaries of one block (about
-``_BLOCK_ENTRIES`` floats) at a time, plus the m edges: the returned
-tuples and the O(m) index and weight arrays they are made from.
+``_BLOCK_ENTRIES`` floats) at a time, plus the m edges: the O(m) sorted
+pair keys and the head, tail and weight arrays the graph keeps.
 
 All functions here are pure and operate on immutable inputs, so they are
 safe to call concurrently.
@@ -20,7 +20,7 @@ safe to call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,24 +66,39 @@ class Dataset:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VariableGraph:
     """Weighted undirected graph over the per-instance variables.
 
-    Edges are (i, j, w) with Python ints i < j and a Python float w > 0,
-    listed in lexicographic order of (i, j) and free of duplicates. The
-    builders hand them over in those types; they are not converted here.
+    Edge k joins ``head[k]`` and ``tail[k]`` with weight ``weight[k]``:
+    three 1-D arrays of one length, ``intp``, ``intp`` and ``float64``. A
+    valid graph has head < tail and weight > 0 on every edge, its edges in
+    lexicographic order of (head, tail) and free of duplicates;
+    :func:`validate_graph` reports what breaks that. The fields are
+    read-only views; an array already of its dtype is shared, not copied,
+    and the caller's own array stays writable. ``eq=False``: arrays have no
+    single truth value, so the generated ``__eq__`` would raise.
     """
 
     vertex_count: int
-    edges: tuple = field(default_factory=tuple)
+    head: np.ndarray
+    tail: np.ndarray
+    weight: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(self.edges))
+        for name, dtype in (("head", np.intp), ("tail", np.intp), ("weight", np.float64)):
+            view = np.asarray(getattr(self, name), dtype=dtype).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+        if not (self.head.ndim == self.tail.ndim == self.weight.ndim == 1
+                and self.head.size == self.tail.size == self.weight.size):
+            raise DataValidationError(
+                f"edge arrays must be 1-D of one length, got shapes {self.head.shape}, "
+                f"{self.tail.shape} and {self.weight.shape}")
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return self.head.size
 
 
 def build_knn_graph(data: Dataset, k: int, weight_cap: float = DEFAULT_WEIGHT_CAP) -> VariableGraph:
@@ -105,9 +120,9 @@ def build_knn_graph(data: Dataset, k: int, weight_cap: float = DEFAULT_WEIGHT_CA
     ties at the rounding level are decided on the key, not on a distance.
     A block holds about ``_BLOCK_ENTRIES`` keys, and the weights are
     computed for at most ``_BLOCK_ENTRIES // d`` pairs at a time, so the
-    build's memory is the temporaries of one block plus the m edges (the
-    returned tuples and their index and weight arrays); nothing n-by-n or
-    m-by-d is made.
+    build's memory is the temporaries of one block plus the m edges (their
+    sorted pair keys and the returned head, tail and weight arrays);
+    nothing n-by-n or m-by-d is made.
 
     One check before the loop raises DataValidationError when 4 max|v|^2,
     the bound on every squared distance, overflows; below it every key and
@@ -180,30 +195,37 @@ def build_knn_graph(data: Dataset, k: int, weight_cap: float = DEFAULT_WEIGHT_CA
     with np.errstate(divide="ignore", over="ignore"):
         np.divide(1.0, weights, out=weights)
         np.minimum(weights, weight_cap, out=weights)
-    # a list first, so the tuple is made once at its final size; growing it
-    # straight from the zip left `sco graph` about 1 MB larger at its peak
-    # over repeated builds in one process
-    edges = list(zip(heads.tolist(), tails.tolist(), weights.tolist()))
-    return VariableGraph(vertex_count=n, edges=tuple(edges))
+    return VariableGraph(n, heads, tails, weights)
 
 
 def validate_graph(graph: VariableGraph) -> list[str]:
     """Check the graph invariants; return a list of violations (empty = ok).
 
-    Each message names the offending edge index. Diagnostic only, never
-    raises.
+    Each message names the offending edge index; the messages run in edge
+    order, and an edge's endpoint, weight and duplicate faults in that
+    order. A repeated pair is reported at every index after its first.
+    Diagnostic only, never raises.
     """
     violations = []
     n = graph.vertex_count
     if n < 1:
         violations.append("graph: vertex_count must be >= 1")
-    seen = set()
-    for idx, (i, j, w) in enumerate(graph.edges):
-        if not (0 <= i < j < n):
+    head, tail, weight = graph.head, graph.tail, graph.weight
+    bad_ends = ~((0 <= head) & (head < tail) & (tail < n))
+    bad_weight = ~(np.isfinite(weight) & (weight > 0))
+    # a stable sort by (head, tail) puts each repeat right after an earlier copy
+    order = np.lexsort((tail, head))
+    sorted_head, sorted_tail = head[order], tail[order]
+    repeat = np.zeros(head.size, dtype=bool)
+    repeat[order[1:]] = ((sorted_head[1:] == sorted_head[:-1])
+                         & (sorted_tail[1:] == sorted_tail[:-1]))
+    for idx in np.flatnonzero(bad_ends | bad_weight | repeat).tolist():
+        i, j = int(head[idx]), int(tail[idx])
+        if bad_ends[idx]:
             violations.append(f"edge {idx}: endpoints ({i}, {j}) violate 0 <= i < j < {n}")
-        if not (np.isfinite(w) and w > 0):
-            violations.append(f"edge {idx}: weight {w} is not a positive finite real")
-        if (i, j) in seen:
+        if bad_weight[idx]:
+            violations.append(
+                f"edge {idx}: weight {float(weight[idx])} is not a positive finite real")
+        if repeat[idx]:
             violations.append(f"edge {idx}: duplicate pair ({i}, {j})")
-        seen.add((i, j))
     return violations

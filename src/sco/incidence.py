@@ -21,7 +21,8 @@ computes, in one flat pass.
 
 The edge arrays are fixed at construction and every map here is pure.
 The only state that changes is in two caches, filled on first use: the
-flat scatter indices, one pair per feature count d, and the row
+flat scatter indices, one pair per feature count d (the pair for d=1,
+the edge ends themselves, is also the forward map's gather), and the row
 coefficients repeated d times, which scale the raveled rows of both
 maps. Filling them is idempotent (a second thread that races the first
 stores equal arrays), so concurrent use is safe.
@@ -53,10 +54,10 @@ class EdgeIncidence:
 
     def __init__(self, graph: VariableGraph, alpha: float):
         self.col_count = graph.vertex_count
-        self.head = np.array([e[0] for e in graph.edges], dtype=np.intp)
-        self.tail = np.array([e[1] for e in graph.edges], dtype=np.intp)
-        self.coef = _strength(alpha) * np.array([e[2] for e in graph.edges], dtype=float)
-        self.row_count = len(graph.edges)
+        self.head = graph.head
+        self.tail = graph.tail
+        self.coef = _strength(alpha) * graph.weight
+        self.row_count = graph.edge_count
         self._flat_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._flat_coef: dict[int, np.ndarray] = {}
 
@@ -100,8 +101,11 @@ class EdgeIncidence:
             raise DimensionError(f"expected {self.col_count} rows, got {X.shape[0]}")
         if self.row_count == 0:
             return np.zeros((0, X.shape[1]))
-        diff = X.take(self.head, 0)
-        diff -= X.take(self.tail, 0)
+        # take() copies a read-only index array, the graph's edge ends, on
+        # every call; the scatter bins for d=1 are the same ends, writable
+        head, tail = self._flat_index(1)
+        diff = X.take(head, 0)
+        diff -= X.take(tail, 0)
         # the products coef[k] * diff[k, c] of a broadcast multiply, in raveled
         # order; the result is the raveled block, so a ravel that had to copy
         # still carries the scaling

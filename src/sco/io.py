@@ -3,10 +3,10 @@ streams, trace CSV. All writes are atomic (temp file + rename) and JSON
 is serialised canonically so identical runs produce identical bytes.
 
 JSON writes are sliced: a dict payload is encoded one top-level key at a
-time and a long list in slices of ``_JSON_SLICE`` items, and each piece
-goes to the temp file before the next is made. The bytes are those of
+time and a list in slices of ``_JSON_SLICE`` items, and each piece goes
+to the temp file before the next is made. The bytes are those of
 ``canonical_json`` in one piece, but a graph's edge list is never held
-as one string.
+as one string, and its rows are Python objects only one slice at a time.
 """
 
 from __future__ import annotations
@@ -99,15 +99,34 @@ def canonical_json(obj) -> str:
                       check_circular=False)
 
 
+class _EdgeRows:
+    """A graph's edges as the JSON list of [i, j, w] rows, for
+    :func:`_sliced_json` only: a slice of it is a list of (int, int, float)
+    tuples, made from ``.tolist()`` of the array slices, so the rows exist
+    as Python objects one slice at a time."""
+
+    def __init__(self, graph: VariableGraph):
+        self.graph = graph
+
+    def __len__(self) -> int:
+        return self.graph.edge_count
+
+    def __getitem__(self, part: slice) -> list:
+        g = self.graph
+        return list(zip(g.head[part].tolist(), g.tail[part].tolist(), g.weight[part].tolist()))
+
+
 def _sliced_json(value):
-    """canonical_json(value) in pieces: a list or tuple of more than
-    ``_JSON_SLICE`` items slice by slice, anything else whole."""
-    if type(value) not in (list, tuple) or len(value) <= _JSON_SLICE:
+    """canonical_json(value) in pieces: a list, a tuple or a graph's
+    :class:`_EdgeRows` slice by slice, ``_JSON_SLICE`` items at a time,
+    anything else whole."""
+    if type(value) not in (list, tuple, _EdgeRows):
         yield canonical_json(value)
         return
+    yield "["
     for start in range(0, len(value), _JSON_SLICE):
         text = canonical_json(value[start:start + _JSON_SLICE])
-        yield ("," if start else "[") + text[1:-1]
+        yield ("," if start else "") + text[1:-1]
     yield "]"
 
 
@@ -155,34 +174,54 @@ def matrix_to_lists(M: np.ndarray):
 
 
 def graph_to_dict(graph: VariableGraph) -> dict:
-    # the edges are Python (int, int, float) tuples, which json writes as arrays
-    return {"n": graph.vertex_count, "edges": graph.edges}
+    """The graph's JSON form for :func:`write_json_atomic`: ``n`` and the
+    edges as [i, j, w] rows, which the writer makes a slice at a time."""
+    return {"n": graph.vertex_count, "edges": _EdgeRows(graph)}
 
 
 def graph_from_dict(payload: dict) -> VariableGraph:
     """Graph from its JSON form. ``n`` and the edge endpoints must be JSON
     integers and the weights JSON numbers; anything else, bools and
     numeric strings included, raises DataValidationError instead of being
-    truncated or coerced."""
+    truncated or coerced, and so do endpoints beyond the index range and
+    integer weights beyond the float range."""
     try:
-        n, edges = payload["n"], [tuple(edge) for edge in payload["edges"]]
+        n, edges = payload["n"], list(payload["edges"])
     except (KeyError, TypeError) as exc:
         raise DataValidationError(f"malformed graph payload: {exc}") from exc
     if type(n) is not int:
         raise DataValidationError(f"malformed graph payload: n must be an integer, got {n!r}")
     for idx, edge in enumerate(edges):
-        if tuple(map(type, edge)) not in ((int, int, int), (int, int, float)):
+        if type(edge) is not list or tuple(map(type, edge)) not in ((int, int, int),
+                                                                     (int, int, float)):
             raise DataValidationError(
                 f"malformed graph payload: edge {idx} must be [int, int, number], "
-                f"got {list(edge)!r}")
-    return VariableGraph(vertex_count=n, edges=tuple((i, j, float(w)) for i, j, w in edges))
+                f"got {edge!r}")
+    table = np.array(edges, dtype=object).reshape(-1, 3)
+    try:
+        head, tail = table[:, 0].astype(np.intp), table[:, 1].astype(np.intp)
+    except OverflowError:
+        ends = table[:, :2]
+        limits = np.iinfo(np.intp)
+        idx = int(np.argmax(((ends < limits.min) | (ends > limits.max)).any(axis=1)))
+        raise DataValidationError(
+            f"malformed graph payload: edge {idx}: endpoints ({ends[idx, 0]}, {ends[idx, 1]}) "
+            f"violate 0 <= i < j < {n}") from None
+    try:
+        weight = table[:, 2].astype(np.float64)
+    except OverflowError:  # a JSON integer beyond the float range
+        idx = int(np.argmax(np.abs(table[:, 2]) > float(np.finfo(np.float64).max)))
+        raise DataValidationError(
+            f"malformed graph payload: edge {idx}: weight is an integer beyond the float "
+            f"range") from None
+    return VariableGraph(n, head, tail, weight)
 
 
 def load_graph_json(path: str) -> VariableGraph:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # json's bare ValueError: an int of over 4300 digits
         raise ParameterError(f"cannot read graph {path}: {exc}") from exc
     return graph_from_dict(payload)
 

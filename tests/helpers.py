@@ -1,10 +1,27 @@
-"""File helpers the CLI tests use to write inputs and read solutions back."""
+"""Helpers the tests share: graphs from (i, j, w) triples and back, and
+the files the CLI tests write as inputs and read back as solutions."""
 
 import json
 
 import numpy as np
 
+from sco.graph import VariableGraph
+
 SOLUTION_KEYS = {"X", "dual_objective", "primal_objective", "iters", "converged"}
+
+
+def graph_of(n: int, triples) -> VariableGraph:
+    """The graph on n vertices whose edges are the (i, j, w) triples, in order."""
+    triples = list(triples)
+    head = np.array([t[0] for t in triples], dtype=np.intp)
+    tail = np.array([t[1] for t in triples], dtype=np.intp)
+    weight = np.array([t[2] for t in triples], dtype=np.float64)
+    return VariableGraph(n, head, tail, weight)
+
+
+def edge_triples(graph: VariableGraph) -> list:
+    """The graph's edges as (int, int, float) triples, in edge order."""
+    return list(zip(graph.head.tolist(), graph.tail.tolist(), graph.weight.tolist()))
 
 
 def write_matrix_csv(path: str, values, targets=None) -> None:

@@ -53,6 +53,8 @@ from sco import (ConvexClusteringProblem, DataValidationError, Dataset, Paramete
 from sco.admm import _INNER_REL
 from sco.graph import DEFAULT_WEIGHT_CAP
 
+from helpers import edge_triples, graph_of
+
 
 def stack_columns(M: np.ndarray) -> np.ndarray:
     """Column-stacking vectorisation vec(M) of a matrix."""
@@ -85,7 +87,7 @@ def conjugate_gradient(problem, Q, lam: np.ndarray) -> np.ndarray:
 def dense_incidence(graph, alpha: float) -> np.ndarray:
     """Materialise the scaled incidence matrix row by row."""
     Q = np.zeros((graph.edge_count, graph.vertex_count))
-    for k, (i, j, w) in enumerate(graph.edges):
+    for k, (i, j, w) in enumerate(edge_triples(graph)):
         Q[k, i] = alpha * w
         Q[k, j] = -alpha * w
     return Q
@@ -197,9 +199,7 @@ def clustering_subgradient_oracle(values: np.ndarray, graph, alpha: float, p: fl
     weighted by k give the standard O(1/T) suboptimality decay.
     """
     n, d = values.shape
-    head = np.array([e[0] for e in graph.edges], dtype=np.intp)
-    tail = np.array([e[1] for e in graph.edges], dtype=np.intp)
-    coef = alpha * np.array([e[2] for e in graph.edges], dtype=float)
+    head, tail, coef = graph.head, graph.tail, alpha * graph.weight
     X = values.copy()
     average = np.zeros_like(X)
     weight_sum = 0.0
@@ -231,7 +231,7 @@ def clustering_subgradient_oracle(values: np.ndarray, graph, alpha: float, p: fl
 def clustering_objective(values: np.ndarray, graph, alpha: float, p: float,
                          X: np.ndarray) -> float:
     total = float(((X - values) ** 2).sum())
-    for i, j, w in graph.edges:
+    for i, j, w in edge_triples(graph):
         diff = X[i] - X[j]
         if p == 2:
             total += alpha * w * float(np.linalg.norm(diff))
@@ -493,9 +493,9 @@ class DataSymmetry:
     def graph(self, graph: VariableGraph, rng: np.random.Generator) -> VariableGraph:
         """The graph on the relabelled vertices, its edges in a random order."""
         label = np.argsort(self.rows)  # base vertex -> its row in the image
-        edges = [(*sorted((int(label[i]), int(label[j]))), w) for i, j, w in graph.edges]
-        return VariableGraph(graph.vertex_count,
-                             tuple(edges[k] for k in rng.permutation(len(edges))))
+        edges = [(*sorted((int(label[i]), int(label[j]))), w) for i, j, w in edge_triples(graph)]
+        return graph_of(graph.vertex_count,
+                        tuple(edges[k] for k in rng.permutation(len(edges))))
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -577,7 +577,7 @@ def per_row_knn_graph(data: Dataset, k: int, weight_cap: float = DEFAULT_WEIGHT_
         d = dist[i, j]
         w = weight_cap if d == 0.0 else min(1.0 / d, weight_cap)
         edges.append((int(i), int(j), float(w)))
-    return VariableGraph(vertex_count=n, edges=tuple(edges))
+    return graph_of(n, edges)
 
 
 def per_edge_extract_clusters(X: np.ndarray, graph, eps_fuse: float) -> np.ndarray:
@@ -595,7 +595,7 @@ def per_edge_extract_clusters(X: np.ndarray, graph, eps_fuse: float) -> np.ndarr
             v = parent[v]
         return v
 
-    for i, j, _ in graph.edges:
+    for i, j, _ in edge_triples(graph):
         if np.linalg.norm(X[i] - X[j]) <= eps_fuse:
             ri, rj = find(i), find(j)
             if ri != rj:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from sco import (ConvexClusteringProblem, Dataset, EdgeIncidence, RidgeProblem,
-                 Snapshot, SolverConfig, VariableGraph, build_knn_graph,
+                 Snapshot, SolverConfig, build_knn_graph,
                  clustering_dual_image_check, clustering_model_check,
                  delta_metric, prox_norm,
                  regression_dual_image_check, regression_model_check,
@@ -20,6 +20,7 @@ from sco import (ConvexClusteringProblem, Dataset, EdgeIncidence, RidgeProblem,
 from sco.admm import u_step, zero_state
 from sco.prox import project_rows
 
+from helpers import graph_of
 from oracles import clustering_subgradient_oracle, project_ball, prox_argmin_oracle
 
 ORACLE_ITERS = 50_000
@@ -90,7 +91,7 @@ def test_criterion_2_strong_duality():
 
 def test_criterion_3_hand_solved_instance():
     data = Dataset([[0.0], [2.0]])
-    graph = VariableGraph(2, ((0, 1, 1.0),))
+    graph = graph_of(2, ((0, 1, 1.0),))
     problem = ConvexClusteringProblem(data)
     base = dict(beta=0.0, p=2, s=1, eps_abs=1e-9, eps_rel=1e-7, outer_max_iters=4000)
     shrink = solve_dual(problem, EdgeIncidence(graph, 1.0),

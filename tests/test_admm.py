@@ -10,6 +10,7 @@ from sco.admm import (h_norm_step, lambda_step, mu_step, parallel_lambda_step, u
                       zero_state)
 
 import sco.admm
+from helpers import edge_triples, graph_of
 from oracles import (DataSymmetry, clustering_subgradient_oracle, column_problem,
                      dense_incidence, dual_subproblem_objective, fenchel_gap,
                      quadratic_from_values, reference_lambda_step, reference_relaxed_sweep,
@@ -18,7 +19,7 @@ from oracles import (DataSymmetry, clustering_subgradient_oracle, column_problem
 
 def two_point(alpha_w, beta=0.0, **kwargs):
     data = Dataset([[0.0], [2.0]])
-    graph = VariableGraph(2, ((0, 1, 1.0),))
+    graph = graph_of(2, ((0, 1, 1.0),))
     problem = ConvexClusteringProblem(data)
     Q = EdgeIncidence(graph, alpha_w)
     defaults = dict(alpha=alpha_w, beta=beta, p=2, s=1, eps_abs=1e-9, eps_rel=1e-7,
@@ -56,7 +57,7 @@ def blob_regression(rng):
 def test_empty_graph_returns_loss_minimiser():
     data = Dataset([[1.0, 2.0], [3.0, 4.0]])
     problem = ConvexClusteringProblem(data)
-    Q = EdgeIncidence(VariableGraph(2, ()), 1.0)
+    Q = EdgeIncidence(graph_of(2, ()), 1.0)
     result = solve_dual(problem, Q, SolverConfig(alpha=1.0, beta=0.0))
     np.testing.assert_array_equal(result.x_star, data.values)
     assert result.converged and result.iterations == 0
@@ -65,7 +66,7 @@ def test_empty_graph_returns_loss_minimiser():
 def test_zero_alpha_returns_loss_minimiser():
     data = Dataset([[1.0], [5.0], [2.0]])
     problem = ConvexClusteringProblem(data)
-    Q = EdgeIncidence(VariableGraph(3, ((0, 1, 1.0), (1, 2, 1.0))), 0.0)
+    Q = EdgeIncidence(graph_of(3, ((0, 1, 1.0), (1, 2, 1.0))), 0.0)
     result = solve_dual(problem, Q, SolverConfig(alpha=0.0, beta=0.0))
     np.testing.assert_array_equal(result.x_star, data.values)
 
@@ -87,7 +88,7 @@ def test_lambda_step_fixed_point():
     # a feasible dual point with vanishing gradient stays put
     data = Dataset([[0.0], [0.0]])  # zero data: gradient at lam=0 is zero
     problem = ConvexClusteringProblem(data)
-    Q = EdgeIncidence(VariableGraph(2, ((0, 1, 1.0),)), 1.0)
+    Q = EdgeIncidence(graph_of(2, ((0, 1, 1.0),)), 1.0)
     config = SolverConfig(alpha=1.0, beta=0.0, p=2)
     state = zero_state(1, 2, 1)
     lipschitz = reference_row_lipschitz(problem, Q, config)
@@ -98,7 +99,7 @@ def test_lambda_step_fixed_point():
 def test_lambda_step_matches_longrun_projected_gradient():
     # dense brute-force oracle for the inner subproblem, n=3, d=1, m=2
     rng = np.random.default_rng(10)
-    graph = VariableGraph(3, ((0, 1, 0.8), (1, 2, 1.2)))
+    graph = graph_of(3, ((0, 1, 0.8), (1, 2, 1.2)))
     problem = ConvexClusteringProblem(Dataset(rng.standard_normal((3, 1))))
     Q = EdgeIncidence(graph, 1.0)
     config = SolverConfig(alpha=1.0, beta=1.0, p=2, s=1,
@@ -600,7 +601,7 @@ def test_solve_evaluates_one_gradient_per_inner_iteration(task, p, rho, monkeypa
     assert cold_maps == cold.inner_iterations + cold.iterations
     assert len(maps) - cold_maps == warm.inner_iterations + warm.iterations
     for uncoupled in (Q.with_coef(np.zeros(Q.row_count)),
-                      EdgeIncidence(VariableGraph(Q.col_count, ()), 1.0)):
+                      EdgeIncidence(graph_of(Q.col_count, ()), 1.0)):
         del calls[:], maps[:]
         result = solve_dual(problem, uncoupled, config, warm_start=cold.state)
         assert (len(calls), maps) == (2, [])
@@ -716,8 +717,8 @@ def uniform_lipschitz(problem, Q, config, rng=None):
 
 
 def weighted_graph(rng, n, pairs):
-    return VariableGraph(n, tuple((i, j, float(w)) for (i, j), w in
-                                  zip(pairs, rng.uniform(0.05, 5.0, len(pairs)))))
+    return graph_of(n, tuple((i, j, float(w)) for (i, j), w in
+                             zip(pairs, rng.uniform(0.05, 5.0, len(pairs)))))
 
 
 def preconditioner_graphs(rng):
@@ -725,7 +726,7 @@ def preconditioner_graphs(rng):
     values = rng.standard_normal((30, 2))
     values[20:25] = values[:5]
     capped = build_knn_graph(Dataset(values), k=4, weight_cap=2.0)
-    assert sum(w == 2.0 for _, _, w in capped.edges) >= 5
+    assert np.count_nonzero(capped.weight == 2.0) >= 5
     star = weighted_graph(rng, 12, [(0, j) for j in range(1, 12)])
     path = weighted_graph(rng, 25, [(i, i + 1) for i in range(24)])
     two = weighted_graph(rng, 14, [(i, j) for i in range(7) for j in range(i + 1, 7)]
@@ -758,7 +759,7 @@ def test_row_lipschitz_clamps_the_norm_estimate_at_its_exact_bound(task):
     # on a 4-cycle of unit weights J_k = 4 and J^{-1/2} Q = Q / 2 has norm
     # exactly 1, which the inflated power iteration reads as more: the
     # clamp leaves L = (kappa + rho) J, bit for bit, here and in the oracle
-    graph = VariableGraph(4, ((0, 1, 1.0), (0, 3, 1.0), (1, 2, 1.0), (2, 3, 1.0)))
+    graph = graph_of(4, ((0, 1, 1.0), (0, 3, 1.0), (1, 2, 1.0), (2, 3, 1.0)))
     Q = EdgeIncidence(graph, 1.0)
     assert sco.admm.operator_norm_estimate(Q.with_coef(Q.coef / 2.0)) > 1.0
     rng = np.random.default_rng(32)
@@ -778,10 +779,10 @@ def test_zero_weight_edges_leave_the_solve_unchanged():
     values = np.vstack([four_blobs(rng)[:30], [[20.0, 0.0, 0.0], [0.0, 20.0, 0.0]]])
     data = Dataset(values)
     base = build_knn_graph(Dataset(values[:30]), k=4)
-    plain = VariableGraph(32, base.edges)
+    plain = VariableGraph(32, base.head, base.tail, base.weight)
     zero_edges = [(0, 29, 0.0), (30, 31, 0.0)]
-    assert not {e[:2] for e in zero_edges} & {e[:2] for e in base.edges}
-    padded = VariableGraph(32, tuple(sorted(base.edges + tuple(zero_edges))))
+    assert not {e[:2] for e in zero_edges} & {e[:2] for e in edge_triples(base)}
+    padded = graph_of(32, sorted(edge_triples(base) + zero_edges))
     problem = ConvexClusteringProblem(data)
     for p in (2, np.inf):
         config = SolverConfig(alpha=1.0, beta=0.5, p=p, s=1)

@@ -15,7 +15,7 @@ from sco import (DataValidationError, Dataset, EdgeIncidence, ParameterError, Ri
 from sco.cli import build_parser, main
 from sco.io import canonical_json, load_graph_json, read_matrix_csv
 
-from helpers import load_solution_json, write_matrix_csv
+from helpers import edge_triples, load_solution_json, write_matrix_csv
 from oracles import (DataSymmetry, add_at_norm_estimate, clip_project_rows, fancy_index_apply,
                      per_column_apply_t, per_line_read_matrix_csv, per_row_l1_projection,
                      reference_lambda_step, same_bits, stacked_ridge_curvature)
@@ -53,8 +53,9 @@ def test_graph_command_matches_builder_example(three_points, tmp_path):
 
 
 def test_graph_file_bytes_match_the_list_form(tmp_path):
-    # the edge tuples go to the encoder as they are; the bytes must be those
-    # of the [int, int, float] lists the file was once built from
+    # the writer encodes the edges from the graph's arrays a slice at a time;
+    # the bytes must be those of the [int, int, float] lists the file was
+    # once built from
     rng = np.random.default_rng(2)
     data = tmp_path / "data.csv"
     write_matrix_csv(str(data), rng.standard_normal((30, 3)))
@@ -62,7 +63,7 @@ def test_graph_file_bytes_match_the_list_form(tmp_path):
     assert main(["graph", "--input", str(data), "--k", "4", "--out", str(out)]) == 0
     values, _ = read_matrix_csv(str(data))
     graph = build_knn_graph(Dataset(values), 4)
-    lists = [[int(i), int(j), float(w)] for i, j, w in graph.edges]
+    lists = [[int(i), int(j), float(w)] for i, j, w in edge_triples(graph)]
     expected = {"n": 30, "edges": lists, "config": read_json(out)["config"]}
     assert out.read_text(encoding="utf-8") == canonical_json(expected) + "\n"
 
@@ -611,12 +612,59 @@ def test_graph_json_with_non_integer_fields_exits_2(three_points, tmp_path, caps
     assert json.loads(capsys.readouterr().err.strip())["kind"] == "DataValidationError"
 
 
+@pytest.mark.parametrize("edge, fault", [
+    ([0, 2 ** 70, 1.0], "endpoints (0, 1180591620717411303424) violate 0 <= i < j < 3"),
+    ([-2 ** 64, 1, 1.0], "endpoints (-18446744073709551616, 1) violate 0 <= i < j < 3"),
+    ([0, 1, 10 ** 400], "weight is an integer beyond the float range"),
+])
+def test_graph_json_numbers_beyond_the_machine_range_exit_2(three_points, tmp_path, capsys,
+                                                            edge, fault):
+    # an index array holds no endpoint past intp, and float() of a JSON
+    # integer past the float range raised OverflowError
+    for edges, idx in (([edge, [1, 2, 0.5]], 0), ([[0, 1, 1.0], [1, 2, 0.5], edge], 2)):
+        gpath = tmp_path / "graph.json"
+        gpath.write_text(json.dumps({"n": 3, "edges": edges}))
+        code = main(["solve", "--input", three_points, "--graph", str(gpath),
+                     "--alpha", "1", "--beta", "0", "--out", str(tmp_path / "sol.json")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err.strip()) == {
+            "error": f"malformed graph payload: edge {idx}: {fault}",
+            "kind": "DataValidationError"}
+
+
+def test_graph_json_integer_past_the_digit_limit_exits_2(three_points, tmp_path, capsys):
+    gpath = tmp_path / "graph.json"
+    gpath.write_text('{"n": 3, "edges": [[0, 1, 1' + "0" * 5000 + ']]}')
+    code = main(["solve", "--input", three_points, "--graph", str(gpath),
+                 "--alpha", "1", "--beta", "0", "--out", str(tmp_path / "sol.json")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["kind"] == "ParameterError" and "cannot read graph" in err["error"]
+
+
+def test_graph_json_faults_are_listed_in_edge_order(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    write_matrix_csv(str(data), np.arange(10.0).reshape(5, 2))
+    gpath = tmp_path / "graph.json"
+    gpath.write_text(json.dumps({"n": 5, "edges": [[0, 1, 1.0], [3, 2, 1.0], [0, 1, 2.0],
+                                                   [1, 4, -1.0]]}))
+    code = main(["solve", "--input", str(data), "--graph", str(gpath),
+                 "--alpha", "1", "--beta", "0", "--out", str(tmp_path / "sol.json")])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err.strip()) == {
+        "error": "invalid graph: edge 1: endpoints (3, 2) violate 0 <= i < j < 5; "
+                 "edge 2: duplicate pair (0, 1); "
+                 "edge 3: weight -1.0 is not a positive finite real",
+        "kind": "ParameterError"}
+
+
 def test_graph_json_integer_weight_loads_as_float(tmp_path):
     gpath = tmp_path / "graph.json"
     gpath.write_text(json.dumps({"n": 3, "edges": [[0, 1, 1], [1, 2, 0.5]]}))
     graph = load_graph_json(str(gpath))
-    assert graph.edges == ((0, 1, 1.0), (1, 2, 0.5))
-    assert [type(x) for x in graph.edges[0]] == [int, int, float]
+    assert edge_triples(graph) == [(0, 1, 1.0), (1, 2, 0.5)]
+    assert (graph.head.dtype, graph.tail.dtype, graph.weight.dtype) == (np.intp, np.intp,
+                                                                        np.float64)
 
 
 def test_parallel_with_wrong_p_exits_2(random_csv, tmp_path, capsys):

@@ -3,14 +3,15 @@ import pytest
 
 import sco.clusterpath
 from sco import (ConvexClusteringProblem, Dataset, EdgeIncidence, ParameterError,
-                 SolverConfig, VariableGraph, build_knn_graph, canonical_labels,
+                 SolverConfig, build_knn_graph, canonical_labels,
                  default_fuse_tolerance, extract_clusters, sweep)
 
+from helpers import graph_of
 from oracles import DataSymmetry, per_edge_extract_clusters, same_bits
 
 
 def chain_graph(n):
-    return VariableGraph(n, tuple((i, i + 1, 1.0) for i in range(n - 1)))
+    return graph_of(n, tuple((i, i + 1, 1.0) for i in range(n - 1)))
 
 
 def test_extract_all_singletons():
@@ -43,7 +44,7 @@ def test_extract_matches_per_edge_oracle():
     grid = rng.integers(0, 4, size=(60, 2)).astype(float)
     grid_graph = build_knn_graph(Dataset(grid), k=4)
     cases += [(grid, grid_graph, eps) for eps in (1e-9, 1.0, np.sqrt(2.0), 2.0)]
-    cases.append((rng.standard_normal((5, 2)), VariableGraph(5, ()), 1.0))
+    cases.append((rng.standard_normal((5, 2)), graph_of(5, ()), 1.0))
     data = Dataset(np.vstack([rng.standard_normal((10, 2)) + shift for shift in (0.0, 5.0)]))
     path_graph = build_knn_graph(data, k=4)
     path = sweep(data, path_graph, [0.1, 1.0, 4.0], SolverConfig(beta=0.0, p=np.inf))
@@ -104,7 +105,7 @@ def test_sweep_alpha_zero_gives_identity_and_singletons():
 
 def test_sweep_two_point_fusion_transition():
     data = Dataset([[0.0], [2.0]])
-    graph = VariableGraph(2, ((0, 1, 1.0),))
+    graph = graph_of(2, ((0, 1, 1.0),))
     config = SolverConfig(alpha=1.0, beta=0.0, p=2, s=1, eps_abs=1e-9, eps_rel=1e-7,
                           outer_max_iters=4000)
     path = sweep(data, graph, [1.0, 2.0], config)
@@ -127,7 +128,7 @@ def test_sweep_large_alpha_reaches_centroid():
 
 def test_sweep_validates_grid():
     data = Dataset([[0.0], [1.0]])
-    graph = VariableGraph(2, ((0, 1, 1.0),))
+    graph = graph_of(2, ((0, 1, 1.0),))
     config = SolverConfig()
     with pytest.raises(ParameterError):
         sweep(data, graph, [], config)

@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 
 import sco.graph
-from sco import (DataValidationError, Dataset, ParameterError, VariableGraph,
+from sco import (DataValidationError, Dataset, EdgeIncidence, ParameterError, VariableGraph,
                  build_knn_graph, validate_graph)
 
+from helpers import edge_triples, graph_of
 from oracles import per_row_knn_graph
 
 
 def test_three_points_k1():
     # exhaustive check: 0-1 distance 1, 1-2 distance 2, 0-2 distance 3
     g = build_knn_graph(Dataset([[0.0], [1.0], [3.0]]), k=1)
-    assert g.edges == ((0, 1, 1.0), (1, 2, 0.5))
-    # Python scalars, which VariableGraph keeps without converting
-    assert {tuple(type(x) for x in e) for e in g.edges} == {(int, int, float)}
+    assert edge_triples(g) == [(0, 1, 1.0), (1, 2, 0.5)]
+    assert (g.head.dtype, g.tail.dtype, g.weight.dtype) == (np.intp, np.intp, np.float64)
 
 
 def test_full_k_gives_complete_graph():
@@ -27,7 +27,7 @@ def test_full_k_gives_complete_graph():
 
 def test_identical_points_hit_weight_cap():
     g = build_knn_graph(Dataset([[1.0, 2.0], [1.0, 2.0]]), k=1, weight_cap=1e6)
-    assert g.edges == ((0, 1, 1e6),)
+    assert edge_triples(g) == [(0, 1, 1e6)]
 
 
 def test_k_out_of_range():
@@ -63,10 +63,10 @@ def test_permutation_invariance_up_to_relabeling():
     g_perm = build_knn_graph(Dataset(values[perm]), k=3)
     # map permuted edges back to original vertex ids
     mapped = set()
-    for i, j, w in g_perm.edges:
+    for i, j, w in edge_triples(g_perm):
         a, b = int(perm[i]), int(perm[j])
         mapped.add((min(a, b), max(a, b), round(w, 9)))
-    original = {(i, j, round(w, 9)) for i, j, w in g.edges}
+    original = {(i, j, round(w, 9)) for i, j, w in edge_triples(g)}
     assert mapped == original
 
 
@@ -76,7 +76,7 @@ def test_every_vertex_has_degree_at_least_one():
         n = int(rng.integers(2, 12))
         g = build_knn_graph(Dataset(rng.standard_normal((n, 3))), k=1)
         touched = set()
-        for i, j, _ in g.edges:
+        for i, j, _ in edge_triples(g):
             touched.add(i)
             touched.add(j)
         assert touched == set(range(n))
@@ -87,7 +87,7 @@ def test_determinism_bit_identical():
     values = rng.standard_normal((8, 2))
     g1 = build_knn_graph(Dataset(values), k=2)
     g2 = build_knn_graph(Dataset(values.copy()), k=2)
-    assert g1.edges == g2.edges
+    assert edge_triples(g1) == edge_triples(g2)
 
 
 def test_validate_graph_accepts_builder_output():
@@ -97,20 +97,63 @@ def test_validate_graph_accepts_builder_output():
 
 
 def test_validate_graph_flags_bad_ordering():
-    g = VariableGraph(3, ((2, 1, 1.0),))
+    g = graph_of(3, [(2, 1, 1.0)])
     report = validate_graph(g)
     assert len(report) == 1 and "edge 0" in report[0]
 
 
 def test_validate_graph_flags_duplicates():
-    g = VariableGraph(3, ((0, 1, 1.0), (0, 1, 2.0)))
+    g = graph_of(3, [(0, 1, 1.0), (0, 1, 2.0)])
     report = validate_graph(g)
     assert any("duplicate" in line for line in report)
 
 
 def test_validate_graph_flags_bad_weight():
-    g = VariableGraph(3, ((0, 1, -1.0),))
+    g = graph_of(3, [(0, 1, -1.0)])
     assert any("weight" in line for line in validate_graph(g))
+
+
+def test_validate_graph_messages_run_in_edge_order():
+    # every repeat after the first copy, wherever the copies sit, and an
+    # edge's own faults in the order endpoints, weight, duplicate
+    # (the file-level order is pinned in test_cli.py)
+    g = graph_of(3, [(1, 2, 1.0), (0, 1, 1.0), (1, 2, 1.0), (0, 0, 1.0), (1, 2, np.nan),
+                     (0, 0, 0.0), (0, 2, np.inf)])
+    assert validate_graph(g) == ["edge 2: duplicate pair (1, 2)",
+                                 "edge 3: endpoints (0, 0) violate 0 <= i < j < 3",
+                                 "edge 4: weight nan is not a positive finite real",
+                                 "edge 4: duplicate pair (1, 2)",
+                                 "edge 5: endpoints (0, 0) violate 0 <= i < j < 3",
+                                 "edge 5: weight 0.0 is not a positive finite real",
+                                 "edge 5: duplicate pair (0, 0)",
+                                 "edge 6: weight inf is not a positive finite real"]
+    assert validate_graph(graph_of(0, [])) == ["graph: vertex_count must be >= 1"]
+
+
+def test_graph_edges_are_read_only_arrays():
+    graph = build_knn_graph(Dataset(np.random.default_rng(1).standard_normal((20, 2))), 3)
+    for edge_array in (graph.head, graph.tail, graph.weight):
+        with pytest.raises(ValueError):
+            edge_array[0] = 1
+    assert np.shares_memory(EdgeIncidence(graph, 2.0).head, graph.head)
+    # a caller's array is shared but not frozen
+    head = np.array([0, 1], dtype=np.intp)
+    graph = VariableGraph(3, head, np.array([1, 2]), np.array([1.0, 0.5]))
+    assert np.shares_memory(graph.head, head) and head.flags.writeable
+    with pytest.raises(DataValidationError):
+        VariableGraph(3, head, np.array([1, 2, 2]), np.array([1.0, 0.5]))
+
+
+def test_built_graph_holds_at_most_32_bytes_per_edge():
+    # three 8-byte arrays need 24; Python (i, j, w) tuples took 152
+    data = Dataset(np.random.default_rng(6).standard_normal((2000, 10)))
+    tracemalloc.start()
+    try:
+        graph = build_knn_graph(data, 10)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 32 * graph.edge_count, (held, graph.edge_count)
 
 
 def test_overflowing_magnitudes_fail_fast():
@@ -148,10 +191,10 @@ def test_matches_per_row_oracle(monkeypatch, block_entries):
     for name, values, k, cap in oracle_cases():
         data = Dataset(values)
         got, ref = build_knn_graph(data, k, cap), per_row_knn_graph(data, k, cap)
-        got_pairs = [(i, j) for i, j, _ in got.edges]
-        assert got_pairs == [(i, j) for i, j, _ in ref.edges], name
-        w = np.array([e[2] for e in got.edges])
-        w_ref = np.array([e[2] for e in ref.edges])
+        got_pairs = [(i, j) for i, j, _ in edge_triples(got)]
+        assert got_pairs == [(i, j) for i, j, _ in edge_triples(ref)], name
+        w = np.array([e[2] for e in edge_triples(got)])
+        w_ref = np.array([e[2] for e in edge_triples(ref)])
         if name.startswith(("grid", "two-points")):
             assert np.array_equal(w, w_ref), name
         else:
@@ -215,8 +258,8 @@ def test_ranking_key_is_equivariant_on_blobs(seed):
     signs, shift = rng.choice([-1.0, 1.0], d), rng.uniform(-2.0, 2.0, d)
     graph = build_knn_graph(Dataset(base), k)
     oracle = per_row_knn_graph(Dataset(base), k)
-    assert [e[:2] for e in graph.edges] == [e[:2] for e in oracle.edges]
-    expected = {(i, j): w for i, j, w in graph.edges}
+    assert [e[:2] for e in edge_triples(graph)] == [e[:2] for e in edge_triples(oracle)]
+    expected = {(i, j): w for i, j, w in edge_triples(graph)}
     identity = np.arange(n)
     for name, mapped, order in (
             ("rows", base[rows], rows),
@@ -224,7 +267,7 @@ def test_ranking_key_is_equivariant_on_blobs(seed):
             ("translation", base + shift, identity),
             ("all three", base[rows][:, cols] * signs + shift, rows)):
         got = {}
-        for i, j, w in build_knn_graph(Dataset(mapped), k).edges:
+        for i, j, w in edge_triples(build_knn_graph(Dataset(mapped), k)):
             a, b = sorted((int(order[i]), int(order[j])))
             got[a, b] = w
         assert sorted(got) == sorted(expected), name

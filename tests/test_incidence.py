@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from sco import DimensionError, EdgeIncidence, ParameterError, VariableGraph, sum_norms, vec_norm
+from sco import DimensionError, EdgeIncidence, ParameterError, sum_norms, vec_norm
 from sco.incidence import operator_norm_estimate
 
+from helpers import graph_of
 from oracles import (add_at_norm_estimate, dense_incidence, fancy_index_apply, kron_lift,
                      per_column_apply_t, same_bits, stack_columns, unstack_columns)
 
 
 def single_edge(alpha_w=1.0):
-    return EdgeIncidence(VariableGraph(2, ((0, 1, alpha_w),)), 1.0)
+    return EdgeIncidence(graph_of(2, ((0, 1, alpha_w),)), 1.0)
 
 
 def random_instance(rng, n, d, extra_edges=3):
@@ -18,7 +19,7 @@ def random_instance(rng, n, d, extra_edges=3):
         i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
         if all((i, j) != (a, b) for a, b, _ in edges):
             edges.append((i, j, float(rng.uniform(0.2, 2.0))))
-    graph = VariableGraph(n, tuple(sorted(edges)))
+    graph = graph_of(n, tuple(sorted(edges)))
     return graph, rng.standard_normal((n, d))
 
 
@@ -29,7 +30,7 @@ def scatter_instance(rng, n, m):
     while len(pairs) < m:
         pairs.add(tuple(sorted(rng.choice(n - 1, size=2, replace=False).tolist())))
     edges = [(i, j, float(10.0 ** rng.uniform(-2, 2))) for i, j in sorted(pairs)]
-    return VariableGraph(n, tuple(edges[k] for k in rng.permutation(m)))
+    return graph_of(n, tuple(edges[k] for k in rng.permutation(m)))
 
 
 def wide_block(rng, rows, d):
@@ -38,13 +39,13 @@ def wide_block(rng, rows, d):
 
 
 def test_apply_single_edge():
-    Q = EdgeIncidence(VariableGraph(2, ((0, 1, 3.0),)), 1.0)
+    Q = EdgeIncidence(graph_of(2, ((0, 1, 3.0),)), 1.0)
     out = Q.apply(np.array([[1.0], [0.0]]))
     assert out.shape == (1, 1) and out[0, 0] == 3.0
 
 
 def test_apply_constant_rows_vanish():
-    graph = VariableGraph(4, ((0, 1, 1.0), (1, 2, 0.5), (2, 3, 2.0)))
+    graph = graph_of(4, ((0, 1, 1.0), (1, 2, 0.5), (2, 3, 2.0)))
     Q = EdgeIncidence(graph, 1.5)
     X = np.tile([2.0, -1.0], (4, 1))
     assert np.all(Q.apply(X) == 0.0)
@@ -113,12 +114,12 @@ def test_lists_vectors_and_scalars_read_as_row_blocks():
     # one edge: a length-d vector is its one dual row, a scalar a 1 x 1 block
     assert same_bits(Q.apply_t([0.5, -1.0]), np.array([[1.0, -2.0], [-1.0, 2.0]]))
     assert same_bits(Q.apply_t(0.5), np.array([[1.0], [-1.0]]))
-    lone = EdgeIncidence(VariableGraph(1, ()), 1.0)
+    lone = EdgeIncidence(graph_of(1, ()), 1.0)
     assert lone.apply([3.0, 4.0]).shape == (0, 2)
 
 
 def test_row_structure():
-    graph = VariableGraph(3, ((0, 1, 0.5), (1, 2, 2.0)))
+    graph = graph_of(3, ((0, 1, 0.5), (1, 2, 2.0)))
     Q = EdgeIncidence(graph, 2.0)
     dense = dense_incidence(graph, 2.0)
     # one positive and one negative entry of equal magnitude per row
@@ -171,7 +172,7 @@ def test_operator_norm_single_edge():
 
 
 def test_operator_norm_homogeneity():
-    graph = VariableGraph(3, ((0, 1, 1.0), (1, 2, 1.0)))
+    graph = graph_of(3, ((0, 1, 1.0), (1, 2, 1.0)))
     est1 = operator_norm_estimate(EdgeIncidence(graph, 1.0))
     est2 = operator_norm_estimate(EdgeIncidence(graph, 2.0))
     assert abs(est2 - 2.0 * est1) <= 0.01 * est2
@@ -179,14 +180,14 @@ def test_operator_norm_homogeneity():
 
 def test_operator_norm_path_graph():
     # largest singular value of the unit path incidence on 3 vertices
-    graph = VariableGraph(3, ((0, 1, 1.0), (1, 2, 1.0)))
+    graph = graph_of(3, ((0, 1, 1.0), (1, 2, 1.0)))
     est = operator_norm_estimate(EdgeIncidence(graph, 1.0))
     assert abs(est - np.sqrt(3.0)) <= 0.015 * np.sqrt(3.0)
 
 
 def test_operator_norm_requires_edges():
     with pytest.raises(ParameterError):
-        operator_norm_estimate(EdgeIncidence(VariableGraph(2, ()), 1.0))
+        operator_norm_estimate(EdgeIncidence(graph_of(2, ()), 1.0))
 
 
 @pytest.mark.parametrize("d", [1, 3, 10])
@@ -277,7 +278,7 @@ def test_maps_return_fresh_arrays_and_leave_their_input():
 
 
 def test_maps_without_edges():
-    Q = EdgeIncidence(VariableGraph(4, ()), 1.0)
+    Q = EdgeIncidence(graph_of(4, ()), 1.0)
     for d in (1, 3):
         lam = np.zeros((0, d))
         assert same_bits(Q.apply_t(lam), np.zeros((4, d)))

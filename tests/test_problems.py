@@ -3,21 +3,22 @@ import pytest
 
 from sco import (ConvexClusteringProblem, DataValidationError, Dataset,
                  DimensionError, EdgeIncidence, ParameterError, RidgeProblem,
-                 VariableGraph, make_problem)
+                 make_problem)
 
+from helpers import graph_of
 from oracles import (conjugate_gradient, conjugate_sup_oracle, same_bits, stack_columns,
                      stacked_ridge_curvature, unstack_columns)
 
 
 def two_point_instance():
     data = Dataset([[0.0], [2.0]])
-    graph = VariableGraph(2, ((0, 1, 1.0),))
+    graph = graph_of(2, ((0, 1, 1.0),))
     return ConvexClusteringProblem(data), EdgeIncidence(graph, 1.0)
 
 
 def random_setup(rng, n, d, task="cc"):
     edges = tuple((i, i + 1, float(rng.uniform(0.3, 1.5))) for i in range(n - 1))
-    graph = VariableGraph(n, edges)
+    graph = graph_of(n, edges)
     values = rng.standard_normal((n, d))
     if task == "cc":
         problem = ConvexClusteringProblem(Dataset(values))
@@ -76,7 +77,7 @@ def test_conjugate_gradient_zero_dual():
 
 
 def test_conjugate_gradient_zero_dataset():
-    graph = VariableGraph(3, ((0, 1, 1.0), (1, 2, 1.0)))
+    graph = graph_of(3, ((0, 1, 1.0), (1, 2, 1.0)))
     Q = EdgeIncidence(graph, 1.0)
     problem = ConvexClusteringProblem(Dataset(np.zeros((3, 2))))
     lam = np.random.default_rng(2).standard_normal((2, 2))
