@@ -6,7 +6,8 @@ Edge weights are inversely proportional to the distance, capped so that
 coincident points get a finite weight.
 
 The graph is built over blocks of rows, each compared with all n points
-through one matrix product, and no n-by-n distance matrix is made.
+through one matrix product into one reused ranking buffer, and no n-by-n
+distance matrix is made.
 Neighbours are ranked by |v_j|^2 - 2 v_i.v_j, the squared distance less
 the row's own |v_i|^2; weights come from the direct row differences of
 the kept pairs, not from that key, taken in chunks of the same budget.
@@ -87,7 +88,16 @@ class VariableGraph:
 
     def __post_init__(self):
         for name, dtype in (("head", np.intp), ("tail", np.intp), ("weight", np.float64)):
-            view = np.asarray(getattr(self, name), dtype=dtype).view()
+            given = np.asarray(getattr(self, name))
+            try:
+                with np.errstate(invalid="ignore"):  # NaN to intp; caught below
+                    view = given.astype(dtype, copy=False).view()
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise DataValidationError(f"{name} is not a numeric array: {exc}") from None
+            # a cast to intp truncates; endpoints must be whole numbers already
+            if dtype is np.intp and given.dtype.kind not in "biu" and not np.array_equal(
+                    view, given):
+                raise DataValidationError(f"{name} holds endpoints that are not integers")
             view.flags.writeable = False
             object.__setattr__(self, name, view)
         if not (self.head.ndim == self.tail.ndim == self.weight.ndim == 1
@@ -113,16 +123,29 @@ def build_knn_graph(data: Dataset, k: int, weight_cap: float = DEFAULT_WEIGHT_CA
     The build runs over blocks of rows. Row i ranks every point j by the
     key |v_j|^2 - 2 v_i.v_j, which is ||v_i - v_j||^2 less |v_i|^2, a
     constant along the row: one matrix product of the block's rows scaled
-    by -2, plus the squared norms, computed once. The key is not clamped
-    at 0; it may be negative. ``np.partition`` finds each row's k-th
-    smallest key; a row keeps every point with a smaller key and, of the
-    points whose computed key ties with it, the ones of smallest index, so
-    ties at the rounding level are decided on the key, not on a distance.
+    by -2, written into one ranking buffer that every block reuses, plus
+    the squared norms, computed once. The key is not clamped at 0; it may
+    be negative. A row keeps every point whose key is below its k-th
+    smallest key and, of the points whose computed key ties with it, the
+    ones of smallest index, so ties at the rounding level are decided on
+    the key, not on a distance.
+
+    No full row is partitioned to find that k-th key when n > 64k. The
+    columns are dealt into w = 16k strided groups (the last n mod w
+    columns are groups of one), and the k-th smallest of the group minima
+    bounds the k-th key from above, because the k smallest minima are k
+    distinct keys. Only the keys at or under the bound are candidates;
+    the exact k-th key among them comes from one partition of a small
+    inf-padded array, and is skipped when every row has exactly k
+    candidates. With n <= 64k every column is a group of one and the
+    bound is the exact k-th key. The kept pairs are those of a full-row
+    partition, bit for bit.
+
     A block holds about ``_BLOCK_ENTRIES`` keys, and the weights are
-    computed for at most ``_BLOCK_ENTRIES // d`` pairs at a time, so the
-    build's memory is the temporaries of one block plus the m edges (their
-    sorted pair keys and the returned head, tail and weight arrays);
-    nothing n-by-n or m-by-d is made.
+    computed for at most ``_BLOCK_ENTRIES // d`` pairs at a time, after the
+    block buffers are freed, so the build's memory is the temporaries of
+    one block plus the m edges (their sorted pair keys and the returned
+    head, tail and weight arrays); nothing n-by-n or m-by-d is made.
 
     One check before the loop raises DataValidationError when 4 max|v|^2,
     the bound on every squared distance, overflows; below it every key and
@@ -133,7 +156,8 @@ def build_knn_graph(data: Dataset, k: int, weight_cap: float = DEFAULT_WEIGHT_CA
     data : Dataset
         At least two instances.
     k : int
-        Number of neighbours per vertex, 1 <= k <= n - 1.
+        Number of neighbours per vertex, 1 <= k <= n - 1; a value of another
+        type must be a whole number (2.0, not 2.7).
     weight_cap : float
         Upper bound for the inverse-distance weights (> 0).
 
@@ -145,9 +169,13 @@ def build_knn_graph(data: Dataset, k: int, weight_cap: float = DEFAULT_WEIGHT_CA
     n = data.row_count
     if n < 2:
         raise ParameterError("need at least two instances to build a graph")
+    try:
+        whole = int(k) == k
+    except (TypeError, ValueError, OverflowError):  # NaN, infinity, non-numbers
+        whole = False
+    if not (whole and 1 <= k <= n - 1):
+        raise ParameterError(f"k must be an integer with 1 <= k <= n-1 = {n - 1}, got {k!r}")
     k = int(k)
-    if not 1 <= k <= n - 1:
-        raise ParameterError(f"k must satisfy 1 <= k <= n-1 = {n - 1}, got {k}")
     if not (np.isfinite(weight_cap) and weight_cap > 0):
         raise ParameterError(f"weight_cap must be a positive finite real, got {weight_cap}")
 
@@ -158,27 +186,49 @@ def build_knn_graph(data: Dataset, k: int, weight_cap: float = DEFAULT_WEIGHT_CA
     # masked-out self entry, or a weight come out as 1/inf = 0
     if not sq.max() <= np.finfo(float).max / 4:
         raise DataValidationError("data magnitudes overflow the distance computation")
-    rows = max(1, _BLOCK_ENTRIES // n)
+    rows = min(n, max(1, _BLOCK_ENTRIES // n))
+    # group g holds the columns g, g + w, g + 2w, ... below `cut`; the columns
+    # from `cut` on are groups of one, and so is every column of a short row
+    groups, w = (n // (16 * k), 16 * k) if n > 64 * k else (0, 0)
+    cut = groups * w
+    ranking = np.empty((rows, n))
+    minima = np.empty((rows, w + n - cut))
     keys = []
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         # ranking keys |v_j|^2 - 2 v_i.v_j; scaling by -2 is exact
-        rank = (-2.0 * values[start:stop]) @ values.T
+        rank = ranking[:stop - start]
+        np.matmul(-2.0 * values[start:stop], values.T, out=rank)
         rank += sq
         local = np.arange(stop - start)
         rank[local, start + local] = np.inf  # a point is not its own neighbour
-        kth = np.partition(rank, k - 1, axis=1)[:, k - 1:k]
-        keep = rank <= kth
-        # rows with ties at the k-th key keep the smallest tied indices
-        over = np.flatnonzero(np.count_nonzero(keep, axis=1) > k)
-        if over.size:
-            closer = rank[over] < kth[over]
-            tied = keep[over] & ~closer
-            room = k - np.count_nonzero(closer, axis=1, keepdims=True)
-            keep[over] = closer | (tied & (np.cumsum(tied, axis=1) <= room))
-        i, j = np.divmod(np.flatnonzero(keep), n)
-        i += start
-        keys.append(np.minimum(i, j) * n + np.maximum(i, j))
+        # the k-th smallest group minimum bounds the row's k-th key
+        low = minima[:stop - start]
+        if groups:
+            np.minimum.reduce(rank[:, :cut].reshape(-1, groups, w), axis=1, out=low[:, :w])
+        low[:, w:] = rank[:, cut:]
+        low.partition(k - 1, axis=1)
+        flat = np.flatnonzero(rank <= low[:, k - 1:k])
+        if flat.size > k * local.size:
+            # the exact k-th key among each row's candidates, which sit in
+            # column order in the rows of an inf-padded array
+            counts = np.diff(np.searchsorted(flat, n * (local + 1)), prepend=0)
+            filled = np.arange(counts.max()) < counts[:, None]
+            cand = np.full(filled.shape, np.inf)
+            cand[filled] = rank.ravel()[flat]
+            kth = np.partition(cand, k - 1, axis=1)[:, k - 1:k]
+            keep = cand <= kth
+            if np.count_nonzero(keep) > k * local.size:
+                # rows with ties at the k-th key keep the smallest tied indices
+                closer = cand < kth
+                tied = keep & ~closer
+                room = k - np.count_nonzero(closer, axis=1, keepdims=True)
+                keep = closer | (tied & (np.cumsum(tied, axis=1) <= room))
+            flat = flat[keep[filled]]
+        r, c = np.divmod(flat, n)
+        r += start
+        keys.append(np.minimum(r, c) * n + np.maximum(r, c))
+    del ranking, minima, rank, low
     keys = np.sort(np.concatenate(keys))
     # a repeated pair sits next to its first copy; np.unique would do the
     # same, but its first call imports numpy.ma (about 16 ms)

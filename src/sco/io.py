@@ -267,7 +267,7 @@ def read_snapshot_jsonl(path: str, with_targets: bool = False):
                     continue
                 try:
                     payload = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except ValueError as exc:  # json's bare ValueError: an int of over 4300 digits
                     raise DataValidationError(f"{path}:{lineno}: bad JSON: {exc}") from None
                 if not isinstance(payload, dict) or "values" not in payload:
                     raise DataValidationError(

@@ -7,7 +7,8 @@ plain (sub)gradient runs instead of the accelerated solver, and 1-d
 golden-section searches instead of closed-form proximal maps. The
 batched l1-ball row projection is checked against the plain sort-based
 method on one row at a time, the blocked kNN graph build against a
-dense n-by-n distance matrix and a sorted scan of each row, the
+dense n-by-n distance matrix and a sorted scan of each row, and bit for
+bit against its earlier full-row partition and cumsum selection, the
 vectorised cluster extraction against one norm per edge, and the
 closed-form ridge sandwich norm against the SVD of the dense matrix.
 The relative-error inner stopping rule is held to the Fenchel duality
@@ -47,6 +48,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+import sco.graph
 from sco import (ConvexClusteringProblem, DataValidationError, Dataset, ParameterError,
                  RidgeProblem, VariableGraph, as_norm, project_l1_ball, prox_norm,
                  sum_norms, vec_norm)
@@ -578,6 +580,42 @@ def per_row_knn_graph(data: Dataset, k: int, weight_cap: float = DEFAULT_WEIGHT_
         w = weight_cap if d == 0.0 else min(1.0 / d, weight_cap)
         edges.append((int(i), int(j), float(w)))
     return graph_of(n, edges)
+
+
+def partition_knn_graph(data: Dataset, k: int,
+                        weight_cap: float = DEFAULT_WEIGHT_CAP) -> VariableGraph:
+    """``build_knn_graph`` with its earlier selection: the same blocks of
+    ``sco.graph._BLOCK_ENTRIES`` keys and the same ranking keys, then
+    ``np.partition`` over every full row for the k-th key and, in rows with
+    ties at it, a cumsum over the whole row for the smallest tied indices.
+    The weights are the direct differences of all kept pairs at once."""
+    values = data.values
+    n = values.shape[0]
+    sq = np.einsum("ij,ij->i", values, values)
+    rows = max(1, sco.graph._BLOCK_ENTRIES // n)
+    keys = []
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        rank = (-2.0 * values[start:stop]) @ values.T
+        rank += sq
+        local = np.arange(stop - start)
+        rank[local, start + local] = np.inf
+        kth = np.partition(rank, k - 1, axis=1)[:, k - 1:k]
+        keep = rank <= kth
+        over = np.flatnonzero(np.count_nonzero(keep, axis=1) > k)
+        if over.size:
+            closer = rank[over] < kth[over]
+            tied = keep[over] & ~closer
+            room = k - np.count_nonzero(closer, axis=1, keepdims=True)
+            keep[over] = closer | (tied & (np.cumsum(tied, axis=1) <= room))
+        i, j = np.divmod(np.flatnonzero(keep), n)
+        i += start
+        keys.append(np.minimum(i, j) * n + np.maximum(i, j))
+    heads, tails = np.divmod(np.unique(np.concatenate(keys)), n)
+    with np.errstate(divide="ignore"):
+        weights = np.minimum(1.0 / np.linalg.norm(values[heads] - values[tails], axis=1),
+                             weight_cap)
+    return VariableGraph(n, heads, tails, weights)
 
 
 def per_edge_extract_clusters(X: np.ndarray, graph, eps_fuse: float) -> np.ndarray:

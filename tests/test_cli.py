@@ -838,6 +838,22 @@ def test_monitor_jsonl_non_finite_snapshot_names_its_line(random_csv, tmp_path, 
     assert err == {"error": f"{stream}:2: non-finite value", "kind": "DataValidationError"}
 
 
+def test_monitor_jsonl_integer_past_the_digit_limit_names_its_line(random_csv, tmp_path,
+                                                                   capsys):
+    # json raises a bare ValueError, not JSONDecodeError, for an integer of
+    # over 4300 digits
+    values, _ = read_matrix_csv(random_csv)
+    stream = tmp_path / "stream.jsonl"
+    stream.write_text(json.dumps({"values": values.tolist()}) + "\n"
+                      + '{"values": [[1' + "0" * 5000 + ', 1.0]]}\n')
+    code = main(["monitor", "--input", random_csv, "--stream", str(stream), "--k", "2",
+                 "--no-bounds", "--out", str(tmp_path / "dec.jsonl")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["kind"] == "DataValidationError"
+    assert err["error"].startswith(f"{stream}:2: bad JSON: ")
+
+
 @pytest.mark.parametrize("with_targets", [True, False])
 def test_monitor_cc_keeps_a_repeated_snapshot_that_carries_targets(tmp_path, with_targets):
     # cc reads no targets: a snapshot equal to the accepted data is a keep

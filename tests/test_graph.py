@@ -8,7 +8,7 @@ from sco import (DataValidationError, Dataset, EdgeIncidence, ParameterError, Va
                  build_knn_graph, validate_graph)
 
 from helpers import edge_triples, graph_of
-from oracles import per_row_knn_graph
+from oracles import partition_knn_graph, per_row_knn_graph
 
 
 def test_three_points_k1():
@@ -144,6 +144,33 @@ def test_graph_edges_are_read_only_arrays():
         VariableGraph(3, head, np.array([1, 2, 2]), np.array([1.0, 0.5]))
 
 
+def test_graph_rejects_endpoints_that_are_not_integers():
+    # a cast to intp would truncate 0.5 and 1.7 to the edge (0, 1), and turn
+    # NaN into the most negative integer
+    for head, tail in (([0.5], [1.7]), (np.array([0.0, np.nan]), [1, 2]),
+                       (np.array([0, np.nan], dtype=object), [1, 2]),
+                       ([0], np.array([np.inf])), ([0], [1e30])):
+        with pytest.raises(DataValidationError):
+            VariableGraph(3, head, tail, np.ones(len(head)))
+    # whole numbers of any dtype are endpoints, object arrays included
+    for head, tail in ((np.array([0.0, 1.0]), np.array([1, 2], dtype=np.int32)),
+                       (np.array([0, 1], dtype=object), np.array([1.0, 2.0], dtype=object)),
+                       ([0, 1], np.array([1, 2], dtype=np.uint8))):
+        graph = VariableGraph(3, head, tail, [1.0, 0.5])
+        assert edge_triples(graph) == [(0, 1, 1.0), (1, 2, 0.5)]
+        assert graph.head.dtype == graph.tail.dtype == np.intp
+
+
+def test_k_must_be_a_whole_number():
+    data = Dataset(np.random.default_rng(8).standard_normal((10, 2)))
+    for k in (2.7, np.float64(1.5), float("nan"), float("inf"), "3", None):
+        with pytest.raises(ParameterError):
+            build_knn_graph(data, k)
+    expected = edge_triples(build_knn_graph(data, 2))
+    for k in (2.0, np.int32(2), np.float32(2.0)):
+        assert edge_triples(build_knn_graph(data, k)) == expected
+
+
 def test_built_graph_holds_at_most_32_bytes_per_edge():
     # three 8-byte arrays need 24; Python (i, j, w) tuples took 152
     data = Dataset(np.random.default_rng(6).standard_normal((2000, 10)))
@@ -206,6 +233,49 @@ def test_matches_per_row_oracle(monkeypatch, block_entries):
             assert np.array_equal(w, np.minimum(1.0 / direct, cap)), name
         if name in ("coincident", "grid-k1"):
             assert np.count_nonzero(w == cap) > 0, name
+
+
+def partition_reference_cases():
+    """(name, values, k) inputs on which the build is held to its earlier
+    full-row partition selection, bit for bit."""
+    rng = np.random.default_rng(29)
+    yield "blobs-2500x10-k10", blobs(rng, 2500, 10), 10
+    yield "blobs-2500x10-k100", blobs(rng, 2500, 10), 100
+    # every key ties, so every row keeps its k smallest indices
+    yield "coincident-2500x10", np.ones((2500, 10)), 10
+    for n, side, k in ((2500, 10, 10), (3000, 8, 5), (400, 4, 3)):
+        yield f"grid-{n}-side{side}-k{k}", rng.integers(0, side, size=(n, 2)).astype(float), k
+    yield "sorted-1d", np.sort(rng.standard_normal((2500, 1)), axis=0), 10
+    yield "k-is-n-1", rng.standard_normal((70, 3)), 69
+    yield "two-points", rng.standard_normal((2, 4)), 1
+
+
+@pytest.mark.parametrize("block_entries", [None, 250])
+def test_matches_partition_reference(monkeypatch, block_entries):
+    if block_entries is not None:
+        # one-row blocks from n = 126 on (the grids and the blobs)
+        monkeypatch.setattr(sco.graph, "_BLOCK_ENTRIES", block_entries)
+    for name, values, k in partition_reference_cases():
+        data = Dataset(values)
+        got, ref = build_knn_graph(data, k), partition_knn_graph(data, k)
+        for field in ("head", "tail", "weight"):
+            assert np.array_equal(getattr(got, field), getattr(ref, field)), (name, field)
+
+
+def test_build_peak_above_its_graph_is_at_most_2_75_blocks():
+    # beyond the graph it returns, the build holds one block of ranking keys,
+    # the pair keys and the weight chunks, and frees the block's buffers
+    # before the weights: 2.62 blocks at n=2500, d=10 (the full-row partition
+    # build peaked at 2.95, and 3.72 with the buffers kept to the end)
+    data = Dataset(np.random.default_rng(5).standard_normal((2500, 10)))
+    tracemalloc.start()
+    try:
+        graph = build_knn_graph(data, 10)
+        returned, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    blocks = (peak - returned) / (8 * sco.graph._BLOCK_ENTRIES)
+    assert blocks <= 2.75, (blocks, graph.edge_count)
 
 
 def test_build_memory_is_below_a_dense_matrix():
