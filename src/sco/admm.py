@@ -52,6 +52,7 @@ the ``parallel`` update is the same loop under another name.
 from __future__ import annotations
 
 import math
+import numbers
 import weakref
 from dataclasses import dataclass, field
 
@@ -90,17 +91,13 @@ _ROW_FACTORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 class SolverConfig:
     """Solver hyperparameters and tolerances.
 
-    ``alpha`` is the coupling strength that :func:`sco.run_session` and
-    the CLI build the incidence operator with; :func:`solve_dual` reads
-    only that operator, never ``alpha``. ``p`` selects the regulariser row
-    norm; its dual ``q`` (the row constraint geometry) is derived, never
-    set directly. ``s`` selects the norm of the dual-image regulariser
-    weighted by ``beta``. ``parallel`` selects :func:`parallel_lambda_step`,
-    which runs the same loop as the serial update; it is kept for
-    compatibility and still needs q = inf.
+    ``p`` selects the regulariser row norm; its dual ``q`` (the row
+    constraint geometry) is derived, never set directly. ``s`` selects the
+    norm of the dual-image regulariser weighted by ``beta``. ``parallel``
+    selects :func:`parallel_lambda_step`, which runs the same loop as the
+    serial update; it is kept for compatibility and still needs q = inf.
     """
 
-    alpha: float = 1.0
     beta: float = 5.0
     rho: float = 1.0
     p: float = 2.0
@@ -115,8 +112,6 @@ class SolverConfig:
     def __post_init__(self):
         self.p = as_norm(self.p)
         self.s = as_norm(self.s)
-        if not (np.isfinite(self.alpha) and self.alpha >= 0):
-            raise ParameterError(f"alpha must be nonnegative, got {self.alpha}")
         if not (np.isfinite(self.beta) and self.beta >= 0):
             raise ParameterError(f"beta must be nonnegative, got {self.beta}")
         if not (np.isfinite(self.rho) and self.rho > 0):
@@ -125,8 +120,11 @@ class SolverConfig:
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ParameterError(f"{name} must be positive, got {value}")
-        if self.outer_max_iters < 1 or self.inner_max_iters < 1:
-            raise ParameterError("iteration caps must be at least 1")
+        for name in ("outer_max_iters", "inner_max_iters"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and value >= 1 and value % 1 == 0):
+                raise ParameterError(f"{name} must be a whole number >= 1, got {value!r}")
+            setattr(self, name, int(value))
         if self.parallel and self.q != np.inf:
             raise ParameterError("parallel dual updates need box constraints (p = 1, q = inf)")
 
@@ -177,7 +175,12 @@ class ConvergenceTrace:
 @dataclass
 class SolveResult:
     """Outcome of one dual solve. ``iterations`` counts its outer sweeps
-    and ``inner_iterations`` the inner dual-row iterations of all of them."""
+    and ``inner_iterations`` the inner dual-row iterations of all of them.
+
+    ``primal_objective`` is ``f(x_star) + sum_k ||(Q x_star)_k||_p``, taken
+    at the recovered ``x_star``. It is the primal optimum only at beta = 0;
+    at beta > 0 it is not the primal value that ``dual_objective`` bounds,
+    so the two do not make a duality gap."""
 
     state: DualState
     x_star: np.ndarray
@@ -376,7 +379,6 @@ def solve_dual(problem: Problem, Q: EdgeIncidence, config: SolverConfig,
     ``r * Q^T lam + (1 - r) * u_prev`` with r = 1.4; the primal residual
     stays ``||Q^T lam - u||_F``, on the unrelaxed image. The primal
     optimum and the dual objective are read from the last sweep's image.
-    The coupling strength comes from ``Q`` alone; ``config.alpha`` is not read.
 
     Parameters
     ----------

@@ -68,7 +68,7 @@ def _require_file(path: str) -> str:
 
 
 def _add_solver_flags(sub):
-    sub.add_argument("--alpha", type=finite_float, default=1.0, help="coupling strength")
+    sub.add_argument("--alpha", type=nonnegative_float, default=1.0, help="coupling strength")
     sub.add_argument("--beta", type=finite_float, default=5.0, help="dual-image regulariser weight")
     sub.add_argument("--gamma", type=finite_float, default=5.0, help="l2 shrinkage (ridge only)")
     sub.add_argument("--rho", type=finite_float, default=1.0, help="penalty parameter")
@@ -173,7 +173,7 @@ def build_parser(command: str | None = None) -> _Parser:
 
 def _solver_config(args) -> SolverConfig:
     return SolverConfig(
-        alpha=args.alpha, beta=args.beta, rho=args.rho, p=args.p, s=args.s,
+        beta=args.beta, rho=args.rho, p=args.p, s=args.s,
         outer_max_iters=args.outer_max_iters, inner_max_iters=args.inner_max_iters,
         eps_abs=args.eps_abs, eps_rel=args.eps_rel, inner_tol=args.inner_tol,
         parallel=args.parallel,
@@ -215,7 +215,7 @@ def cmd_solve(args) -> int:
     config = _solver_config(args)
     problem = make_problem(args.task, data, gamma=args.gamma)
     graph = _load_or_build_graph(args, data)
-    result = solve_dual(problem, EdgeIncidence(graph, config.alpha), config)
+    result = solve_dual(problem, EdgeIncidence(graph, args.alpha), config)
     payload = {
         "X": matrix_to_lists(result.x_star),
         "dual_objective": float(result.dual_objective),
@@ -330,8 +330,8 @@ def cmd_monitor(args) -> int:
                 report["idx"] = decision.index
                 bound_records.append(report)
 
-    run_session(problem, graph, stream, config, args.c,
-                rebuild_graph=args.rebuild_graph, knn_k=args.k,
+    run_session(problem, graph, stream, config, args.c, alpha=args.alpha,
+                rebuild_k=args.k if args.rebuild_graph else None,
                 weight_cap=args.weight_cap, on_decision=on_decision)
 
     write_jsonl_atomic(args.out, [{"config": _config_echo(args)}] + records)
@@ -364,7 +364,8 @@ def cmd_bound(args) -> int:
     def on_decision(decision, before, after, evolved):
         reports.extend(_decision_bounds(decision, before, after, evolved, config, args.c))
 
-    decisions, _ = run_session(problem, graph, stream, config, np.inf, on_decision=on_decision)
+    decisions, _ = run_session(problem, graph, stream, config, np.inf, alpha=args.alpha,
+                               on_decision=on_decision)
     write_json_atomic(args.out, {"reports": reports, "delta_metric": decisions[0].delta_metric,
                                  "config": _config_echo(args)})
     return 0

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .admm import SolverConfig, solve_dual
-from .errors import ParameterError, SCOError
+from .errors import DimensionError, ParameterError, SCOError
 from .graph import Dataset, VariableGraph
 from .incidence import EdgeIncidence
 from .problems import ConvexClusteringProblem
@@ -39,12 +39,14 @@ def extract_clusters(X: np.ndarray, graph: VariableGraph, eps_fuse: float) -> np
 
     Returns one label per vertex, the smallest member index of its
     component. The distance test runs on all edges at once and only the
-    fused edges enter the union-find.
+    fused edges enter the union-find. ``X`` has one row per vertex.
     """
     if not eps_fuse > 0:
         raise ParameterError(f"eps_fuse must be positive, got {eps_fuse}")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = graph.vertex_count
+    if X.shape[0] != n:
+        raise DimensionError(f"expected {n} rows, one per vertex, got {X.shape[0]}")
     head, tail = graph.head, graph.tail
     diff = X[head] - X[tail]
     close = np.sqrt(np.einsum("ij,ij->i", diff, diff)) <= eps_fuse
@@ -102,12 +104,10 @@ def sweep(data: Dataset, graph: VariableGraph, alphas, config: SolverConfig,
 
     The incidence operator is built once, at unit strength, and each
     strength rescales its coefficients (alpha * w, the bits a fresh
-    operator at that strength has); the solver reads the strength from
-    that operator alone, so ``config.alpha`` plays no part. Solves are
-    warm-started from the previous strength unless disabled; a cold one
-    gives the same bits whatever strengths come before it. A solver
-    failure truncates the path and records the failing position instead
-    of raising.
+    operator at that strength has). Solves are warm-started from the
+    previous strength unless disabled; a cold one gives the same bits
+    whatever strengths come before it. A solver failure truncates the
+    path and records the failing position instead of raising.
     """
     alphas = [float(a) for a in alphas]
     if not alphas:

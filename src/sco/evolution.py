@@ -20,7 +20,7 @@ import numpy as np
 
 from .admm import DualState, SolverConfig, solve_dual
 from .errors import DimensionError, ParameterError, SCOError
-from .graph import VariableGraph, build_knn_graph
+from .graph import DEFAULT_WEIGHT_CAP, VariableGraph, build_knn_graph
 from .incidence import EdgeIncidence
 from .problems import Problem
 
@@ -95,9 +95,8 @@ def _evolved_task(problem: Problem, snapshot: Snapshot) -> Problem | None:
 
 
 def run_session(initial_problem: Problem, graph: VariableGraph, stream,
-                config: SolverConfig, threshold: float,
-                rebuild_graph: bool = False, knn_k: int | None = None,
-                weight_cap: float = 1e6,
+                config: SolverConfig, threshold: float, alpha: float = 1.0,
+                rebuild_k: int | None = None, weight_cap: float = DEFAULT_WEIGHT_CAP,
                 on_decision=None) -> tuple[list[EvolutionDecision], SessionState]:
     """Solve once on the initial data, then process snapshots in order.
 
@@ -106,11 +105,11 @@ def run_session(initial_problem: Problem, graph: VariableGraph, stream,
     once, with ``with_values`` of the accepted task, and scored; at or
     above ``threshold`` the snapshot is accepted and its task re-solved,
     warm-started from the previous state. A snapshot of another shape
-    raises DimensionError. Graph topology stays frozen across the session
-    unless ``rebuild_graph`` (which needs ``knn_k``) asks for
-    reconstruction on every accepted change. Dual row k is the multiplier
-    of edge k, so a rebuilt graph warm-starts only when its edge ends
-    equal the old ones, in order; otherwise its solve starts cold. No
+    raises DimensionError. Every operator has coupling strength ``alpha``.
+    The graph stays frozen unless ``rebuild_k`` is given: each accepted
+    change rebuilds it with that many neighbours. Dual row k is the
+    multiplier of edge k, so a rebuilt graph warm-starts only when its edge
+    ends equal the old ones, in order; otherwise its solve starts cold. No
     solve depends on a solve run before it, in the session or by a hook.
 
     ``on_decision(decision, before, after, evolved)`` is invoked after
@@ -123,9 +122,7 @@ def run_session(initial_problem: Problem, graph: VariableGraph, stream,
     """
     if not threshold >= 0:  # NaN too: no score is ever >= NaN
         raise ParameterError(f"threshold must be nonnegative, got {threshold}")
-    if rebuild_graph and knn_k is None:
-        raise ParameterError("graph rebuild requested but no neighbour count given")
-    Q = EdgeIncidence(graph, config.alpha)
+    Q = EdgeIncidence(graph, alpha)
     result = solve_dual(initial_problem, Q, config)
     session = SessionState(problem=initial_problem, Q=Q, dual=result.state,
                            x_star=result.x_star)
@@ -138,7 +135,7 @@ def run_session(initial_problem: Problem, graph: VariableGraph, stream,
             delta_metric(before.problem, before.Q, before.dual.lam, evolved)
         if evolved is not None and score >= threshold:
             decision, session = _accept_and_resolve(before, snapshot.index, evolved, score,
-                                                    threshold, config, rebuild_graph, knn_k,
+                                                    threshold, config, alpha, rebuild_k,
                                                     weight_cap)
         else:
             decision = EvolutionDecision(index=snapshot.index, delta_metric=score,
@@ -150,13 +147,13 @@ def run_session(initial_problem: Problem, graph: VariableGraph, stream,
 
 
 def _accept_and_resolve(session: SessionState, index: int, evolved: Problem, score: float,
-                        threshold: float, config: SolverConfig, rebuild_graph: bool,
-                        knn_k: int | None, weight_cap: float
+                        threshold: float, config: SolverConfig, alpha: float,
+                        rebuild_k: int | None, weight_cap: float
                         ) -> tuple[EvolutionDecision, SessionState]:
     try:
         Q, warm = session.Q, session.dual
-        if rebuild_graph:
-            Q = EdgeIncidence(build_knn_graph(evolved.dataset, knn_k, weight_cap), config.alpha)
+        if rebuild_k is not None:
+            Q = EdgeIncidence(build_knn_graph(evolved.dataset, rebuild_k, weight_cap), alpha)
             if not (np.array_equal(Q.head, session.Q.head)
                     and np.array_equal(Q.tail, session.Q.tail)):
                 warm = None  # other edges: the old rows are other edges' multipliers

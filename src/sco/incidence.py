@@ -65,8 +65,11 @@ class EdgeIncidence:
         """The operator on the same edges with row coefficients ``coef``
         (one per edge). It shares the edge arrays and the scatter-index
         cache."""
+        coef = np.asarray(coef, dtype=float)
+        if coef.shape != (self.row_count,):
+            raise DimensionError(f"expected {self.row_count} coefficients, got shape {coef.shape}")
         other = copy.copy(self)
-        other.coef = np.asarray(coef, dtype=float)
+        other.coef = coef
         other._flat_coef = {}
         return other
 
@@ -99,8 +102,6 @@ class EdgeIncidence:
             X = np.atleast_2d(X)
         if X.shape[0] != self.col_count:
             raise DimensionError(f"expected {self.col_count} rows, got {X.shape[0]}")
-        if self.row_count == 0:
-            return np.zeros((0, X.shape[1]))
         # take() copies a read-only index array, the graph's edge ends, on
         # every call; the scatter bins for d=1 are the same ends, writable
         head, tail = self._flat_index(1)
@@ -127,7 +128,7 @@ class EdgeIncidence:
         if lam.shape[0] != self.row_count:
             raise DimensionError(f"expected {self.row_count} rows, got {lam.shape[0]}")
         d = lam.shape[1]
-        if self.row_count == 0:
+        if self.row_count == 0:  # bincount of no weights gives int64 zeros
             return np.zeros((self.col_count, d))
         head, tail = self._flat_index(d)
         # the products coef[k] * lam[k, c] of a broadcast multiply, in raveled order

@@ -66,11 +66,9 @@ def sum_norms(M: np.ndarray, p) -> float:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise DimensionError(f"expected a 2-d array, got shape {M.shape}")
-    if M.shape[0] == 0:
-        return 0.0
     if p == 1.0:
         return float(np.abs(M).sum())
     if p == 2.0:
         M = np.ascontiguousarray(M)
         return float(np.sqrt(np.einsum("ij,ij->i", M, M)).sum())
-    return float(np.abs(M).max(axis=1).sum())
+    return float(np.abs(M).max(axis=1, initial=0.0).sum())

@@ -99,8 +99,6 @@ def project_rows(lam: np.ndarray, q) -> np.ndarray:
     lam = np.ascontiguousarray(lam, dtype=float)
     if lam.ndim != 2:
         lam = np.atleast_2d(lam)
-    if lam.shape[0] == 0:
-        return lam.copy()
     if q == np.inf:
         # np.clip's bits (NaN and -0.0 kept) without its dispatch overhead
         out = np.maximum(lam, -1.0)

@@ -42,7 +42,7 @@ def clustering_instance(seed: int):
     graph = build_knn_graph(data, k=2)
     problem = ConvexClusteringProblem(data)
     Q = EdgeIncidence(graph, alpha)
-    config = SolverConfig(alpha=alpha, beta=0.0, p=2, s=1, eps_abs=1e-8,
+    config = SolverConfig(beta=0.0, p=2, s=1, eps_abs=1e-8,
                           eps_rel=1e-6, outer_max_iters=4000)
     return problem, graph, Q, config, alpha
 
@@ -95,9 +95,9 @@ def test_criterion_3_hand_solved_instance():
     problem = ConvexClusteringProblem(data)
     base = dict(beta=0.0, p=2, s=1, eps_abs=1e-9, eps_rel=1e-7, outer_max_iters=4000)
     shrink = solve_dual(problem, EdgeIncidence(graph, 1.0),
-                        SolverConfig(alpha=1.0, **base))
+                        SolverConfig(**base))
     fused = solve_dual(problem, EdgeIncidence(graph, 2.0),
-                       SolverConfig(alpha=2.0, **base))
+                       SolverConfig(**base))
     err1 = np.abs(shrink.x_star - np.array([[0.5], [1.5]])).max()
     err2 = np.abs(fused.x_star - np.array([[1.0], [1.0]])).max()
     ok = err1 <= 1e-3 and err2 <= 1e-3
@@ -143,7 +143,7 @@ def test_criterion_5_unit_threshold_closed_form():
     data = Dataset(rng.standard_normal((6, 2)))
     graph = build_knn_graph(data, k=2)
     Q = EdgeIncidence(graph, 1.0)
-    config = SolverConfig(alpha=1.0, beta=1.0, rho=1.0, p=2, s=1)
+    config = SolverConfig(beta=1.0, rho=1.0, p=2, s=1)
     worst = 0.0
     for _ in range(50):
         state = zero_state(Q.row_count, 6, 2)
@@ -168,7 +168,7 @@ def _clustering_bound_trial(trial: int):
     graph = build_knn_graph(data, k=2)
     beta = float(rng.uniform(2.0, 8.0))
     alpha = float(rng.choice([0.5, 1.0]))
-    config = SolverConfig(alpha=alpha, beta=beta, p=2, s=1)
+    config = SolverConfig(beta=beta, p=2, s=1)
     Q = EdgeIncidence(graph, alpha)
     problem = ConvexClusteringProblem(data)
     evolved = problem.with_values(values + delta)
@@ -192,7 +192,7 @@ def _regression_bound_trial(trial: int):
     beta = float(rng.uniform(2.0, 8.0))
     gamma = 5.0
     alpha = float(rng.choice([0.5, 1.0]))
-    config = SolverConfig(alpha=alpha, beta=beta, p=2, s=1)
+    config = SolverConfig(beta=beta, p=2, s=1)
     Q = EdgeIncidence(graph, alpha)
     problem = RidgeProblem(data, gamma=gamma)
     evolved = problem.with_values(values + delta)
@@ -218,7 +218,7 @@ def _pipeline_model(values: np.ndarray, beta: float, alpha: float = 1.0, k: int 
     data = Dataset(values)
     graph = build_knn_graph(data, k=k)
     Q = EdgeIncidence(graph, alpha)
-    config = SolverConfig(alpha=alpha, beta=beta, p=2, s=1)
+    config = SolverConfig(beta=beta, p=2, s=1)
     return solve_dual(ConvexClusteringProblem(data), Q, config).x_star
 
 
@@ -246,7 +246,7 @@ def test_criterion_8_parallel_equivalence_and_timing():
     graph = build_knn_graph(data, k=3)
     Q = EdgeIncidence(graph, 1.0)
     problem = ConvexClusteringProblem(data)
-    config = SolverConfig(alpha=1.0, beta=1.0, p=1, s=1, inner_tol=1e-10,
+    config = SolverConfig(beta=1.0, p=1, s=1, inner_tol=1e-10,
                           outer_max_iters=15, eps_abs=1e-300, eps_rel=1e-300)
     started = time.perf_counter()
     serial = solve_dual(problem, Q, config)
@@ -271,7 +271,7 @@ def test_criterion_9_refresh_loop_behaviour():
     data = Dataset(values)
     graph = build_knn_graph(data, k=2)
     problem = ConvexClusteringProblem(data)
-    config = SolverConfig(alpha=1.0, beta=1.0, p=2, s=1)
+    config = SolverConfig(beta=1.0, p=2, s=1)
 
     identical = [Snapshot(index=i, values=values.copy()) for i in range(4)]
     decisions, _ = run_session(problem, graph, identical, config, threshold=10.0)
@@ -282,7 +282,7 @@ def test_criterion_9_refresh_loop_behaviour():
     decisions, _ = run_session(problem, graph, changed, config, threshold=0.0)
     always_resolve = all(d.action == "resolve" for d in decisions)
 
-    Q = EdgeIncidence(graph, config.alpha)
+    Q = EdgeIncidence(graph, 1.0)
     lam = np.clip(rng.standard_normal((Q.row_count, 2)), -1, 1)
     exact_zero = delta_metric(problem, Q, lam, problem.with_values(values.copy())) == 0.0
 
@@ -297,7 +297,7 @@ def test_criterion_10_sweep_step_decay():
     data = Dataset(rng.standard_normal((10, 2)))
     graph = build_knn_graph(data, k=2)
     Q = EdgeIncidence(graph, 1.0)
-    config = SolverConfig(alpha=1.0, beta=1.0, p=2, s=1, outer_max_iters=500,
+    config = SolverConfig(beta=1.0, p=2, s=1, outer_max_iters=500,
                           eps_abs=1e-300, eps_rel=1e-300)
     result = solve_dual(ConvexClusteringProblem(data), Q, config)
     assert len(result.trace.h_step) == 500
@@ -319,7 +319,7 @@ def test_criterion_11_cluster_path_sanity():
     values = np.vstack([group_a, group_b])
     data = Dataset(values)
     graph = build_knn_graph(data, k=7)  # complete graph keeps fusion global
-    config = SolverConfig(alpha=1.0, beta=0.0, p=2, s=1, eps_abs=1e-9, eps_rel=1e-7,
+    config = SolverConfig(beta=0.0, p=2, s=1, eps_abs=1e-9, eps_rel=1e-7,
                           outer_max_iters=8000)
     path = sweep(data, graph, [0.0, 100.0], config)
 

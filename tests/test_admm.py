@@ -22,8 +22,7 @@ def two_point(alpha_w, beta=0.0, **kwargs):
     graph = graph_of(2, ((0, 1, 1.0),))
     problem = ConvexClusteringProblem(data)
     Q = EdgeIncidence(graph, alpha_w)
-    defaults = dict(alpha=alpha_w, beta=beta, p=2, s=1, eps_abs=1e-9, eps_rel=1e-7,
-                    outer_max_iters=3000)
+    defaults = dict(beta=beta, p=2, s=1, eps_abs=1e-9, eps_rel=1e-7, outer_max_iters=3000)
     defaults.update(kwargs)
     return problem, Q, SolverConfig(**defaults)
 
@@ -34,7 +33,7 @@ def random_clustering(rng, n, d, alpha=1.0, beta=0.0, k=2, **kwargs):
     graph = build_knn_graph(data, k=min(k, n - 1))
     problem = ConvexClusteringProblem(data)
     Q = EdgeIncidence(graph, alpha)
-    defaults = dict(alpha=alpha, beta=beta, p=2, s=1)
+    defaults = dict(beta=beta, p=2, s=1)
     defaults.update(kwargs)
     return problem, graph, Q, SolverConfig(**defaults)
 
@@ -58,7 +57,7 @@ def test_empty_graph_returns_loss_minimiser():
     data = Dataset([[1.0, 2.0], [3.0, 4.0]])
     problem = ConvexClusteringProblem(data)
     Q = EdgeIncidence(graph_of(2, ()), 1.0)
-    result = solve_dual(problem, Q, SolverConfig(alpha=1.0, beta=0.0))
+    result = solve_dual(problem, Q, SolverConfig(beta=0.0))
     np.testing.assert_array_equal(result.x_star, data.values)
     assert result.converged and result.iterations == 0
 
@@ -67,7 +66,7 @@ def test_zero_alpha_returns_loss_minimiser():
     data = Dataset([[1.0], [5.0], [2.0]])
     problem = ConvexClusteringProblem(data)
     Q = EdgeIncidence(graph_of(3, ((0, 1, 1.0), (1, 2, 1.0))), 0.0)
-    result = solve_dual(problem, Q, SolverConfig(alpha=0.0, beta=0.0))
+    result = solve_dual(problem, Q, SolverConfig(beta=0.0))
     np.testing.assert_array_equal(result.x_star, data.values)
 
 
@@ -89,7 +88,7 @@ def test_lambda_step_fixed_point():
     data = Dataset([[0.0], [0.0]])  # zero data: gradient at lam=0 is zero
     problem = ConvexClusteringProblem(data)
     Q = EdgeIncidence(graph_of(2, ((0, 1, 1.0),)), 1.0)
-    config = SolverConfig(alpha=1.0, beta=0.0, p=2)
+    config = SolverConfig(beta=0.0, p=2)
     state = zero_state(1, 2, 1)
     lipschitz = reference_row_lipschitz(problem, Q, config)
     np.testing.assert_array_equal(lambda_step(problem, Q, state, config, lipschitz, tol=0.0),
@@ -102,7 +101,7 @@ def test_lambda_step_matches_longrun_projected_gradient():
     graph = graph_of(3, ((0, 1, 0.8), (1, 2, 1.2)))
     problem = ConvexClusteringProblem(Dataset(rng.standard_normal((3, 1))))
     Q = EdgeIncidence(graph, 1.0)
-    config = SolverConfig(alpha=1.0, beta=1.0, p=2, s=1,
+    config = SolverConfig(beta=1.0, p=2, s=1,
                           inner_max_iters=5000, inner_tol=1e-12)
     state = DualState(lam=rng.standard_normal((2, 1)) * 0.3,
                       u=rng.standard_normal((3, 1)), mu=rng.standard_normal((3, 1)))
@@ -222,7 +221,7 @@ def test_strong_duality_small_instances():
                 graph = build_knn_graph(data, k=2)
                 problem = RidgeProblem(data, gamma=2.0)
                 Q = EdgeIncidence(graph, 0.7)
-                config = SolverConfig(alpha=0.7, beta=0.0, p=2, s=1,
+                config = SolverConfig(beta=0.0, p=2, s=1,
                                       eps_abs=1e-9, eps_rel=1e-7, outer_max_iters=5000)
             result = solve_dual(problem, Q, config)
             assert result.converged
@@ -283,7 +282,7 @@ def test_parallel_single_column_identical():
             Q = EdgeIncidence(build_knn_graph(data, k=2), 1.0)
             problem = ConvexClusteringProblem(data) if task == "cc" \
                 else RidgeProblem(data, gamma=2.0)
-            config = SolverConfig(alpha=1.0, beta=0.5, p=1, inner_max_iters=3000)
+            config = SolverConfig(beta=0.5, p=1, inner_max_iters=3000)
             state = zero_state(Q.row_count, n, d)
             state.lam = np.clip(rng.standard_normal(state.lam.shape) * 0.4, -1, 1)
             state.u = rng.standard_normal((n, d))
@@ -328,7 +327,7 @@ def test_lambda_step_bit_identical_to_reference_kernels(task):
     for p, parallel, inner_tol, cap in ((2, False, 1e-8, 200), (1, False, 1e-8, 200),
                                         ("inf", False, 1e-8, 200), (1, True, 1e-8, 200),
                                         (1, True, 1e-6, 3000)):
-        config = SolverConfig(alpha=1.3, beta=0.5, p=p, parallel=parallel,
+        config = SolverConfig(beta=0.5, p=p, parallel=parallel,
                               inner_tol=inner_tol, inner_max_iters=cap)
         state = zero_state(Q.row_count, n, d)
         state.lam = rng.standard_normal(state.lam.shape) * 0.6
@@ -363,7 +362,7 @@ def test_lambda_step_bit_identical_to_reference_kernels_on_blobs(task):
     assert Q.row_count > 1500
     for p, parallel, tol, cap in ((2, False, 1e-3, 200), (2, False, 0.0, 15),
                                   ("inf", False, 1e-3, 200), (1, True, 1e-3, 200)):
-        config = SolverConfig(alpha=0.7, beta=0.5, p=p, parallel=parallel,
+        config = SolverConfig(beta=0.5, p=p, parallel=parallel,
                               inner_max_iters=cap)
         state = zero_state(Q.row_count, n, d)
         state.lam = rng.standard_normal(state.lam.shape) * 0.6
@@ -411,7 +410,7 @@ def test_sweep_tolerance_matches_reference_and_stops_earlier():
     problem = ConvexClusteringProblem(data)
     Q = EdgeIncidence(build_knn_graph(data, k=2), 1.3)
     for p, parallel in ((2, False), (1, False), (1, True)):
-        config = SolverConfig(alpha=1.3, beta=0.5, p=p, parallel=parallel,
+        config = SolverConfig(beta=0.5, p=p, parallel=parallel,
                               inner_tol=1e-8, inner_max_iters=3000)
         state = zero_state(Q.row_count, n, d)
         state.lam = rng.standard_normal(state.lam.shape) * 0.6
@@ -437,7 +436,7 @@ def test_relative_inner_tolerance_keeps_the_duality_gap(beta, p, monkeypatch):
     data = Dataset(four_blobs(np.random.default_rng(21)))
     problem = ConvexClusteringProblem(data)
     Q = EdgeIncidence(build_knn_graph(data, k=5), 1.0)
-    config = SolverConfig(alpha=1.0, beta=beta, p=p, s=1)
+    config = SolverConfig(beta=beta, p=p, s=1)
     adaptive = solve_dual(problem, Q, config)
     floor_step = sco.admm.lambda_step
     monkeypatch.setattr("sco.admm.lambda_step",
@@ -464,7 +463,7 @@ def test_relaxed_sweeps_match_reference(task, p, s):
     data = Dataset(values, targets)
     Q = EdgeIncidence(build_knn_graph(data, k=2), 1.3)
     problem = ConvexClusteringProblem(data) if task == "cc" else RidgeProblem(data, gamma=2.0)
-    config = SolverConfig(alpha=1.3, beta=0.5, p=p, s=s)
+    config = SolverConfig(beta=0.5, p=p, s=s)
     lipschitz = reference_row_lipschitz(problem, Q, config)
     state = zero_state(Q.row_count, n, d)
     tol = None  # the first sweep: relative to the gradient-mapping norm at the start
@@ -504,7 +503,7 @@ def test_over_relaxation_cuts_work_and_keeps_the_model(task, beta, p, rho, inner
         values, targets = blob_regression(rng)
         problem = RidgeProblem(Dataset(values, targets), gamma=5.0)
     Q = EdgeIncidence(build_knn_graph(Dataset(values), k=5), 1.0)
-    config = SolverConfig(alpha=1.0, beta=beta, p=p, s=1, rho=rho)
+    config = SolverConfig(beta=beta, p=p, s=1, rho=rho)
     tight = solve_dual(problem, Q, replace(config, eps_abs=1e-10, eps_rel=1e-8,
                                            inner_tol=1e-12, inner_max_iters=5000,
                                            outer_max_iters=50000))
@@ -541,7 +540,7 @@ def test_first_sweep_stops_at_a_relative_tolerance(p, monkeypatch):
     data = Dataset(four_blobs(np.random.default_rng(21)))
     problem = ConvexClusteringProblem(data)
     Q = EdgeIncidence(build_knn_graph(data, k=5), 1.0)
-    config = SolverConfig(alpha=1.0, beta=0.5, p=p, s=1)
+    config = SolverConfig(beta=0.5, p=p, s=1)
     floor_step = sco.admm.lambda_step
     sweeps = {}
     for label in ("relative", "floor first"):
@@ -577,7 +576,7 @@ def test_solve_evaluates_one_gradient_per_inner_iteration(task, p, rho, monkeypa
     problem = ConvexClusteringProblem(Dataset(values)) if task == "cc" \
         else RidgeProblem(Dataset(values, targets), gamma=5.0)
     Q = EdgeIncidence(build_knn_graph(Dataset(values), k=5), 1.0)
-    config = SolverConfig(alpha=1.0, beta=0.5, p=p, s=1, rho=rho)
+    config = SolverConfig(beta=0.5, p=p, s=1, rho=rho)
     curvature = type(problem).conjugate_curvature
     apply_t = EdgeIncidence.apply_t
     calls, maps = [], []
@@ -627,7 +626,7 @@ def test_warm_start_first_sweep_keeps_the_model_accurate(task, p):
         return RidgeProblem(Dataset(values, targets), gamma=5.0)
 
     Q = EdgeIncidence(build_knn_graph(Dataset(base_values), k=5), 1.0)
-    config = SolverConfig(alpha=1.0, beta=0.5, p=p, s=1, rho=1.0 if task == "cc" else 0.1)
+    config = SolverConfig(beta=0.5, p=p, s=1, rho=1.0 if task == "cc" else 0.1)
     tight = replace(config, eps_abs=1e-10, eps_rel=1e-8, inner_tol=1e-12,
                     inner_max_iters=5000, outer_max_iters=50000)
     base = solve_dual(instance(base_values), Q, config)
@@ -698,6 +697,25 @@ def test_invalid_config_rejected():
         SolverConfig(p=4)
     with pytest.raises(ParameterError):
         SolverConfig(eps_abs=0.0)
+    # a fractional cap used to pass here and fail inside the solve, as a
+    # TypeError from range()
+    for name in ("outer_max_iters", "inner_max_iters"):
+        for value in (0, -3, 1.5, 2.5, float("nan"), float("inf"), "3", None):
+            with pytest.raises(ParameterError, match=name):
+                SolverConfig(**{name: value})
+
+
+def test_whole_float_iteration_caps_are_stored_as_int():
+    config = SolverConfig(outer_max_iters=3.0, inner_max_iters=np.int64(7))
+    assert (config.outer_max_iters, config.inner_max_iters) == (3, 7)
+    assert type(config.outer_max_iters) is int and type(config.inner_max_iters) is int
+    assert SolverConfig(outer_max_iters=10 ** 400).outer_max_iters == 10 ** 400
+    rng = np.random.default_rng(15)
+    problem, graph, Q, config = random_clustering(rng, 6, 2, beta=1.0, eps_abs=1e-300,
+                                                  eps_rel=1e-300, outer_max_iters=3.0,
+                                                  inner_max_iters=2.0)
+    result = solve_dual(problem, Q, config)
+    assert result.iterations == 3 and result.inner_iterations <= 6
 
 
 def test_trace_rows_shape():
@@ -745,7 +763,7 @@ def test_row_lipschitz_dominates_the_hessian(task, name):
     problem = ConvexClusteringProblem(Dataset(values)) if task == "cc" else \
         RidgeProblem(Dataset(values, rng.standard_normal(n)), gamma=0.5)
     alpha = 1.7
-    config = SolverConfig(alpha=alpha, rho=0.3)
+    config = SolverConfig(rho=0.3)
     L = sco.admm._row_lipschitz(problem, EdgeIncidence(graph, alpha), config)
     Qd = dense_incidence(graph, alpha)
     kappa = problem.curvature_bound()
@@ -785,7 +803,7 @@ def test_zero_weight_edges_leave_the_solve_unchanged():
     padded = graph_of(32, sorted(edge_triples(base) + zero_edges))
     problem = ConvexClusteringProblem(data)
     for p in (2, np.inf):
-        config = SolverConfig(alpha=1.0, beta=0.5, p=p, s=1)
+        config = SolverConfig(beta=0.5, p=p, s=1)
         Q_zero = EdgeIncidence(padded, 1.0)
         L = sco.admm._row_lipschitz(problem, Q_zero, config)
         assert np.all(np.isfinite(L)) and np.all(L > 0)
@@ -809,7 +827,7 @@ def test_row_steps_cut_inner_work_and_keep_the_model(task, p, rho, monkeypatch):
         values, targets = blob_regression(rng)
         problem = RidgeProblem(Dataset(values, targets), gamma=5.0)
     Q = EdgeIncidence(build_knn_graph(Dataset(values), k=5), 1.0)
-    config = SolverConfig(alpha=1.0, beta=0.5, p=p, s=1, rho=rho)
+    config = SolverConfig(beta=0.5, p=p, s=1, rho=rho)
     tight = solve_dual(problem, Q, replace(config, eps_abs=1e-10, eps_rel=1e-8,
                                            inner_tol=1e-12, inner_max_iters=5000,
                                            outer_max_iters=50000))
@@ -843,7 +861,7 @@ def mapped_solves(task, p, seed):
 
     graph = build_knn_graph(Dataset(values), k=5)
     mapped = sym.graph(graph, rng)
-    config = SolverConfig(alpha=1.0, beta=0.5, p=p, s=1, eps_abs=1e-9, eps_rel=1e-7,
+    config = SolverConfig(beta=0.5, p=p, s=1, eps_abs=1e-9, eps_rel=1e-7,
                           outer_max_iters=5000)
     base = solve_dual(problem(values, targets), EdgeIncidence(graph, 1.0), config)
     image = solve_dual(problem(sym.forward(values), targets[sym.rows]),

@@ -25,7 +25,7 @@ PUBLIC_NAMES = [
 # Every solver setting, in declaration order. A new field (a relaxation
 # factor or a rho rule, say) is a new knob and belongs in CHANGES.md.
 SOLVER_CONFIG_FIELDS = [
-    "alpha", "beta", "rho", "p", "s", "outer_max_iters", "inner_max_iters",
+    "beta", "rho", "p", "s", "outer_max_iters", "inner_max_iters",
     "eps_abs", "eps_rel", "inner_tol", "parallel",
 ]
 
@@ -36,6 +36,17 @@ def test_public_api_is_pinned():
 
 def test_solver_config_fields_are_pinned():
     assert [f.name for f in dataclasses.fields(sco.SolverConfig)] == SOLVER_CONFIG_FIELDS
+
+
+def test_the_solver_reads_every_solver_setting():
+    # a field that sco.admm never reads as config.<field> is a setting that
+    # does nothing in the solver; it belongs with the code that reads it
+    tree = ast.parse((Path(sco.__file__).parent / "admm.py").read_text(encoding="utf-8"))
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "config"}
+    unread = [f.name for f in dataclasses.fields(sco.SolverConfig) if f.name not in read]
+    assert unread == []
 
 
 def library_references() -> set[str]:

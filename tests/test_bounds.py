@@ -32,9 +32,9 @@ def test_clustering_dual_image_holds_on_converged_solve():
     delta = 0.1 * rng.standard_normal((4, 2))
     data = Dataset(values)
     graph = build_knn_graph(data, k=2)
-    config = SolverConfig(alpha=1.0, beta=5.0, p=2, s=1)
+    config = SolverConfig(beta=5.0, p=2, s=1)
     evolved = ConvexClusteringProblem(Dataset(values + delta))
-    Q = EdgeIncidence(graph, config.alpha)
+    Q = EdgeIncidence(graph, 1.0)
     result = solve_dual(evolved, Q, config)
     assert result.converged
     report = clustering_dual_image_check(Q, result.state.lam, evolved, config.beta, config.s)
@@ -160,8 +160,8 @@ def test_ridge_bounds_hold_on_converged_solves():
     delta = 0.1 * rng.standard_normal((5, 2))
     data = Dataset(values, targets=y)
     graph = build_knn_graph(data, k=2)
-    config = SolverConfig(alpha=1.0, beta=5.0, p=2, s=1)
-    Q = EdgeIncidence(graph, config.alpha)
+    config = SolverConfig(beta=5.0, p=2, s=1)
+    Q = EdgeIncidence(graph, 1.0)
     problem = RidgeProblem(data, gamma=5.0)
     base = solve_dual(problem, Q, config)
     evolved = problem.with_values(values + delta)
@@ -187,7 +187,7 @@ def test_reports_on_a_ridge_problem_are_the_two_regression_checks():
     graph = build_knn_graph(Dataset(values), k=2)
     Q = EdgeIncidence(graph, 1.0)
     problem = RidgeProblem(Dataset(values, y), gamma=3.0)
-    config = SolverConfig(alpha=1.0, beta=2.0, p=2, s=2)
+    config = SolverConfig(beta=2.0, p=2, s=2)
     evolved = problem.with_values(new_values)
     base = solve_dual(problem, Q, config)
     moved = solve_dual(evolved, Q, config, warm_start=base.state)

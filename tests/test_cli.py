@@ -126,9 +126,8 @@ def test_solve_file_matches_a_library_solve(tmp_path, task, flags):
 
     values, targets = read_matrix_csv(str(data), with_targets=True)
     problem = make_problem(task, Dataset(values, targets), gamma=float(flags.get("--gamma", 5.0)))
-    config = SolverConfig(alpha=1.5, beta=0.5, p=flags["--p"], s=flags["--s"])
-    result = solve_dual(problem, EdgeIncidence(load_graph_json(str(graph)), config.alpha),
-                        config)
+    config = SolverConfig(beta=0.5, p=flags["--p"], s=flags["--s"])
+    result = solve_dual(problem, EdgeIncidence(load_graph_json(str(graph)), 1.5), config)
     assert same_bits(np.array(payload["X"]), result.x_star)
     assert payload["dual_objective"] == result.dual_objective
     assert payload["primal_objective"] == result.primal_objective
@@ -1058,6 +1057,19 @@ def test_negative_seed_exits_2(three_points, tmp_path, capsys, argv):
     assert code == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["kind"] == "ParameterError" and "nonnegative" in err["error"]
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["path", "--alphas", "0,1"],
+                                  ["monitor", "--synthetic", "1"], ["bound"]])
+def test_negative_alpha_exits_2(three_points, tmp_path, capsys, argv):
+    # the strength is checked as the flag is parsed, so path, which solves at
+    # its --alphas instead, rejects it too
+    code = main(argv + ["--input", three_points, "--alpha", "-1", "--k", "1",
+                        "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["kind"] == "ParameterError" and "--alpha" in err["error"] \
+        and "nonnegative" in err["error"]
 
 
 @pytest.mark.parametrize("argv", [["monitor", "--synthetic", "1"], ["bound"]])

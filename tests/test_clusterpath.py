@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import sco.clusterpath
-from sco import (ConvexClusteringProblem, Dataset, EdgeIncidence, ParameterError,
-                 SolverConfig, build_knn_graph, canonical_labels,
+from sco import (ConvexClusteringProblem, Dataset, DimensionError, EdgeIncidence,
+                 ParameterError, SolverConfig, build_knn_graph, canonical_labels,
                  default_fuse_tolerance, extract_clusters, sweep)
 
 from helpers import graph_of
@@ -72,6 +72,14 @@ def test_extract_requires_positive_tolerance():
         extract_clusters(np.zeros((2, 1)), chain_graph(2), eps_fuse=0.0)
 
 
+@pytest.mark.parametrize("rows", [3, 5, 30])
+def test_extract_requires_one_row_per_vertex(rows):
+    # too few rows used to fail as a bare IndexError, too many to label the
+    # first n rows silently
+    with pytest.raises(DimensionError, match="one per vertex"):
+        extract_clusters(np.zeros((rows, 2)), chain_graph(4), eps_fuse=0.5)
+
+
 def test_canonical_labels_round():
     np.testing.assert_array_equal(canonical_labels(np.array([0, 0, 2, 3])), [0, 0, 1, 2])
     np.testing.assert_array_equal(canonical_labels(np.array([5, 5, 5])), [0, 0, 0])
@@ -96,7 +104,7 @@ def test_sweep_alpha_zero_gives_identity_and_singletons():
     rng = np.random.default_rng(1)
     data = Dataset(rng.standard_normal((5, 2)))
     graph = build_knn_graph(data, k=2)
-    config = SolverConfig(alpha=0.0, beta=0.0, p=2, s=1)
+    config = SolverConfig(beta=0.0, p=2, s=1)
     path = sweep(data, graph, [0.0], config)
     np.testing.assert_array_equal(path.solutions[0], data.values)
     assert path.cluster_counts == [5]
@@ -106,7 +114,7 @@ def test_sweep_alpha_zero_gives_identity_and_singletons():
 def test_sweep_two_point_fusion_transition():
     data = Dataset([[0.0], [2.0]])
     graph = graph_of(2, ((0, 1, 1.0),))
-    config = SolverConfig(alpha=1.0, beta=0.0, p=2, s=1, eps_abs=1e-9, eps_rel=1e-7,
+    config = SolverConfig(beta=0.0, p=2, s=1, eps_abs=1e-9, eps_rel=1e-7,
                           outer_max_iters=4000)
     path = sweep(data, graph, [1.0, 2.0], config)
     assert path.cluster_counts == [2, 1]
@@ -118,7 +126,7 @@ def test_sweep_large_alpha_reaches_centroid():
     rng = np.random.default_rng(2)
     data = Dataset(rng.standard_normal((6, 2)))
     graph = build_knn_graph(data, k=5)  # complete graph keeps fusion global
-    config = SolverConfig(alpha=50.0, beta=0.0, p=2, s=1, eps_abs=1e-9, eps_rel=1e-7,
+    config = SolverConfig(beta=0.0, p=2, s=1, eps_abs=1e-9, eps_rel=1e-7,
                           outer_max_iters=5000)
     path = sweep(data, graph, [50.0], config)
     assert path.cluster_counts == [1]
@@ -145,7 +153,7 @@ def test_sweep_warm_equals_cold():
     rng = np.random.default_rng(3)
     data = Dataset(rng.standard_normal((6, 2)))
     graph = build_knn_graph(data, k=2)
-    config = SolverConfig(alpha=1.0, beta=0.5, p=2, s=1, eps_abs=1e-9, eps_rel=1e-7,
+    config = SolverConfig(beta=0.5, p=2, s=1, eps_abs=1e-9, eps_rel=1e-7,
                           outer_max_iters=5000)
     alphas = [0.2, 0.6, 1.2]
     warm = sweep(data, graph, alphas, config, warm_start=True)
@@ -158,7 +166,7 @@ def test_fused_rows_stay_within_chained_tolerance():
     rng = np.random.default_rng(4)
     data = Dataset(rng.standard_normal((8, 2)))
     graph = build_knn_graph(data, k=3)
-    config = SolverConfig(alpha=2.0, beta=0.0, p=2, s=1)
+    config = SolverConfig(beta=0.0, p=2, s=1)
     path = sweep(data, graph, [2.0], config)
     X = path.solutions[0]
     labels = path.memberships[0]

@@ -11,12 +11,12 @@ from helpers import edge_triples
 from oracles import same_bits
 
 
-def clustering_setup(rng, n=6, d=2, alpha=1.0, beta=1.0, **kwargs):
+def clustering_setup(rng, n=6, d=2, beta=1.0, **kwargs):
     values = rng.standard_normal((n, d))
     data = Dataset(values)
     graph = build_knn_graph(data, k=2)
     problem = ConvexClusteringProblem(data)
-    defaults = dict(alpha=alpha, beta=beta, p=2, s=1)
+    defaults = dict(beta=beta, p=2, s=1)
     defaults.update(kwargs)
     return problem, graph, SolverConfig(**defaults)
 
@@ -24,7 +24,7 @@ def clustering_setup(rng, n=6, d=2, alpha=1.0, beta=1.0, **kwargs):
 def test_delta_metric_zero_for_identical_data():
     rng = np.random.default_rng(0)
     problem, graph, config = clustering_setup(rng)
-    Q = EdgeIncidence(graph, config.alpha)
+    Q = EdgeIncidence(graph, 1.0)
     lam = np.clip(rng.standard_normal((Q.row_count, 2)), -1, 1)
     assert delta_metric(problem, Q, lam, problem.with_values(problem.values.copy())) == 0.0
 
@@ -32,7 +32,7 @@ def test_delta_metric_zero_for_identical_data():
 def test_delta_metric_clustering_reduces_to_linear_term():
     rng = np.random.default_rng(1)
     problem, graph, config = clustering_setup(rng)
-    Q = EdgeIncidence(graph, config.alpha)
+    Q = EdgeIncidence(graph, 1.0)
     lam = np.clip(rng.standard_normal((Q.row_count, 2)), -1, 1)
     delta = 0.1 * rng.standard_normal(problem.values.shape)
     expected = abs(float((delta * Q.apply_t(lam)).sum()))
@@ -43,7 +43,7 @@ def test_delta_metric_clustering_reduces_to_linear_term():
 def test_delta_metric_orthogonal_perturbation_is_invisible():
     rng = np.random.default_rng(2)
     problem, graph, config = clustering_setup(rng, n=5, d=1)
-    Q = EdgeIncidence(graph, config.alpha)
+    Q = EdgeIncidence(graph, 1.0)
     lam = np.clip(rng.standard_normal((Q.row_count, 1)), -1, 1)
     image = Q.apply_t(lam)
     delta = rng.standard_normal(image.shape)
@@ -55,7 +55,7 @@ def test_delta_metric_orthogonal_perturbation_is_invisible():
 def test_delta_metric_is_one_homogeneous_for_clustering():
     rng = np.random.default_rng(3)
     problem, graph, config = clustering_setup(rng)
-    Q = EdgeIncidence(graph, config.alpha)
+    Q = EdgeIncidence(graph, 1.0)
     lam = np.clip(rng.standard_normal((Q.row_count, 2)), -1, 1)
     delta = 0.05 * rng.standard_normal(problem.values.shape)
     one = delta_metric(problem, Q, lam, problem.with_values(problem.values + delta))
@@ -106,7 +106,7 @@ def test_delta_metric_maps_the_dual_rows_once(task, monkeypatch):
 def test_delta_metric_shape_mismatch():
     rng = np.random.default_rng(5)
     problem, graph, config = clustering_setup(rng)
-    Q = EdgeIncidence(graph, config.alpha)
+    Q = EdgeIncidence(graph, 1.0)
     with pytest.raises(DimensionError):
         delta_metric(problem, Q, np.zeros((Q.row_count, 2)), problem.with_values(np.zeros((2, 2))))
 
@@ -165,7 +165,7 @@ def test_solves_on_one_operator_share_one_norm_estimate(monkeypatch):
 def test_two_phase_stream_keeps_then_resolves():
     rng = np.random.default_rng(8)
     problem, graph, config = clustering_setup(rng, beta=1.0)
-    Q = EdgeIncidence(graph, config.alpha)
+    Q = EdgeIncidence(graph, 1.0)
 
     tiny = [1e-4 * rng.standard_normal(problem.values.shape) for _ in range(3)]
     # constant shifts are invisible to the metric (edge differences kill
@@ -221,11 +221,28 @@ def test_rebuild_graph_on_resolve():
     moved = problem.values + 2.0 * rng.standard_normal(problem.values.shape)
     stream = [Snapshot(index=0, values=moved)]
     decisions, session = run_session(problem, graph, stream, config, threshold=0.0,
-                                     rebuild_graph=True, knn_k=2)
+                                     rebuild_k=2)
     assert decisions[0].action == "resolve"
-    rebuilt = EdgeIncidence(build_knn_graph(Dataset(moved), 2), config.alpha)
+    rebuilt = EdgeIncidence(build_knn_graph(Dataset(moved), 2), 1.0)
     for name in ("head", "tail", "coef"):
         np.testing.assert_array_equal(getattr(session.Q, name), getattr(rebuilt, name))
+
+
+@pytest.mark.parametrize("rebuild_k", [None, 2])
+def test_every_operator_of_a_session_has_its_coupling_strength(rebuild_k):
+    # the first operator and each one after an accepted change, rebuilt or
+    # kept, carry alpha * w: the same bits as a fresh operator at alpha
+    rng = np.random.default_rng(11)
+    problem, graph, config = clustering_setup(rng)
+    moved = problem.values + 2.0 * rng.standard_normal(problem.values.shape)
+    seen = []
+    run_session(problem, graph, [Snapshot(index=0, values=moved)], config, threshold=0.0,
+                alpha=2.5, rebuild_k=rebuild_k,
+                on_decision=lambda decision, before, after, evolved: seen.append((before, after)))
+    (before, after), = seen
+    after_graph = graph if rebuild_k is None else build_knn_graph(Dataset(moved), rebuild_k)
+    assert same_bits(before.Q.coef, EdgeIncidence(graph, 2.5).coef)
+    assert same_bits(after.Q.coef, EdgeIncidence(after_graph, 2.5).coef)
 
 
 @pytest.mark.parametrize("seed, shift, warm", [(6, 0.0, False), (8, 0.0, False),
@@ -253,7 +270,7 @@ def test_rebuild_warm_starts_only_on_the_same_edges(seed, shift, warm, monkeypat
     monkeypatch.setattr("sco.evolution.solve_dual", recording)
     run_session(ConvexClusteringProblem(Dataset(values)), graph,
                 [Snapshot(index=0, values=moved)], SolverConfig(beta=1.0, p=2, s=1),
-                threshold=0.0, rebuild_graph=True, knn_k=3)
+                threshold=0.0, rebuild_k=3)
     (first_warm, kept), (resolve_warm, _) = seen
     assert first_warm is None
     assert resolve_warm is (kept if warm else None)
@@ -273,19 +290,6 @@ def test_solver_failure_carries_snapshot_index(monkeypatch):
     monkeypatch.setattr("sco.evolution.solve_dual", failing_resolve)
     with pytest.raises(NumericFailure, match="snapshot 7: non-finite dual rows"):
         run_session(problem, graph, [Snapshot(index=7, values=moved)], config, threshold=0.0)
-
-
-def test_graph_rebuild_without_neighbour_count_fails_before_any_solve(monkeypatch):
-    rng = np.random.default_rng(12)
-    problem, graph, config = clustering_setup(rng)
-
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solved before the arguments were checked")
-
-    monkeypatch.setattr("sco.evolution.solve_dual", no_solve)
-    with pytest.raises(ParameterError, match="neighbour count"):
-        run_session(problem, graph, [Snapshot(index=0, values=problem.values + 1.0)], config,
-                    threshold=0.0, rebuild_graph=True, knn_k=None)
 
 
 @pytest.mark.parametrize("task", ["cc", "ridge"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sco import DimensionError, EdgeIncidence, ParameterError, sum_norms, vec_norm
+from sco import DimensionError, EdgeIncidence, ParameterError, project_rows, sum_norms, vec_norm
 from sco.incidence import operator_norm_estimate
 
 from helpers import graph_of
@@ -135,6 +135,9 @@ def test_sum_norms_examples():
     assert sum_norms(np.array([[1.0, -2.0], [0.0, 3.0]]), 1) == 6.0
     assert sum_norms(np.array([[1.0, -2.0], [0.0, 3.0]]), np.inf) == 5.0
     assert sum_norms(np.zeros((0, 2)), 2) == 0.0
+    # rows without entries have norm 0 in every geometry
+    for p in (1, 2, np.inf):
+        assert sum_norms(np.zeros((0, 0)), p) == sum_norms(np.zeros((2, 0)), p) == 0.0
     with pytest.raises(ParameterError):
         sum_norms(np.ones((1, 2)), 3)
 
@@ -243,6 +246,15 @@ def test_with_coef_shares_the_edges_but_not_the_coefficients():
         assert same_bits(op.apply(X), fancy_index_apply(op, X))
 
 
+@pytest.mark.parametrize("shape", [(4,), (6,), (5, 1), ()])
+def test_with_coef_needs_one_coefficient_per_edge(shape):
+    # a wrong length used to pass and fail at the next map, as a numpy
+    # broadcast ValueError
+    Q = EdgeIncidence(graph_of(6, tuple((i, i + 1, 1.0) for i in range(5))), 1.0)
+    with pytest.raises(DimensionError, match="5 coefficients"):
+        Q.with_coef(np.ones(shape))
+
+
 def test_maps_bit_identical_on_fortran_ordered_and_sliced_inputs():
     # the forward map scales its gathered rows in place through a ravel; a
     # ravel that copied would lose the scaling on any of these layouts
@@ -278,12 +290,23 @@ def test_maps_return_fresh_arrays_and_leave_their_input():
 
 
 def test_maps_without_edges():
+    # only apply_t keeps a branch for m = 0 (bincount of no weights gives
+    # int64 zeros); elsewhere the general code gives the empty block of dual
+    # rows, its projection and a zero sum of row norms
     Q = EdgeIncidence(graph_of(4, ()), 1.0)
     for d in (1, 3):
         lam = np.zeros((0, d))
-        assert same_bits(Q.apply_t(lam), np.zeros((4, d)))
-        assert same_bits(Q.apply_t(lam), per_column_apply_t(Q, lam))
-        assert Q.apply(np.ones((4, d))).shape == (0, d)
+        image = Q.apply_t(lam)
+        assert image.dtype == np.float64 and same_bits(image, np.zeros((4, d)))
+        assert same_bits(image, per_column_apply_t(Q, lam))
+        rows = Q.apply(np.ones((4, d)))
+        assert rows.shape == (0, d) and rows.dtype == np.float64
+        for q in (1, 2, np.inf):
+            projected = project_rows(rows, q)
+            assert projected.shape == (0, d) and projected.dtype == np.float64
+            assert not np.shares_memory(projected, rows)
+            total = sum_norms(rows, q)
+            assert type(total) is float and total == 0.0
 
 
 def test_operator_norm_bit_identical_to_add_at_reference():
