@@ -87,6 +87,11 @@ _OVER_RELAX = 1.4
 _ROW_FACTORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
+def _finite_real(value) -> bool:
+    """Whether value is a finite real number; a string or None is not."""
+    return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
 @dataclass
 class SolverConfig:
     """Solver hyperparameters and tolerances.
@@ -112,14 +117,12 @@ class SolverConfig:
     def __post_init__(self):
         self.p = as_norm(self.p)
         self.s = as_norm(self.s)
-        if not (np.isfinite(self.beta) and self.beta >= 0):
-            raise ParameterError(f"beta must be nonnegative, got {self.beta}")
-        if not (np.isfinite(self.rho) and self.rho > 0):
-            raise ParameterError(f"rho must be positive, got {self.rho}")
-        for name in ("eps_abs", "eps_rel", "inner_tol"):
+        if not (_finite_real(self.beta) and self.beta >= 0):
+            raise ParameterError(f"beta must be nonnegative, got {self.beta!r}")
+        for name in ("rho", "eps_abs", "eps_rel", "inner_tol"):
             value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ParameterError(f"{name} must be positive, got {value}")
+            if not (_finite_real(value) and value > 0):
+                raise ParameterError(f"{name} must be positive, got {value!r}")
         for name in ("outer_max_iters", "inner_max_iters"):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Real) and value >= 1 and value % 1 == 0):

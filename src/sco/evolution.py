@@ -20,7 +20,7 @@ import numpy as np
 
 from .admm import DualState, SolverConfig, solve_dual
 from .errors import DimensionError, ParameterError, SCOError
-from .graph import DEFAULT_WEIGHT_CAP, VariableGraph, build_knn_graph
+from .graph import DEFAULT_WEIGHT_CAP, VariableGraph, build_knn_graph, neighbour_count
 from .incidence import EdgeIncidence
 from .problems import Problem
 
@@ -107,10 +107,12 @@ def run_session(initial_problem: Problem, graph: VariableGraph, stream,
     warm-started from the previous state. A snapshot of another shape
     raises DimensionError. Every operator has coupling strength ``alpha``.
     The graph stays frozen unless ``rebuild_k`` is given: each accepted
-    change rebuilds it with that many neighbours. Dual row k is the
-    multiplier of edge k, so a rebuilt graph warm-starts only when its edge
-    ends equal the old ones, in order; otherwise its solve starts cold. No
-    solve depends on a solve run before it, in the session or by a hook.
+    change rebuilds it with that many neighbours. A count that
+    :func:`build_knn_graph` would refuse raises ParameterError before the
+    first solve. Dual row k is the multiplier of edge k, so a rebuilt
+    graph warm-starts only when its edge ends equal the old ones, in
+    order; otherwise its solve starts cold. No solve depends on a solve
+    run before it, in the session or by a hook.
 
     ``on_decision(decision, before, after, evolved)`` is invoked after
     each snapshot: ``before`` is the state the snapshot met, ``after``
@@ -122,6 +124,8 @@ def run_session(initial_problem: Problem, graph: VariableGraph, stream,
     """
     if not threshold >= 0:  # NaN too: no score is ever >= NaN
         raise ParameterError(f"threshold must be nonnegative, got {threshold}")
+    if rebuild_k is not None:  # before the first solve, which a bad count would waste
+        rebuild_k = neighbour_count(rebuild_k, initial_problem.values.shape[0], "rebuild_k")
     Q = EdgeIncidence(graph, alpha)
     result = solve_dual(initial_problem, Q, config)
     session = SessionState(problem=initial_problem, Q=Q, dual=result.state,

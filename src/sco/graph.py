@@ -9,11 +9,13 @@ The graph is built over blocks of rows, each compared with all n points
 through one matrix product into one reused ranking buffer, and no n-by-n
 distance matrix is made.
 Neighbours are ranked by |v_j|^2 - 2 v_i.v_j, the squared distance less
-the row's own |v_i|^2; weights come from the direct row differences of
-the kept pairs, not from that key, taken in chunks of the same budget.
-So the whole build holds the temporaries of one block (about
-``_BLOCK_ENTRIES`` floats) at a time, plus the m edges: the O(m) sorted
-pair keys and the head, tail and weight arrays the graph keeps.
+the row's own |v_i|^2, which the product with the table [v^T; |v|^2]
+gives whole; weights come from the direct row differences of the kept
+pairs, not from that key, taken in chunks of the same budget. So the
+whole build holds the temporaries of one block (about ``_BLOCK_ENTRIES``
+floats) at a time and one (d+1)-by-n copy of the data, plus the m edges:
+the O(m) sorted pair keys and the head, tail and weight arrays the graph
+keeps.
 
 All functions here are pure and operate on immutable inputs, so they are
 safe to call concurrently.
@@ -111,6 +113,19 @@ class VariableGraph:
         return self.head.size
 
 
+def neighbour_count(k, n: int, name: str = "k") -> int:
+    """``k`` as an int when it is a whole number with 1 <= k <= n - 1, the
+    neighbour counts :func:`build_knn_graph` takes on n points; otherwise
+    ParameterError, naming the value ``name``."""
+    try:
+        whole = int(k) == k
+    except (TypeError, ValueError, OverflowError):  # NaN, infinity, non-numbers
+        whole = False
+    if not (whole and 1 <= k <= n - 1):
+        raise ParameterError(f"{name} must be an integer with 1 <= k <= n-1 = {n - 1}, got {k!r}")
+    return int(k)
+
+
 def build_knn_graph(data: Dataset, k: int, weight_cap: float = DEFAULT_WEIGHT_CAP) -> VariableGraph:
     """Build the variable graph by symmetric k-nearest-neighbour linking.
 
@@ -122,13 +137,15 @@ def build_knn_graph(data: Dataset, k: int, weight_cap: float = DEFAULT_WEIGHT_CA
 
     The build runs over blocks of rows. Row i ranks every point j by the
     key |v_j|^2 - 2 v_i.v_j, which is ||v_i - v_j||^2 less |v_i|^2, a
-    constant along the row: one matrix product of the block's rows scaled
-    by -2, written into one ranking buffer that every block reuses, plus
-    the squared norms, computed once. The key is not clamped at 0; it may
-    be negative. A row keeps every point whose key is below its k-th
-    smallest key and, of the points whose computed key ties with it, the
-    ones of smallest index, so ties at the rounding level are decided on
-    the key, not on a distance.
+    constant along the row. A block's keys are one matrix product, written
+    into one ranking buffer that every block reuses: its rows [-2 v_i, 1]
+    (scaling by -2 is exact) times the (d+1)-by-n table [v^T; |v|^2],
+    built once. The key's last bits follow the BLAS build's summation
+    order. The key is not clamped at 0; it may be negative. A row keeps
+    every point whose key is below its k-th smallest key and, of the
+    points whose computed key ties with it, the ones of smallest index,
+    so ties at the rounding level are decided on the key, not on a
+    distance.
 
     No full row is partitioned to find that k-th key when n > 64k. The
     columns are dealt into w = 16k strided groups (the last n mod w
@@ -143,9 +160,10 @@ def build_knn_graph(data: Dataset, k: int, weight_cap: float = DEFAULT_WEIGHT_CA
 
     A block holds about ``_BLOCK_ENTRIES`` keys, and the weights are
     computed for at most ``_BLOCK_ENTRIES // d`` pairs at a time, after the
-    block buffers are freed, so the build's memory is the temporaries of
-    one block plus the m edges (their sorted pair keys and the returned
-    head, tail and weight arrays); nothing n-by-n or m-by-d is made.
+    block buffers and the table are freed, so the build's memory is the
+    temporaries of one block, the (d+1)-by-n table (one copy of the data)
+    and the m edges (their sorted pair keys and the returned head, tail
+    and weight arrays); nothing n-by-n or m-by-d is made.
 
     One check before the loop raises DataValidationError when 4 max|v|^2,
     the bound on every squared distance, overflows; below it every key and
@@ -169,24 +187,24 @@ def build_knn_graph(data: Dataset, k: int, weight_cap: float = DEFAULT_WEIGHT_CA
     n = data.row_count
     if n < 2:
         raise ParameterError("need at least two instances to build a graph")
-    try:
-        whole = int(k) == k
-    except (TypeError, ValueError, OverflowError):  # NaN, infinity, non-numbers
-        whole = False
-    if not (whole and 1 <= k <= n - 1):
-        raise ParameterError(f"k must be an integer with 1 <= k <= n-1 = {n - 1}, got {k!r}")
-    k = int(k)
+    k = neighbour_count(k, n)
     if not (np.isfinite(weight_cap) and weight_cap > 0):
         raise ParameterError(f"weight_cap must be a positive finite real, got {weight_cap}")
 
     values = data.values
-    sq = np.einsum("ij,ij->i", values, values)
+    d = values.shape[1]
+    # [v^T; |v|^2], C-contiguous: a block's rows [-2 v_i, 1] times it are the keys
+    table = np.empty((d + 1, n))
+    table[:d] = values.T
+    sq = np.einsum("ij,ij->i", values, values, out=table[d])
     # a ranking key is at most 3 max|v|^2 and a squared distance 4 max|v|^2;
     # a bound of 2 max|v|^2 alone would let an overflowed key tie with the
     # masked-out self entry, or a weight come out as 1/inf = 0
     if not sq.max() <= np.finfo(float).max / 4:
         raise DataValidationError("data magnitudes overflow the distance computation")
     rows = min(n, max(1, _BLOCK_ENTRIES // n))
+    scaled = np.empty((rows, d + 1))
+    scaled[:, d] = 1.0
     # group g holds the columns g, g + w, g + 2w, ... below `cut`; the columns
     # from `cut` on are groups of one, and so is every column of a short row
     groups, w = (n // (16 * k), 16 * k) if n > 64 * k else (0, 0)
@@ -197,9 +215,9 @@ def build_knn_graph(data: Dataset, k: int, weight_cap: float = DEFAULT_WEIGHT_CA
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         # ranking keys |v_j|^2 - 2 v_i.v_j; scaling by -2 is exact
-        rank = ranking[:stop - start]
-        np.matmul(-2.0 * values[start:stop], values.T, out=rank)
-        rank += sq
+        rank, left = ranking[:stop - start], scaled[:stop - start]
+        np.multiply(values[start:stop], -2.0, out=left[:, :d])
+        np.matmul(left, table, out=rank)
         local = np.arange(stop - start)
         rank[local, start + local] = np.inf  # a point is not its own neighbour
         # the k-th smallest group minimum bounds the row's k-th key
@@ -228,7 +246,7 @@ def build_knn_graph(data: Dataset, k: int, weight_cap: float = DEFAULT_WEIGHT_CA
         r, c = np.divmod(flat, n)
         r += start
         keys.append(np.minimum(r, c) * n + np.maximum(r, c))
-    del ranking, minima, rank, low
+    del table, sq, scaled, left, ranking, minima, rank, low
     keys = np.sort(np.concatenate(keys))
     # a repeated pair sits next to its first copy; np.unique would do the
     # same, but its first call imports numpy.ma (about 16 ms)
@@ -237,7 +255,7 @@ def build_knn_graph(data: Dataset, k: int, weight_cap: float = DEFAULT_WEIGHT_CA
     # the kept pairs' distances in chunks of one block's budget; each norm is
     # taken along its own row, so chunking keeps every bit
     weights = np.empty(heads.size)
-    chunk = max(1, _BLOCK_ENTRIES // values.shape[1])
+    chunk = max(1, _BLOCK_ENTRIES // d)
     for start in range(0, heads.size, chunk):
         diff = values[heads[start:start + chunk]]
         diff -= values[tails[start:start + chunk]]

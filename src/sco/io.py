@@ -2,6 +2,9 @@
 streams, trace CSV. All writes are atomic (temp file + rename) and JSON
 is serialised canonically so identical runs produce identical bytes.
 
+A valid CSV is parsed by one C call, ``np.loadtxt``; a file it refuses
+goes to a Python line reader, which names the first faulty line.
+
 JSON writes are sliced: a dict payload is encoded one top-level key at a
 time and a list in slices of ``_JSON_SLICE`` items, and each piece goes
 to the temp file before the next is made. The bytes are those of
@@ -11,6 +14,7 @@ as one string, and its rows are Python objects only one slice at a time.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import os
@@ -20,6 +24,10 @@ import numpy as np
 
 from .errors import DataValidationError, ParameterError
 from .graph import VariableGraph
+
+# the bytes of a CSV that np.loadtxt may parse: digits, float signs and
+# marks, the comma, and the whitespace that it and float() strip alike
+_PLAIN_CSV_BYTES = b"0123456789.eE+-, \t\r\n"
 
 # items of a long list encoded per piece of a sliced JSON write; a fresh
 # `sco graph` at n=2500, k=10 peaked 0.8 MB lower with 1024 than with 4096,
@@ -49,32 +57,74 @@ def read_matrix_csv(path: str, with_targets: bool = False):
     underscores. Non-numeric or non-finite entries fail; the error names
     the first faulty line, counting blank lines.
 
+    A file made only of digits, float signs and marks, commas and
+    whitespace is parsed by one C call, ``np.loadtxt``; anything that
+    call refuses, and an empty or non-finite result, goes to the line
+    reader, which names the fault. Both parse a cell with CPython's
+    ``PyOS_string_to_double``, so the matrix is the same either way.
+
     With ``with_targets`` the final column is split off as the target
     vector.
 
     Returns (values, targets_or_None).
     """
-    rows, linenos, non_numeric = [], [], None
     try:
-        # a byte that is not UTF-8 reads as U+FFFD, a non-numeric cell
-        with open(path, "r", encoding="utf-8", errors="replace") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                cells = line.split(",")
-                try:
-                    # float() also takes digit-group underscores and
-                    # non-ASCII digits; one test per line keeps them out
-                    if "_" in line or not line.isascii():
-                        raise ValueError(line)
-                    rows.append([float(c) for c in cells])
-                except ValueError:
-                    non_numeric = f"{path}:{lineno}: non-numeric cell in {cells!r}"
-                    break
-                linenos.append(lineno)
+        with open(path, "rb") as handle:
+            matrix = _plain_matrix(handle)
+        if matrix is None:
+            matrix = _read_lines(path)
     except OSError as exc:
         raise ParameterError(f"cannot read {path}: {exc}") from exc
+    if with_targets:
+        if matrix.shape[1] < 2:
+            raise DataValidationError(f"{path}: need at least one feature beside the target")
+        return matrix[:, :-1], matrix[:, -1]
+    return matrix, None
+
+
+def _plain_matrix(handle):
+    """The matrix of a plain numeric CSV read from the binary ``handle``,
+    or None when a byte is not in ``_PLAIN_CSV_BYTES``, the file is blank,
+    ``np.loadtxt`` refuses it or a value is not finite. The text wrapper
+    reads the open handle, not the path, which would make numpy import
+    gzip, and takes one byte per character where a StringIO takes four;
+    its codec is UTF-8, loaded at start-up, which reads ASCII alike."""
+    data = handle.read()
+    if data.translate(None, _PLAIN_CSV_BYTES) or not data.strip():
+        return None
+    del data  # not held through the parse, which reads the file again
+    handle.seek(0)
+    with io.TextIOWrapper(handle, encoding="utf-8") as text:
+        try:
+            matrix = np.loadtxt(text, delimiter=",", comments=None, ndmin=2)
+        except ValueError:  # a bad cell, an empty one or ragged rows
+            return None
+    return matrix if np.isfinite(matrix).all() else None
+
+
+def _read_lines(path: str) -> np.ndarray:
+    """The matrix of the CSV at ``path``, read line by line, or
+    DataValidationError naming the first fault: a non-numeric or
+    non-finite line, whichever comes first, then an empty file or ragged
+    rows."""
+    rows, linenos, non_numeric = [], [], None
+    # a byte that is not UTF-8 reads as U+FFFD, a non-numeric cell
+    with open(path, "r", encoding="utf-8", errors="replace") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            cells = line.split(",")
+            try:
+                # float() also takes digit-group underscores and
+                # non-ASCII digits; one test per line keeps them out
+                if "_" in line or not line.isascii():
+                    raise ValueError(line)
+                rows.append([float(c) for c in cells])
+            except ValueError:
+                non_numeric = f"{path}:{lineno}: non-numeric cell in {cells!r}"
+                break
+            linenos.append(lineno)
     # a non-finite line before a non-numeric one is the first fault
     matrix = _finite_matrix(path, rows, linenos) if rows else None
     if non_numeric is not None:
@@ -84,11 +134,7 @@ def read_matrix_csv(path: str, with_targets: bool = False):
     if matrix is None:
         widths = sorted({len(r) for r in rows})
         raise DataValidationError(f"{path}: ragged rows with widths {widths}")
-    if with_targets:
-        if matrix.shape[1] < 2:
-            raise DataValidationError(f"{path}: need at least one feature beside the target")
-        return matrix[:, :-1], matrix[:, -1]
-    return matrix, None
+    return matrix
 
 
 def canonical_json(obj) -> str:

@@ -705,6 +705,13 @@ def test_invalid_config_rejected():
                 SolverConfig(**{name: value})
 
 
+def test_non_numeric_real_settings_raise_parameter_error():
+    # np.isfinite raised a bare TypeError for a string or None
+    for name, value in (("beta", "1"), ("rho", None), ("eps_abs", "1e-6")):
+        with pytest.raises(ParameterError, match=f"^{name} must be"):
+            SolverConfig(**{name: value})
+
+
 def test_whole_float_iteration_caps_are_stored_as_int():
     config = SolverConfig(outer_max_iters=3.0, inner_max_iters=np.int64(7))
     assert (config.outer_max_iters, config.inner_max_iters) == (3, 7)

@@ -10,6 +10,7 @@ import sco
 import sco.cli
 import sco.clusterpath
 import sco.evolution
+import sco.io
 from sco import (DataValidationError, Dataset, EdgeIncidence, ParameterError, RidgeProblem,
                  SolverConfig, build_knn_graph, make_problem, solve_dual)
 from sco.cli import build_parser, main
@@ -455,6 +456,15 @@ def test_csv_rejects_cells_float_would_coerce(tmp_path, capsys, text, cells):
     "4.9e-324,1e-400\n0.1000000000000000055511151231257827021181583404541015625,2\n",
     "1\x1c,2\n3,4\n",                # a separator float() refuses in a cell
     "1,2\x1c\n3,4\n",                # the same at a line end, where strip() drops it
+    # bytes outside the C parse's set, which the line reader judges alone
+    *(f"1{c},2\n3,4\n" for c in "\x0b\x0c\x1d\x1e\x1f"),  # in a cell: float() strips them
+    *(f"1,2{c}\n3,4\n" for c in "\x0b\x0c\x1d\x1e\x1f"),  # at a line end: strip() drops them
+    "1,2\n3,inf\n",                  # non-finite words inside a line
+    "1,2\nnan,3\n4,5\n",
+    "1,2\n3,-Infinity\n",
+    "1,2\n1e999,3\n",                # a cell that overflows to inf in either parse
+    "1,2\n3,e\n",                    # a lone exponent mark
+    "1,2\n-,3\n",                    # a lone sign
 ])
 def test_csv_faults_report_the_first_faulty_line(tmp_path, capsys, text):
     # one finiteness check per file reports the fault, message and line
@@ -477,6 +487,76 @@ def test_csv_faults_report_the_first_faulty_line(tmp_path, capsys, text):
     else:
         values, _ = read_matrix_csv(str(path))
         assert same_bits(values, expected)
+
+
+def random_plain_csv(rng, rows: int, cols: int) -> str:
+    """A valid CSV of random floats in the C parse's byte set: cells in
+    repr, %.17g or %e form with optional signs and spaces or tabs around
+    them, blank lines between rows, and LF, CRLF or lone CR line ends."""
+    magnitudes = 10.0 ** rng.integers(-320, 300, size=(rows, cols))
+    values = rng.standard_normal((rows, cols)) * magnitudes
+    values[rng.random((rows, cols)) < 0.1] = -0.0
+    values[rng.random((rows, cols)) < 0.1] = rng.integers(-9, 10)
+    end = str(rng.choice(["\n", "\r\n", "\r"]))
+    lines = []
+    for row in values.tolist():
+        cells = []
+        for x in row:
+            cell = str(rng.choice(["{!r}", "{:.17g}", "{:e}"])).format(x)
+            if rng.random() < 0.2 and not cell.startswith("-"):
+                cell = "+" + cell
+            pad = ["", " ", "\t", " \t "]
+            cells.append(pad[rng.integers(4)] + cell + pad[rng.integers(4)])
+        lines.append(",".join(cells))
+        if rng.random() < 0.05:
+            lines.append("")
+    return end.join(lines) + (end if rng.random() < 0.8 else "")
+
+
+def check_plain_csv(path, monkeypatch):
+    """read_matrix_csv on a valid file, with and without targets: the C
+    parse alone (the line reader is made to raise) gives the oracle's
+    matrix bit for bit."""
+    expected = per_line_read_matrix_csv(str(path))
+
+    def no_line_reader(path):
+        raise AssertionError(f"{path} reached the line reader")
+
+    monkeypatch.setattr(sco.io, "_read_lines", no_line_reader)
+    values, targets = read_matrix_csv(str(path))
+    assert targets is None and same_bits(values, expected)
+    if expected.shape[1] > 1:
+        values, targets = read_matrix_csv(str(path), with_targets=True)
+        assert same_bits(values, expected[:, :-1]) and same_bits(targets, expected[:, -1])
+
+
+@pytest.mark.parametrize("text", [
+    "1.5,2\r\n3,-4e-3\r\n", "1,2\r3,4\r", " 1 ,\t2\t\n  3\t, 4 \n", "+.5,5.\n-0,0\n",
+    "1\n2\n3\n", "1,2\n\n3,4", "7", "4.9e-324,1e-400\n2.5E+3,1e308\n",
+])
+def test_valid_csv_never_reaches_the_line_reader(tmp_path, monkeypatch, text):
+    # the C parse must take every valid file, so that it cannot go dead unnoticed
+    path = tmp_path / "data.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    check_plain_csv(path, monkeypatch)
+    # the benchmark's form: repr cells, the target last
+    write_matrix_csv(str(path), np.random.default_rng(3).standard_normal((40, 4)),
+                     np.arange(40.0))
+    check_plain_csv(path, monkeypatch)
+
+
+@pytest.mark.parametrize("seeds, rows, cols", [
+    (range(20), 12, 4),
+    pytest.param(range(20, 420), 150, 12, marks=pytest.mark.slow),
+])
+def test_c_parse_matches_the_line_reader_on_random_files(tmp_path, monkeypatch, seeds, rows,
+                                                         cols):
+    path = tmp_path / "data.csv"
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        text = random_plain_csv(rng, int(rng.integers(1, rows + 1)), int(rng.integers(1, cols + 1)))
+        path.write_text(text, encoding="ascii", newline="")
+        check_plain_csv(path, monkeypatch)
 
 
 def test_csv_targets_need_a_feature_beside_them(tmp_path):

@@ -276,6 +276,24 @@ def test_rebuild_warm_starts_only_on_the_same_edges(seed, shift, warm, monkeypat
     assert resolve_warm is (kept if warm else None)
 
 
+@pytest.mark.parametrize("rebuild_k", [0, 6, 2.5, "3"])
+def test_bad_rebuild_count_fails_before_the_first_solve(rebuild_k, monkeypatch):
+    # checked against n by build_knn_graph's own rule, before any solve,
+    # and reported as a bad argument, not as a fault of a snapshot
+    rng = np.random.default_rng(12)
+    problem, graph, config = clustering_setup(rng)
+    moved = problem.values + 2.0 * rng.standard_normal(problem.values.shape)
+    calls = []
+    monkeypatch.setattr("sco.evolution.solve_dual", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ParameterError) as caught:
+        run_session(problem, graph, [Snapshot(index=0, values=moved)], config, threshold=0.0,
+                    rebuild_k=rebuild_k)
+    assert calls == []
+    assert str(caught.value) == (
+        f"rebuild_k must be an integer with 1 <= k <= n-1 = 5, got {rebuild_k!r}")
+    assert "snapshot" not in str(caught.value)
+
+
 def test_solver_failure_carries_snapshot_index(monkeypatch):
     rng = np.random.default_rng(12)
     problem, graph, config = clustering_setup(rng)
