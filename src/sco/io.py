@@ -192,18 +192,22 @@ def _json_pieces(obj):
 def _write_text_atomic(path: str, pieces) -> None:
     """Write the text pieces, in order, to a temp file beside ``path`` and
     rename it over ``path``; on any error the temp file is removed and
-    ``path`` is left as it was."""
+    ``path`` is left as it was. A path that cannot be written raises
+    ParameterError."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sco-", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sco-", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             for piece in pieces:
                 handle.write(piece)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc}") from exc
+    finally:
+        # gone after a successful rename
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def write_json_atomic(path: str, obj) -> None:

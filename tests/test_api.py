@@ -1,7 +1,11 @@
 import ast
 import dataclasses
+import importlib
 import inspect
+import types
 from pathlib import Path
+
+import pytest
 
 import sco
 
@@ -32,6 +36,32 @@ SOLVER_CONFIG_FIELDS = [
 
 def test_public_api_is_pinned():
     assert sorted(sco.__all__) == PUBLIC_NAMES
+
+
+def test_every_public_name_is_the_object_of_its_home_module():
+    # names load on first access; each must be the one object its module
+    # defines, not a second copy
+    for name in sco.__all__:
+        value = getattr(sco, name)
+        if isinstance(value, types.ModuleType):
+            assert value is importlib.import_module(f"sco.{name}")
+        else:
+            assert value.__module__.startswith("sco.")
+            assert getattr(importlib.import_module(value.__module__), name) is value
+
+
+def test_star_import_and_dir_cover_the_public_names():
+    namespace = {}
+    exec("from sco import *", namespace)
+    assert {name: namespace[name] for name in sco.__all__} == \
+        {name: getattr(sco, name) for name in sco.__all__}
+    assert set(sco.__all__) <= set(dir(sco))
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sco.no_such_name  # noqa: B018
+    assert not hasattr(sco, "TASKS")
 
 
 def test_solver_config_fields_are_pinned():

@@ -581,19 +581,95 @@ def test_csv_byte_that_is_not_utf8_names_its_line(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err) == {"error": message, "kind": "DataValidationError"}
 
 
-def test_start_up_imports_no_costly_modules(tmp_path):
-    # gzip comes with a path handed to np.loadtxt, numpy.ma with np.unique
-    # (16-19 ms), scipy with anything from it; each would add set-up time
-    path = tmp_path / "data.csv"
-    write_matrix_csv(str(path), np.random.default_rng(1).standard_normal((20, 3)))
-    code = ("import sys\nimport sco.cli\nfrom sco.io import read_matrix_csv\n"
-            "read_matrix_csv(sys.argv[1])\n"
-            "print(sorted({'gzip', 'numpy.ma', 'scipy'} & set(sys.modules)))\n")
+# The modules that only solving commands need; `sco graph` loads none of them.
+SOLVER_MODULES = {"sco.admm", "sco.bounds", "sco.clusterpath", "sco.evolution",
+                  "sco.incidence", "sco.norms", "sco.problems", "sco.prox"}
+
+
+def fresh_python(*argv) -> str:
+    """Run ``python *argv`` in a fresh interpreter that finds this package;
+    return its standard output."""
     src = os.path.dirname(os.path.dirname(sco.__file__))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
-                          capture_output=True, text=True, timeout=120, check=True)
-    assert proc.stdout.strip() == "[]"
+    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    return proc.stdout
+
+
+def test_start_up_imports_no_costly_modules(tmp_path):
+    # gzip comes with a path handed to np.loadtxt, numpy.ma with np.unique
+    # (16-19 ms), scipy with anything from it, and the solver modules cost
+    # about 15 ms to compile and load; each would add set-up time
+    path = tmp_path / "data.csv"
+    write_matrix_csv(str(path), np.random.default_rng(1).standard_normal((20, 3)))
+    costly = sorted({"gzip", "numpy.ma", "scipy"} | SOLVER_MODULES)
+    code = ("import sys\nimport sco.cli\nfrom sco.io import read_matrix_csv\n"
+            "read_matrix_csv(sys.argv[1])\n"
+            f"print(*sorted(set({costly!r}) & set(sys.modules)))\n")
+    assert fresh_python("-c", code, str(path)).split() == []
+
+
+@pytest.mark.parametrize("command, loaded", [("graph", []), ("solve", sorted(SOLVER_MODULES))])
+def test_only_solving_commands_load_the_solver(tmp_path, command, loaded):
+    path = tmp_path / "data.csv"
+    write_matrix_csv(str(path), np.random.default_rng(1).standard_normal((20, 3)))
+    code = ("import sys\nfrom sco.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            f"print(*sorted(set({sorted(SOLVER_MODULES)!r}) & set(sys.modules)))\n")
+    argv = [command, "--input", str(path), "--k", "2", "--out", str(tmp_path / "out.json")]
+    assert fresh_python("-c", code, *argv).split() == loaded
+
+
+def test_tracer_wraps_the_solver_names_before_any_command(tmp_path):
+    # the benchmark's tracer reads each of its sco.cli targets before a
+    # command has loaded the solver, then replaces it with setattr; the
+    # first command must call the replacement
+    path = tmp_path / "data.csv"
+    write_matrix_csv(str(path), np.random.default_rng(1).standard_normal((20, 3)))
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "perfbench")
+    code = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import sco.cli
+from tracing import SPAN_TARGETS
+for module, name, _ in SPAN_TARGETS:
+    if module == "sco.cli":
+        getattr(sco.cli, name)
+calls = []
+original = sco.cli.solve_dual
+
+def spy(*args, **kwargs):
+    calls.append(args)
+    return original(*args, **kwargs)
+
+sco.cli.solve_dual = spy
+assert sco.cli.main(sys.argv[2:]) == 0
+print(len(calls))
+"""
+    argv = ["solve", "--input", str(path), "--k", "2", "--out", str(tmp_path / "s.json")]
+    assert fresh_python("-c", code, perfbench, *argv).strip() == "1"
+
+
+def test_module_entry_point_writes_the_bytes_of_main(random_csv, tmp_path):
+    by_main, by_module = tmp_path / "main.json", tmp_path / "module.json"
+    argv = ["graph", "--input", random_csv, "--k", "2", "--out"]
+    assert main(argv + [str(by_main)]) == 0
+    fresh_python("-m", "sco.cli", *argv, str(by_module))  # check=True: exit 0
+    assert by_module.read_bytes() == by_main.read_bytes()
+
+
+@pytest.mark.parametrize("command, out", [("graph", "missing/dir/out.json"), ("solve", "a_dir")])
+def test_unwritable_output_exits_2(random_csv, tmp_path, capsys, command, out):
+    # a directory that does not exist fails at the temp file, a directory
+    # in place of the file at the rename
+    (tmp_path / "a_dir").mkdir()
+    out = str(tmp_path / out)
+    assert main([command, "--input", random_csv, "--k", "2", "--out", out]) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["kind"] == "ParameterError"
+    assert error["error"].startswith(f"cannot write {out}: ")
+    assert list(tmp_path.rglob(".sco-*.tmp")) == []
 
 
 PARSER_ARGV = {
